@@ -17,7 +17,6 @@ from .polycore import (
     REAL,
     MatrixPolynomial,
     MobiusMatrix,
-    ScalarPair,
     StructureKind,
     evaluate,
     frob_norm,
@@ -53,7 +52,6 @@ from .linearize import (
     placement_stacked,
     placement_tridiagonal,
     recover,
-    symmetrize_M,
 )
 from .sylvester import (
     FixedPointState,

@@ -22,13 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linearize, minbases, polycore, spectra, sylvester
-from .errors import StructureError, StruktError, ThresholdError
+from .errors import GradeError, StructureError, StruktError, ThresholdError
 from .linearize import BlockKroneckerPencil
 from .polycore import (
     MatrixPolynomial,
     StructureKind,
     frob_norm,
     pair_norm,
+    star,
     structure_residual,
 )
 
@@ -68,10 +69,9 @@ class StructuredPerturbation:
         l1[top:, :top] = self.db21
         l0[top:, top:] = self.da22
         l1[top:, top:] = self.db22
-        l0[:top, top:] = _star(a.b * self.db21 + a.d * self.da21)
-        l1[:top, top:] = _star(a.a * self.db21 + a.c * self.da21)
-        field_tag = polycore.COMPLEX if np.iscomplexobj(l0) else polycore.REAL
-        return polycore.from_coeff_list([l0, l1], field_tag)
+        l0[:top, top:] = star(a.b * self.db21 + a.d * self.da21)
+        l1[:top, top:] = star(a.a * self.db21 + a.c * self.da21)
+        return polycore.from_coeff_list([l0, l1])
 
     def norm(self) -> float:
         return frob_norm(self.pencil())
@@ -103,10 +103,6 @@ class StructuredPerturbation:
                 f"(1,2) block is not determined by the (2,1) block (defect {defect:.3e})"
             )
         return pert
-
-
-def _star(a: np.ndarray) -> np.ndarray:
-    return np.conj(a.T) if np.iscomplexobj(a) else a.T
 
 
 def random_structured_perturbation(
@@ -201,7 +197,7 @@ def congruence_zero_block(
     g_left = np.eye(size, dtype=np.result_type(x, pencil.l0))
     g_left[top:, :top] = x
     g_right = np.eye(size, dtype=g_left.dtype)
-    g_right[:top, top:] = _star(x)
+    g_right[:top, top:] = star(x)
 
     perturbed = pencil.as_polynomial() + pert.pencil()
     t0 = g_left @ perturbed.coefficient(0) @ g_right
@@ -247,19 +243,10 @@ def reconstruct_perturbed_polynomial(
     """Grade 2k+1 polynomial strongly linearized by the rezeroed pencil.
 
     Completes the perturbed (2,1) block to a dual basis pair and sandwiches
-    the (1,1) block between the completed basis and its substituted adjoint,
-    applying the same sign normalization as `linearize.recover`.
+    the (1,1) block with `linearize.recover_from_m`, the completed basis
+    taking the place of the monomial row.
     """
     m11, b21, _, _ = linearize.split_natural_partition(ltilde, k, n)
-    if k == 0:
-        return ReconstructionResult(
-            poly=linearize.recover_from_m(m11, k, n, kind),
-            dual=minbases.DualBasisPair(
-                K=minbases.build_Lk(0, n), N=minbases.build_Lambda(0, n), k=0, n=n
-            ),
-            norm_dtilde21=0.0,
-            norm_dr=0.0,
-        )
     dt21 = b21 - minbases.build_Lk(k, n)
     norm_dt21 = frob_norm(dt21)
     bound = minbases.completion_threshold(k)
@@ -270,12 +257,8 @@ def reconstruct_perturbed_polynomial(
             bound=bound,
         )
     pair = minbases.dual_basis_complete(b21, k, n, tol=max(1e-12, tol * 0.1))
-    nt = polycore.transpose_poly(pair.N)
-    left = polycore.star_adjoint(polycore.mobius(nt, kind.mobius))
-    raw = polycore.poly_matmul(polycore.poly_matmul(left, m11), nt)
-    poly = kind.recovery_sign(k) * raw
     return ReconstructionResult(
-        poly=poly,
+        poly=linearize.recover_from_m(m11, pair.N, kind),
         dual=pair,
         norm_dtilde21=norm_dt21,
         norm_dr=frob_norm(pair.delta_r()),
@@ -476,6 +459,8 @@ def run_certification(
     Trials are independent and deterministic per (seed, norm index, trial
     index); per-trial failures are recorded in the report, never raised.
     """
+    if p.grade < 3:
+        raise GradeError(f"certification needs grade >= 3 (k >= 1), got {p.grade}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if any(nrm < 0 for nrm in pert_norms):
@@ -555,10 +540,23 @@ def reports_from_csv(path) -> list[BackwardErrorReport]:
 
 
 def reports_to_json(reports, path) -> None:
+    """Strict JSON: non-finite floats (NaN where a trial has no value) become null."""
+    rows = [
+        {
+            name: None if isinstance(value, float) and not math.isfinite(value) else value
+            for name, value in rep.row().items()
+        }
+        for rep in reports
+    ]
     with open(path, "w") as fh:
-        json.dump([rep.row() for rep in reports], fh)
+        json.dump(rows, fh, allow_nan=False)
 
 
 def reports_from_json(path) -> list[BackwardErrorReport]:
     with open(path) as fh:
-        return [BackwardErrorReport(**row) for row in json.load(fh)]
+        return [
+            BackwardErrorReport(
+                **{name: math.nan if value is None else value for name, value in row.items()}
+            )
+            for row in json.load(fh)
+        ]

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import backward, linearize, polycore, spectra, sylvester
+from . import backward, linearize, minbases, polycore, spectra, sylvester
 from .errors import StruktError
 from .polycore import StructureKind
 
@@ -31,13 +31,15 @@ ALL_KINDS = [k.value for k in StructureKind]
 
 @dataclass
 class ExperimentConfig:
-    """Certification campaign description, loadable from a single JSON file."""
+    """Certification campaign description, loadable from a single JSON file.
+
+    ``kind`` names one structure kind, or "all" for the six in enum order.
+    """
 
     kind: str = "symmetric"
     grade: int = 5
     n: int = 2
     placement: str = "tridiagonal"
-    sigma: int = 0  # 0 picks the kind's canonical sign
     pert_norms: list = field(default_factory=lambda: [1e-8])
     trials: int = 20
     seed: int = 20240801
@@ -46,9 +48,9 @@ class ExperimentConfig:
     format: str = "csv"
 
     def validate(self) -> "ExperimentConfig":
-        kind = StructureKind(self.kind)
-        if self.grade % 2 == 0 or self.grade < 1:
-            raise StruktError("grade must be odd and positive")
+        self.kinds()
+        if self.grade % 2 == 0 or self.grade < 3:
+            raise StruktError("grade must be odd and at least 3")
         if self.n < 1:
             raise StruktError("n must be >= 1")
         if self.placement not in linearize.PLACEMENTS:
@@ -59,10 +61,6 @@ class ExperimentConfig:
             raise StruktError("perturbation norms must be nonnegative")
         if self.mode not in ("certified", "empirical"):
             raise StruktError("mode must be 'certified' or 'empirical'")
-        if self.sigma == 0:
-            self.sigma = kind.sigma
-        if self.sigma not in (-1, 1):
-            raise StruktError("sigma must be -1 or +1")
         if self.format not in ("csv", "json"):
             raise StruktError("format must be 'csv' or 'json'")
         return self
@@ -76,6 +74,11 @@ class ExperimentConfig:
         if unknown:
             raise StruktError(f"unknown config keys: {sorted(unknown)}")
         return cls(**doc).validate()
+
+    def kinds(self) -> list[StructureKind]:
+        if self.kind == "all":
+            return list(StructureKind)
+        return [_parse_kind(self.kind)]
 
 
 def _parse_kind(name: str) -> StructureKind:
@@ -110,7 +113,8 @@ def cmd_recover(args) -> int:
     poly, record = linearize.load_pencil_file(args.pencil)
     k, n, kind = record["k"], record["n"], record["kind"]
     m11, _, _, _ = linearize.split_natural_partition(poly, k, n)
-    recovered = linearize.recover_from_m(m11, k, n, kind, sign=record["sign"])
+    row = minbases.build_Lambda(k, n)
+    recovered = linearize.recover_from_m(m11, row, kind, sign=record["sign"])
     out = args.output or (str(Path(args.pencil).with_suffix("")) + ".recovered.json")
     polycore.save_polynomial(recovered, out)
     print(f"sign={record['sign']} grade={recovered.grade}")
@@ -122,7 +126,9 @@ def cmd_perturb(args) -> int:
     poly, record = linearize.load_pencil_file(args.pencil)
     k, n, kind = record["k"], record["n"], record["kind"]
     seed = args.seed if args.seed is not None else 0
-    pert = backward.random_structured_perturbation(k, n, kind, args.norm, seed)
+    pert = backward.random_structured_perturbation(
+        k, n, kind, args.norm, seed, field_tag=poly.field
+    )
     perturbed = poly + pert.pencil()
     out = args.output or (str(Path(args.pencil).with_suffix("")) + ".perturbed.json")
     polycore.save_polynomial(perturbed, out)
@@ -134,28 +140,36 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_sigma_min(args) -> int:
+    """Check the law sigma_min = 2 sin(pi/(4k)) at n = 1, 2, and that every
+    singular value of the full system matrix is one of the reduced matrix's,
+    repeated n^2 times."""
     kinds = [
         _parse_kind(name)
         for name in (args.kinds.split(",") if args.kinds else ALL_KINDS)
     ]
     failures = 0
-    header = f"{'k':>3} {'kind':>16} {'formula':>20} {'svd':>20} {'rel_err':>10} {'red_diff':>10}"
-    print(header)
+    print(
+        f"{'k':>3} {'n':>3} {'kind':>16} {'formula':>19} {'svd':>19} "
+        f"{'rel_err':>9} {'red_diff':>9}"
+    )
     for k in range(1, args.kmax + 1):
         formula = sylvester.sigma_min_formula(k)
-        for kind in kinds:
-            full = np.linalg.svd(sylvester.build_TA(k, 1, kind), compute_uv=False)
-            reduced = np.linalg.svd(
-                sylvester.build_TA_reduced(k, kind), compute_uv=False
-            )
-            rel_err = abs(full[-1] - formula) / formula
-            red_diff = float(np.max(np.abs(full - reduced)))
-            print(
-                f"{k:>3} {kind.value:>16} {formula:>20.14f} {full[-1]:>20.14f} "
-                f"{rel_err:>10.2e} {red_diff:>10.2e}"
-            )
-            if rel_err > 1e-10:
-                failures += 1
+        reduced = {
+            kind: np.linalg.svd(sylvester.build_TA_reduced(k, kind), compute_uv=False)
+            for kind in kinds
+        }
+        for n in (1, 2):
+            for kind in kinds:
+                full = np.linalg.svd(sylvester.build_TA(k, n, kind), compute_uv=False)
+                rel_err = abs(full[-1] - formula) / formula
+                red_diff = float(np.max(np.abs(full - np.repeat(reduced[kind], n * n))))
+                red_diff /= full[0]
+                print(
+                    f"{k:>3} {n:>3} {kind.value:>16} {formula:>19.15f} "
+                    f"{full[-1]:>19.15f} {rel_err:>9.1e} {red_diff:>9.1e}"
+                )
+                if rel_err > 1e-10 or red_diff > 1e-10:
+                    failures += 1
     if failures:
         print(f"{failures} entries above 1e-10 relative error")
         return EXIT_CERTIFICATION
@@ -192,6 +206,24 @@ def cmd_eigs(args) -> int:
     return EXIT_OK
 
 
+def _print_kind_table(reports, kinds) -> None:
+    """Per-kind counts and the worst trial's distance to its certified bound."""
+    print(
+        f"{'kind':>16} {'trials':>7} {'bound_ok':>9} {'struct_ok':>10} "
+        f"{'max_ratio':>12} {'ratio/bound':>12}"
+    )
+    for kind in kinds:
+        rows = [r for r in reports if r.kind == kind.value]
+        live = [r for r in rows if r.bound > 0]
+        max_ratio = max((r.ratio for r in live), default=0.0)
+        worst = max((r.ratio / r.bound for r in live), default=0.0)
+        print(
+            f"{kind.value:>16} {len(rows):>7} "
+            f"{sum(r.ratio_le_bound for r in rows):>9} "
+            f"{sum(r.structure_ok for r in rows):>10} {max_ratio:>12.3e} {worst:>12.3e}"
+        )
+
+
 def cmd_certify(args) -> int:
     if args.config:
         config = ExperimentConfig.from_json(args.config)
@@ -206,20 +238,21 @@ def cmd_certify(args) -> int:
     if args.format:
         config.format = args.format
 
-    kind = StructureKind(config.kind)
-    p = polycore.random_structured(
-        config.n, config.grade, kind, target_norm=1.0, seed=config.seed
-    )
-    reports = backward.run_certification(
-        p,
-        kind,
-        config.placement,
-        config.pert_norms,
-        config.trials,
-        config.seed,
-        mode=config.mode,
-        compute_eigs=args.eigs,
-    )
+    reports = []
+    for kind in config.kinds():
+        p = polycore.random_structured(
+            config.n, config.grade, kind, target_norm=1.0, seed=config.seed
+        )
+        reports += backward.run_certification(
+            p,
+            kind,
+            config.placement,
+            config.pert_norms,
+            config.trials,
+            config.seed,
+            mode=config.mode,
+            compute_eigs=args.eigs,
+        )
     if not args.timings:
         for rep in reports:
             rep.wall_ms = 0.0
@@ -229,9 +262,10 @@ def cmd_certify(args) -> int:
     k = (config.grade - 1) // 2
     print(
         f"certify: {passed}/{total} trials within bound; "
-        f"kind={kind.value} g={config.grade} n={config.n} "
+        f"kind={config.kind} g={config.grade} n={config.n} "
         f"placement={config.placement} mode={config.mode}"
     )
+    _print_kind_table(reports, config.kinds())
     print(
         "simplified multiplier (valid when norm_M is close to norm_P): "
         f"{backward.corollary_factor(k, config.n)!r}"

@@ -220,15 +220,6 @@ def check_placement(
     return bool(np.all(res <= tol * max(1.0, frob_norm(p))))
 
 
-def symmetrize_M(m: MatrixPolynomial, kind: StructureKind) -> MatrixPolynomial:
-    """Average a placement pencil with its substituted adjoint.
-
-    The result carries the structure and, being an affine combination of two
-    pencils satisfying the placement condition, still satisfies it.
-    """
-    return structure_project(m, kind)
-
-
 # ---------------------------------------------------------------------------
 # Assembly and recovery
 # ---------------------------------------------------------------------------
@@ -285,26 +276,34 @@ def build_linearization(
         place = PLACEMENTS[placement]
     except KeyError:
         raise ValueError(f"unknown placement {placement!r}") from None
-    m = symmetrize_M(place(p, kind), kind)
+    # The average of two pencils satisfying the placement condition still
+    # satisfies it, and now carries the structure.
+    m = structure_project(place(p, kind), kind)
     k = (p.grade - 1) // 2
     return assemble(m, k, p.rows, kind, tol=tol)
 
 
 def recover_from_m(
-    m: MatrixPolynomial, k: int, n: int, kind: StructureKind, sign: int | None = None
+    m: MatrixPolynomial, row: MatrixPolynomial, kind: StructureKind, sign: int | None = None
 ) -> MatrixPolynomial:
-    """Exact convolution of the monomial sandwich around the (1,1) block."""
-    lam_col = transpose_poly(minbases.build_Lambda(k, n))
-    left = star_adjoint(mobius(lam_col, kind.mobius))
-    raw = poly_matmul(poly_matmul(left, polycore.pad_to_grade(m, 1)), lam_col)
+    """Exact convolution of the dual-row sandwich around the (1,1) block.
+
+    ``row`` is an n x (k+1)n dual row of grade k: the monomial row
+    Lambda_k^T (x) I_n for a built pencil, or the completed dual basis of a
+    perturbed one.  The sign defaults to the kind's normalization at k.
+    """
+    col = transpose_poly(row)
+    left = star_adjoint(mobius(col, kind.mobius))
+    raw = poly_matmul(poly_matmul(left, polycore.pad_to_grade(m, 1)), col)
     if sign is None:
-        sign = kind.recovery_sign(k)
+        sign = kind.recovery_sign(row.grade)
     return sign * raw
 
 
 def recover(pencil: BlockKroneckerPencil) -> MatrixPolynomial:
     """Grade 2k+1 polynomial linearized by the pencil; inverse of the builder."""
-    return recover_from_m(pencil.m_pencil, pencil.k, pencil.n, pencil.kind, pencil.sign)
+    row = minbases.build_Lambda(pencil.k, pencil.n)
+    return recover_from_m(pencil.m_pencil, row, pencil.kind, pencil.sign)
 
 
 # ---------------------------------------------------------------------------

@@ -103,13 +103,13 @@ def convolution_matrix(K: MatrixPolynomial, target_degree: int) -> np.ndarray:
 
 
 def is_minimal_basis(Q: MatrixPolynomial, tol: float = 1e-10) -> bool:
-    """Probabilistic minimality test for constant-row-degree candidates.
+    """Deterministic minimality test for constant-row-degree candidates.
 
     Checks that the leading coefficient has full row rank and that Q keeps
-    full row rank on a fixed sweep of sample points (the origin plus two
-    circles of radius 1 and 3) plus one random point.  A nonzero polynomial
-    matrix is rank deficient on that sweep only on a measure-zero set, so a
-    "true" answer is correct with probability one but is not a certificate.
+    full row rank on a fixed sweep of sample points: the origin, two circles
+    of radius 1 and 3, and the generic point 0.37 + 1.91i, which lies on
+    neither circle.  A rank drop off the sweep goes unseen, so a "true"
+    answer holds for generic inputs but is not a certificate.
     """
     m, ncols = Q.rows, Q.cols
     if m >= ncols:
@@ -131,7 +131,7 @@ def is_minimal_basis(Q: MatrixPolynomial, tol: float = 1e-10) -> bool:
         for r in (1.0, 3.0)
         for t in range(nsweep)
     ]
-    points.append(complex(*np.random.default_rng().standard_normal(2)))
+    points.append(0.37 + 1.91j)
     return all(full_row_rank(polycore.evaluate(Q, pt)) for pt in points)
 
 

@@ -263,18 +263,6 @@ def pair_norm(c: np.ndarray, d: np.ndarray) -> float:
     return float(math.hypot(np.linalg.norm(c), np.linalg.norm(d)))
 
 
-@dataclass(frozen=True)
-class ScalarPair:
-    """A pair of matrices treated as one object for norm bookkeeping."""
-
-    c: np.ndarray
-    d: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return pair_norm(self.c, self.d)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation, reversal, adjoints, products
 # ---------------------------------------------------------------------------
@@ -302,8 +290,9 @@ def transpose_poly(p: MatrixPolynomial) -> MatrixPolynomial:
     return MatrixPolynomial(np.swapaxes(p.coeffs, 1, 2), p.field)
 
 
-def conjugate_poly(p: MatrixPolynomial) -> MatrixPolynomial:
-    return MatrixPolynomial(np.conj(p.coeffs), p.field)
+def star(a: np.ndarray) -> np.ndarray:
+    """Transpose of a real matrix, conjugate transpose of a complex one."""
+    return np.conj(a.T) if np.iscomplexobj(a) else a.T
 
 
 def star_adjoint(p: MatrixPolynomial) -> MatrixPolynomial:

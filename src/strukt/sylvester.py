@@ -23,6 +23,7 @@ from .polycore import (
     from_coeff_list,
     is_structured,
     pair_norm,
+    star,
 )
 
 
@@ -166,24 +167,26 @@ def _unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.asarray(v).reshape((rows, cols), order="F")
 
 
-def _star(a: np.ndarray) -> np.ndarray:
-    return np.conj(a.T) if np.iscomplexobj(a) else a.T
-
-
 class _MinNormSolver:
-    """SVD-backed pseudoinverse with a cutoff tied to the singular value gap."""
+    """SVD-backed pseudoinverse of a matrix whose smallest singular value is
+    certified to be at least ``delta``; a computed one below it (beyond
+    rounding) means the certificate is broken, and the solver refuses."""
 
     def __init__(self, t: np.ndarray, delta: float):
-        u, s, vt = np.linalg.svd(t, full_matrices=False)
-        cutoff = max(delta * 1e-3, s[0] * 1e-14) if delta > 0 else s[0] * 1e-12
-        keep = s > cutoff
-        self.u = u[:, keep]
-        self.s = s[keep]
-        self.vt = vt[keep, :]
+        u, self.s, vt = np.linalg.svd(t, full_matrices=False)
+        if self.s[-1] < delta - 1e-12 * self.s[0]:
+            raise NumericalError(
+                f"smallest singular value {self.s[-1]:.3e} below the certified "
+                f"gap {delta:.3e}"
+            )
+        # The BLAS kernel, and so the rounding of every solve, follows the
+        # memory layout; a C-ordered U^* keeps reports bit-stable.
+        self.uh = np.ascontiguousarray(u.conj().T)
+        self.v = vt.conj().T
         self.t = t
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.vt.conj().T @ ((self.u.conj().T @ b) / self.s)
+        return self.v @ ((self.uh @ b) / self.s)
 
 
 def _solver_for(sel: PerturbedSelectors, kind):
@@ -203,7 +206,7 @@ def _split_solution(x: np.ndarray, k: int, n: int):
     half = x.size // 2
     y = _unvec(x[:half], k * n, (k + 1) * n)
     zstar = _unvec(x[half:], (k + 1) * n, k * n)
-    return y, _star(zstar)
+    return y, star(zstar)
 
 
 def min_norm_sylvester_solve(
@@ -246,8 +249,8 @@ def _star_sylvester_residual(
     a = driver_matrix(kind)
     g0 = a.b * sel.fhat + a.d * sel.ehat
     g1 = a.a * sel.fhat + a.c * sel.ehat
-    r0 = x @ _star(g0) + sel.ehat @ _star(x) - c0
-    r1 = x @ _star(g1) + sel.fhat @ _star(x) - c1
+    r0 = x @ star(g0) + sel.ehat @ star(x) - c0
+    r1 = x @ star(g1) + sel.fhat @ star(x) - c1
     return pair_norm(r0, r1)
 
 
@@ -310,8 +313,8 @@ def _quad_residual(x, sel, kind, da22, db22, w0, w1):
     a = driver_matrix(kind)
     g0 = a.b * sel.fhat + a.d * sel.ehat
     g1 = a.a * sel.fhat + a.c * sel.ehat
-    r0 = x @ _star(g0) + sel.ehat @ _star(x) + da22 + x @ w0 @ _star(x)
-    r1 = x @ _star(g1) + sel.fhat @ _star(x) + db22 + x @ w1 @ _star(x)
+    r0 = x @ star(g0) + sel.ehat @ star(x) + da22 + x @ w0 @ star(x)
+    r1 = x @ star(g1) + sel.fhat @ star(x) + db22 + x @ w1 @ star(x)
     return pair_norm(r0, r1)
 
 
@@ -373,8 +376,8 @@ def quadratic_fixed_point(
         if resid <= tol:
             state.converged = True
             return state
-        rhs0 = -pert.da22 - x @ w0 @ _star(x)
-        rhs1 = -pert.db22 - x @ w1 @ _star(x)
+        rhs0 = -pert.da22 - x @ w0 @ star(x)
+        rhs1 = -pert.db22 - x @ w1 @ star(x)
         b = np.concatenate([_vec(rhs0), _vec(rhs1)])
         y, z = _split_solution(solver.solve(b), k, n)
         x = (y + z) / 2.0

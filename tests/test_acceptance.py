@@ -30,6 +30,7 @@ from strukt import (
     reference_polyeigs,
     reversal,
     sigma_min_formula,
+    structure_project,
     symmetry_check,
     transpose_poly,
 )
@@ -42,7 +43,7 @@ from strukt.backward import (
     x_norm_bound,
 )
 from strukt.errors import ThresholdError
-from strukt.linearize import build_linearization, placement_tridiagonal, symmetrize_M, tridiagonal_form
+from strukt.linearize import build_linearization, placement_tridiagonal, tridiagonal_form
 
 from conftest import ALL_KINDS, expected_tridiagonal_grade5, integer_structured_coeffs
 
@@ -185,7 +186,7 @@ def test_criterion_3_canonical_layouts():
             coeffs = integer_structured_coeffs(kind, 5, n, rng)
             p = from_coeff_list(coeffs)
             m = placement_tridiagonal(p, kind)
-            assert np.array_equal(symmetrize_M(m, kind).coeffs, m.coeffs)
+            assert np.array_equal(structure_project(m, kind).coeffs, m.coeffs)
             _, tri = tridiagonal_form(assemble(m, 2, n, kind))
             const, lam = expected_tridiagonal_grade5(coeffs, kind, n)
             assert np.array_equal(tri.coefficient(0), const)

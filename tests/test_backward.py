@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from strukt import (
 )
 from strukt import backward, polycore
 from strukt.backward import StructuredPerturbation, x_norm_bound
-from strukt.errors import ThresholdError
+from strukt.errors import GradeError, ThresholdError
 from strukt.linearize import build_linearization
 
 from conftest import ALL_KINDS
@@ -208,23 +209,40 @@ def test_run_certification_records_threshold_failures():
     assert all(r.error is not None for r in reports)
 
 
+def test_run_certification_rejects_grade_1():
+    p = random_structured(2, 1, StructureKind.symmetric, 1.0, seed=2)
+    with pytest.raises(GradeError):
+        run_certification(p, StructureKind.symmetric, "tridiagonal", [1e-8], trials=1, seed=3)
+
+
+def _same_cell(a, b):
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
 def test_reports_roundtrip_csv_and_json(tmp_path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
     p = random_structured(2, 5, StructureKind.odd, 1.0, seed=4)
-    reports = run_certification(
-        p, StructureKind.odd, "tridiagonal", [1e-8], trials=3, seed=5, compute_eigs=True
-    )
-    for rep in reports:
-        rep.wall_ms = 0.0
-    csv_path = tmp_path / "r.csv"
-    json_path = tmp_path / "r.json"
-    backward.reports_to_csv(reports, csv_path)
-    backward.reports_to_json(reports, json_path)
-    header = csv_path.read_text().splitlines()[0]
-    assert header == ",".join(backward.REPORT_COLUMNS)
-    for loaded in (backward.reports_from_csv(csv_path), backward.reports_from_json(json_path)):
-        assert len(loaded) == len(reports)
-        for got, want in zip(loaded, reports):
-            assert got.row() == want.row()
+    for compute_eigs in (True, False):
+        reports = run_certification(
+            p, StructureKind.odd, "tridiagonal", [1e-8], trials=3, seed=5, compute_eigs=compute_eigs
+        )
+        for rep in reports:
+            rep.wall_ms = 0.0
+        csv_path = tmp_path / "r.csv"
+        json_path = tmp_path / "r.json"
+        backward.reports_to_csv(reports, csv_path)
+        backward.reports_to_json(reports, json_path)
+        header = csv_path.read_text().splitlines()[0]
+        assert header == ",".join(backward.REPORT_COLUMNS)
+        rows = json.loads(json_path.read_text(), parse_constant=reject)
+        assert all((row["eig_chordal_max"] is None) != compute_eigs for row in rows)
+        for loaded in (backward.reports_from_csv(csv_path), backward.reports_from_json(json_path)):
+            assert len(loaded) == len(reports)
+            for got, want in zip(loaded, reports):
+                got_row, want_row = got.row(), want.row()
+                assert all(_same_cell(got_row[name], want_row[name]) for name in want_row)
 
 
 def test_eigenvalue_transport_in_certified_trials():

@@ -60,19 +60,29 @@ def test_recover_zero_pencil_gives_zero(tmp_path):
 
 def test_perturb_writes_pencil(tmp_path, poly_file):
     path, _ = poly_file
-    pencil_path = tmp_path / "pencil.json"
-    main(["linearize", str(path), "--kind", "symmetric", "--output", str(pencil_path)])
-    out = tmp_path / "pert.json"
-    assert main(["perturb", str(pencil_path), "--norm", "1e-6", "--seed", "4", "--output", str(out)]) == EXIT_OK
-    pert = load_polynomial(out)
-    base = load_polynomial(pencil_path)
-    assert abs(frob_norm(pert - base) - 1e-6) <= 1e-16
+    complex_path = tmp_path / "cpoly.json"
+    save_polynomial(
+        random_structured(2, 5, StructureKind.symmetric, 1.0, seed=3, field=polycore.COMPLEX),
+        complex_path,
+    )
+    for field, poly_path in ((polycore.REAL, path), (polycore.COMPLEX, complex_path)):
+        pencil_path = tmp_path / f"pencil_{field}.json"
+        main(["linearize", str(poly_path), "--kind", "symmetric", "--output", str(pencil_path)])
+        out = tmp_path / f"pert_{field}.json"
+        assert main(["perturb", str(pencil_path), "--norm", "1e-6", "--seed", "4", "--output", str(out)]) == EXIT_OK
+        dl = load_polynomial(out) - load_polynomial(pencil_path)
+        assert abs(frob_norm(dl) - 1e-6) <= 1e-16
+        assert polycore.is_structured(dl, StructureKind.symmetric, tol=1e-10)
+        assert np.any(dl.coeffs.imag != 0.0) == (field == polycore.COMPLEX)
 
 
 def test_sigma_min_passes(capsys):
     assert main(["sigma-min", "--kmax", "3", "--kinds", "even,odd"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "1.41421356" in out
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert len(rows) == 3 * 2 * 2
+    assert {(row[1], row[2]) for row in rows} == {(n, kind) for n in "12" for kind in ("even", "odd")}
 
 
 def test_eigs_on_polynomial(tmp_path, capsys):
@@ -156,6 +166,35 @@ def test_certify_empirical_large_perturbation(tmp_path, capsys):
     assert main(["certify", str(cfg)]) == EXIT_OK
 
 
+def test_certify_grade_1_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grade": 1, "trials": 1}))
+    assert main(["certify", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "grade" in err and "Traceback" not in err
+
+
+def _certify_rows(tmp_path, capsys, **config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grade": 3, "n": 2, "trials": 2, "seed": 5, **config}))
+    out = tmp_path / "rep.csv"
+    assert main(["certify", str(cfg), "--output", str(out)]) == EXIT_OK
+    return capsys.readouterr().out, out.read_text().splitlines()
+
+
+def test_certify_all_kinds_concatenates_single_kind_reports(tmp_path, capsys):
+    summary, rows = _certify_rows(tmp_path, capsys, kind="all")
+    assert "certify: 12/12 trials within bound; kind=all" in summary
+    header, data = rows[0], rows[1:]
+    expected = []
+    for kind in StructureKind:
+        _, single = _certify_rows(tmp_path, capsys, kind=kind.value)
+        assert single[0] == header
+        expected += single[1:]
+        assert f"{kind.value:>16} {2:>7} {2:>9} {2:>10}" in summary
+    assert data == expected
+
+
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == EXIT_USAGE
 
@@ -165,5 +204,8 @@ def test_config_validation_direct():
         ExperimentConfig(grade=4).validate()
     with pytest.raises(StruktError):
         ExperimentConfig(trials=0).validate()
-    cfg = ExperimentConfig(kind="odd").validate()
-    assert cfg.sigma == -1
+    with pytest.raises(StruktError):
+        ExperimentConfig(grade=1).validate()
+    with pytest.raises(StruktError):
+        ExperimentConfig(kind="no-such-kind").validate()
+    assert ExperimentConfig(kind="all").validate().kinds() == list(StructureKind)

@@ -15,9 +15,9 @@ from strukt import (
     random_structured,
     recover,
     star_adjoint,
-    symmetrize_M,
+    structure_project,
 )
-from strukt import linearize, polycore
+from strukt import linearize, minbases, polycore
 from strukt.errors import GradeError, StructureError
 from strukt.linearize import build_linearization, tridiagonal_form
 
@@ -31,7 +31,7 @@ def test_placements_satisfy_condition(kind, placement, g, rng):
     p = integer_structured_poly(kind, g, 2, rng)
     m = linearize.PLACEMENTS[placement](p, kind)
     assert check_placement(m, p, kind)
-    s = symmetrize_M(m, kind)
+    s = structure_project(m, kind)
     assert check_placement(s, p, kind)
     assert is_structured(s, kind, tol=1e-14)
 
@@ -95,7 +95,7 @@ def test_roundtrip_identity(kind, placement):
 
 def test_recover_zero_m_gives_zero():
     m = polycore.zeros(6, 6, 1)
-    out = linearize.recover_from_m(m, 2, 2, StructureKind.symmetric)
+    out = linearize.recover_from_m(m, minbases.build_Lambda(2, 2), StructureKind.symmetric)
     assert frob_norm(out) == 0.0
 
 
@@ -109,11 +109,12 @@ def test_recover_linear_in_m(rng):
     kind = StructureKind.symmetric
     p1 = random_structured(2, 5, kind, 1.0, seed=10)
     p2 = random_structured(2, 5, kind, 1.0, seed=11)
-    m1 = symmetrize_M(placement_tridiagonal(p1, kind), kind)
-    m2 = symmetrize_M(placement_stacked(p2, kind), kind)
-    lhs = linearize.recover_from_m(2.0 * m1 + 3.0 * m2, 2, 2, kind)
-    rhs = 2.0 * linearize.recover_from_m(m1, 2, 2, kind) + 3.0 * linearize.recover_from_m(
-        m2, 2, 2, kind
+    m1 = structure_project(placement_tridiagonal(p1, kind), kind)
+    m2 = structure_project(placement_stacked(p2, kind), kind)
+    row = minbases.build_Lambda(2, 2)
+    lhs = linearize.recover_from_m(2.0 * m1 + 3.0 * m2, row, kind)
+    rhs = 2.0 * linearize.recover_from_m(m1, row, kind) + 3.0 * linearize.recover_from_m(
+        m2, row, kind
     )
     assert frob_norm(lhs - rhs) <= 1e-13
 
@@ -157,7 +158,7 @@ def test_stacked_grade7_symmetric_layout(rng):
             [[z, z, z, z], [c[5], c[4], c[3], z], [z, z, c[2], z], [z, z, c[1], c[0]]]
         ),
     )
-    s = symmetrize_M(m, StructureKind.symmetric)
+    s = structure_project(m, StructureKind.symmetric)
     assert np.array_equal(
         s.coefficient(0),
         np.block(
@@ -191,7 +192,7 @@ def test_stacked_grade7_palindromic_layout(rng):
         m.coefficient(1),
         np.block([[z, z, z, z], [z, z, z, z], [c[6], c[5], z, z], [c[7], z, z, z]]),
     )
-    s = symmetrize_M(m, StructureKind.palindromic)
+    s = structure_project(m, StructureKind.palindromic)
     assert np.array_equal(
         s.coefficient(0),
         np.block(
@@ -220,7 +221,7 @@ def test_stacked_grade7_even_layout(rng):
         m.coefficient(0),
         np.block([[z, z, z, z], [z, c[4], c[3], z], [z, z, -c[2], z], [z, z, z, c[0]]]),
     )
-    s = symmetrize_M(m, StructureKind.even)
+    s = structure_project(m, StructureKind.even)
     assert np.array_equal(
         s.coefficient(1),
         np.block(
@@ -242,7 +243,7 @@ def test_tridiagonal_permuted_form_exact(kind, rng):
     c = [p.coefficient(i) for i in range(6)]
     m = placement_tridiagonal(p, kind)
     # these placements already carry the structure, so symmetrization fixes them
-    assert np.array_equal(symmetrize_M(m, kind).coeffs, m.coeffs)
+    assert np.array_equal(structure_project(m, kind).coeffs, m.coeffs)
     pencil = assemble(m, 2, n, kind)
     _, tri = tridiagonal_form(pencil)
     const, lam = expected_tridiagonal_grade5(c, kind, n)

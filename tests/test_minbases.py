@@ -83,6 +83,14 @@ def test_is_minimal_basis_detects_common_root():
     assert not is_minimal_basis(q)
 
 
+def test_is_minimal_basis_draws_no_random_numbers(monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("is_minimal_basis must be deterministic")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    assert is_minimal_basis(build_Lk(3, 2))
+
+
 def test_is_minimal_basis_rejects_tall():
     with pytest.raises(ValueError):
         is_minimal_basis(transpose_poly(build_Lk(2, 1)))

@@ -299,8 +299,7 @@ def test_random_structured_rejects_bad_norm():
 
 def test_pair_norm_pythagorean():
     assert pair_norm(np.array([[3.0]]), np.array([[4.0]])) == 5.0
-    sp = polycore.ScalarPair(np.eye(2), np.zeros((3, 1)))
-    assert sp.norm == math.sqrt(2.0)
+    assert pair_norm(np.eye(2), np.zeros((3, 1))) == math.sqrt(2.0)
 
 
 def test_poly_matmul_matches_pointwise(rng):

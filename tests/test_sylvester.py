@@ -17,7 +17,7 @@ from strukt import (
     star_from_sylvester,
 )
 from strukt import backward, sylvester
-from strukt.errors import StructureError, ThresholdError
+from strukt.errors import NumericalError, StructureError, ThresholdError
 from strukt.sylvester import PerturbedSelectors, build_delta_TA, build_TA_mid
 
 from conftest import ALL_KINDS
@@ -112,6 +112,14 @@ def test_exact_sign_reduction_identities(k):
 def test_delta_TA_is_zero_without_perturbation():
     sel = PerturbedSelectors.unperturbed(2, 2)
     assert not build_delta_TA(sel, StructureKind.even).any()
+
+
+def test_min_norm_solver_refuses_gap_above_sigma_min():
+    k = 2
+    t = build_TA(k, 1, StructureKind.even)
+    sylvester._MinNormSolver(t, sigma_min_formula(k))  # rounding-level agreement passes
+    with pytest.raises(NumericalError):
+        sylvester._MinNormSolver(t, 1.01 * sigma_min_formula(k))
 
 
 def test_delta_lower_bound_values():
