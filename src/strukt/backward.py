@@ -42,8 +42,8 @@ from .polycore import (
 class StructuredPerturbation:
     """The six natural blocks of a structured pencil perturbation.
 
-    The (1,2) block is determined by the (2,1) block through the kind's 2x2
-    matrix, so it is never stored; `pencil()` rebuilds it exactly.
+    The (1,2) block is the star of the kind's Mobius image of the (2,1) block,
+    so it is never stored; `pencil()` rebuilds it exactly.
     """
 
     da11: np.ndarray
@@ -57,21 +57,14 @@ class StructuredPerturbation:
     n: int
 
     def pencil(self) -> MatrixPolynomial:
-        a = self.kind.mobius
-        size = (2 * self.k + 1) * self.n
-        top = (self.k + 1) * self.n
-        dtype = np.result_type(self.da11, self.db11)
-        l0 = np.zeros((size, size), dtype=dtype)
-        l1 = np.zeros_like(l0)
-        l0[:top, :top] = self.da11
-        l1[:top, :top] = self.db11
-        l0[top:, :top] = self.da21
-        l1[top:, :top] = self.db21
-        l0[top:, top:] = self.da22
-        l1[top:, top:] = self.db22
-        l0[:top, top:] = star(a.b * self.db21 + a.d * self.da21)
-        l1[:top, top:] = star(a.a * self.db21 + a.c * self.da21)
-        return polycore.from_coeff_list([l0, l1])
+        d21 = polycore.from_coeff_list([self.da21, self.db21])
+        d12 = polycore.star_adjoint(polycore.mobius(d21, self.kind.mobius))
+        return polycore.from_coeff_list(
+            [
+                np.block([[self.da11, d12.coefficient(0)], [self.da21, self.da22]]),
+                np.block([[self.db11, d12.coefficient(1)], [self.db21, self.db22]]),
+            ]
+        )
 
     def norm(self) -> float:
         return frob_norm(self.pencil())
@@ -83,15 +76,14 @@ class StructuredPerturbation:
         size = (2 * k + 1) * n
         if dl.shape != (size, size) or dl.grade != 1:
             raise ValueError(f"expected a {size} square pencil")
-        top = (k + 1) * n
-        c0, c1 = dl.coefficient(0), dl.coefficient(1)
+        d11, d21, _, d22 = linearize.split_natural_partition(dl, k, n)
         pert = cls(
-            da11=c0[:top, :top].copy(),
-            db11=c1[:top, :top].copy(),
-            da21=c0[top:, :top].copy(),
-            db21=c1[top:, :top].copy(),
-            da22=c0[top:, top:].copy(),
-            db22=c1[top:, top:].copy(),
+            da11=d11.coefficient(0),
+            db11=d11.coefficient(1),
+            da21=d21.coefficient(0),
+            db21=d21.coefficient(1),
+            da22=d22.coefficient(0),
+            db22=d22.coefficient(1),
             kind=kind,
             k=k,
             n=n,

@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,6 +50,10 @@ class ExperimentConfig:
     format: str = "csv"
 
     def validate(self) -> "ExperimentConfig":
+        for name, want in typing.get_type_hints(ExperimentConfig).items():
+            _check_type(name, getattr(self, name), want)
+        for nrm in self.pert_norms:
+            _check_type("pert_norms entry", nrm, int | float)
         self.kinds()
         if self.grade % 2 == 0 or self.grade < 3:
             raise StruktError("grade must be odd and at least 3")
@@ -57,8 +63,8 @@ class ExperimentConfig:
             raise StruktError(f"unknown placement {self.placement!r}")
         if self.trials < 1:
             raise StruktError("trials must be >= 1")
-        if any(nrm < 0 for nrm in self.pert_norms):
-            raise StruktError("perturbation norms must be nonnegative")
+        if not all(0 <= nrm < math.inf for nrm in self.pert_norms):
+            raise StruktError("perturbation norms must be finite and nonnegative")
         if self.mode not in ("certified", "empirical"):
             raise StruktError("mode must be 'certified' or 'empirical'")
         if self.format not in ("csv", "json"):
@@ -69,6 +75,8 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise StruktError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -79,6 +87,13 @@ class ExperimentConfig:
         if self.kind == "all":
             return list(StructureKind)
         return [_parse_kind(self.kind)]
+
+
+def _check_type(name: str, value, want) -> None:
+    # bool is an int to Python but never a count, seed or norm in a config.
+    if isinstance(value, bool) or not isinstance(value, want):
+        want = getattr(want, "__name__", want)
+        raise StruktError(f"config {name} must be {want}, got {value!r}")
 
 
 def _parse_kind(name: str) -> StructureKind:

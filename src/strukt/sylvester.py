@@ -22,6 +22,7 @@ from .polycore import (
     driver_matrix,
     from_coeff_list,
     is_structured,
+    mobius,
     pair_norm,
     star,
 )
@@ -38,47 +39,76 @@ def sigma_min_formula(k: int) -> float:
 class PerturbedSelectors:
     """Selector matrices shifted by the (2,1) perturbation blocks.
 
-    ehat = -E + dA21 and fhat = F + dB21; with a zero perturbation they reduce
+    ehat = -E + da21 and fhat = F + db21; with a zero perturbation they reduce
     to (-E, F).
     """
 
-    ehat: np.ndarray
-    fhat: np.ndarray
+    da21: np.ndarray
+    db21: np.ndarray
     k: int
     n: int
+    ehat: np.ndarray = field(init=False)
+    fhat: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        sel = minbases.selector_matrices(self.k, self.n)
+        object.__setattr__(self, "ehat", -sel.e + self.da21)
+        object.__setattr__(self, "fhat", sel.f + self.db21)
 
     @classmethod
     def unperturbed(cls, k: int, n: int) -> "PerturbedSelectors":
-        sel = minbases.selector_matrices(k, n)
-        return cls(ehat=-sel.e, fhat=sel.f.copy(), k=k, n=n)
+        zero = np.zeros((k * n, (k + 1) * n))
+        return cls(zero, zero, k, n)
 
-    @classmethod
-    def from_blocks(cls, da21: np.ndarray, db21: np.ndarray, k: int, n: int):
-        sel = minbases.selector_matrices(k, n)
-        return cls(ehat=-sel.e + da21, fhat=sel.f + db21, k=k, n=n)
 
-    @property
-    def da21(self) -> np.ndarray:
-        return self.ehat + minbases.selector_matrices(self.k, self.n).e
+class StarSylvesterOperator:
+    """The coupled map (Y, Z) -> (Y G0^* + ehat Z^*, Y G1^* + fhat Z^*).
 
-    @property
-    def db21(self) -> np.ndarray:
-        return self.fhat - minbases.selector_matrices(self.k, self.n).f
+    G0 + l*G1 is the kind's Mobius image of the perturbed bidiagonal pencil
+    ehat + l*fhat: the rule that fixes a structured pencil's (1,2) block from
+    its (2,1) block.
+    """
+
+    def __init__(self, sel: PerturbedSelectors, kind):
+        self.sel = sel
+        self.driver = driver_matrix(kind)
+        self.g0, self.g1 = mobius(from_coeff_list([sel.ehat, sel.fhat]), self.driver).coeffs
+
+    def at(self, x: np.ndarray):
+        """Matrix-free image of the pair (X, X)."""
+        xs = star(x)
+        return x @ star(self.g0) + self.sel.ehat @ xs, x @ star(self.g1) + self.sel.fhat @ xs
+
+    def matrix(self) -> np.ndarray:
+        """Vectorized 2k^2n^2 x 2k(k+1)n^2 matrix acting on [vec Y; vec Z^*]."""
+        eye = np.eye(self.sel.k * self.sel.n)
+        top = np.hstack([np.kron(np.conj(self.g0), eye), np.kron(eye, self.sel.ehat)])
+        bot = np.hstack([np.kron(np.conj(self.g1), eye), np.kron(eye, self.sel.fhat)])
+        return np.vstack([top, bot])
+
+    def gap(self) -> float:
+        """Certified lower bound on the smallest singular value of `matrix()`.
+
+        The block columns of dT_A = matrix() - T_A are row permutations of
+        [A; C] (x) I and I (x) [da21; db21], with (A, C) the Mobius image of
+        (da21, db21); Weyl's inequality then gives the bound below.
+        """
+        sel = self.sel
+        image = mobius(from_coeff_list([sel.da21, sel.db21]), self.driver).coeffs
+        norm_dt = math.hypot(
+            np.linalg.norm(np.vstack(image), 2),
+            np.linalg.norm(np.vstack([sel.da21, sel.db21]), 2),
+        )
+        return sigma_min_formula(sel.k) - norm_dt
 
 
 # ---------------------------------------------------------------------------
-# The vectorized system matrix, its reductions, and perturbation
+# The unperturbed system matrix and its reductions
 # ---------------------------------------------------------------------------
 
 def build_TA(k: int, n: int, kind) -> np.ndarray:
     """Unperturbed 2k^2n^2 x 2k(k+1)n^2 system matrix, exact 0/+-1 entries."""
-    a = driver_matrix(kind)
-    sel = minbases.selector_matrices(k, n)
-    e, f = sel.e, sel.f
-    eye = np.eye(k * n)
-    top = np.hstack([np.kron(a.b * f - a.d * e, eye), -np.kron(eye, e)])
-    bot = np.hstack([np.kron(a.a * f - a.c * e, eye), np.kron(eye, f)])
-    return np.vstack([top, bot])
+    return StarSylvesterOperator(PerturbedSelectors.unperturbed(k, n), kind).matrix()
 
 
 def build_TA_mid(k: int, n: int, kind) -> np.ndarray:
@@ -130,20 +160,6 @@ def sign_diagonals(k: int):
     return s_k, s_k1
 
 
-def build_delta_TA(sel: PerturbedSelectors, kind) -> np.ndarray:
-    """Perturbation of the system matrix induced by the (2,1) blocks."""
-    a = driver_matrix(kind)
-    da21, db21 = sel.da21, sel.db21
-    eye = np.eye(sel.k * sel.n)
-    top = np.hstack(
-        [np.kron(a.b * np.conj(db21) + a.d * np.conj(da21), eye), np.kron(eye, da21)]
-    )
-    bot = np.hstack(
-        [np.kron(a.a * np.conj(db21) + a.c * np.conj(da21), eye), np.kron(eye, db21)]
-    )
-    return np.vstack([top, bot])
-
-
 def delta_lower_bound(k: int, norm_dl: float) -> float:
     """Certified lower bound on the perturbed minimum singular value gap."""
     if not 0 <= norm_dl < 1.0 / (3.0 * k):
@@ -189,9 +205,8 @@ class _MinNormSolver:
         return self.v @ ((self.uh @ b) / self.s)
 
 
-def _solver_for(sel: PerturbedSelectors, kind):
-    t = build_TA(sel.k, sel.n, kind) + build_delta_TA(sel, kind)
-    delta = sigma_min_formula(sel.k) - float(np.linalg.norm(build_delta_TA(sel, kind), 2))
+def _solver_for(op: StarSylvesterOperator):
+    delta = op.gap()
     if delta <= 0:
         raise ThresholdError(
             "perturbed system matrix may be rank deficient "
@@ -199,7 +214,7 @@ def _solver_for(sel: PerturbedSelectors, kind):
             value=delta,
             bound=0.0,
         )
-    return _MinNormSolver(t, delta), delta
+    return _MinNormSolver(op.matrix(), delta), delta
 
 
 def _split_solution(x: np.ndarray, k: int, n: int):
@@ -227,7 +242,7 @@ def min_norm_sylvester_solve(
     kn = sel.k * sel.n
     if c0.shape != (kn, kn) or c1.shape != (kn, kn):
         raise ValueError(f"right-hand sides must be {kn} square")
-    solver, delta = _solver_for(sel, kind)
+    solver, _ = _solver_for(StarSylvesterOperator(sel, kind))
     b = np.concatenate([_vec(c0), _vec(c1)])
     x = solver.solve(b)
     resid = np.linalg.norm(solver.t @ x - b)
@@ -237,21 +252,6 @@ def min_norm_sylvester_solve(
             f"Sylvester solve residual {resid:.3e} above {tol:.1e} relative"
         )
     return _split_solution(x, sel.k, sel.n)
-
-
-def _star_sylvester_residual(
-    x: np.ndarray,
-    kind,
-    sel: PerturbedSelectors,
-    c0: np.ndarray,
-    c1: np.ndarray,
-):
-    a = driver_matrix(kind)
-    g0 = a.b * sel.fhat + a.d * sel.ehat
-    g1 = a.a * sel.fhat + a.c * sel.ehat
-    r0 = x @ star(g0) + sel.ehat @ star(x) - c0
-    r1 = x @ star(g1) + sel.fhat @ star(x) - c1
-    return pair_norm(r0, r1)
 
 
 def star_from_sylvester(
@@ -274,7 +274,8 @@ def star_from_sylvester(
             "right-hand pencil must carry the structure for the averaging step"
         )
     x = (y + z) / 2.0
-    resid = _star_sylvester_residual(x, kind, sel, c0, c1)
+    r0, r1 = StarSylvesterOperator(sel, kind).at(x)
+    resid = pair_norm(r0 - c0, r1 - c1)
     scale = max(pair_norm(c0, c1), 1.0)
     if resid > tol * scale:
         raise NumericalError(
@@ -309,15 +310,6 @@ class FixedPointState:
         return 2.0 * self.theta / self.delta if self.delta > 0 else math.inf
 
 
-def _quad_residual(x, sel, kind, da22, db22, w0, w1):
-    a = driver_matrix(kind)
-    g0 = a.b * sel.fhat + a.d * sel.ehat
-    g1 = a.a * sel.fhat + a.c * sel.ehat
-    r0 = x @ star(g0) + sel.ehat @ star(x) + da22 + x @ w0 @ star(x)
-    r1 = x @ star(g1) + sel.fhat @ star(x) + db22 + x @ w1 @ star(x)
-    return pair_norm(r0, r1)
-
-
 def quadratic_fixed_point(
     pert,
     m0: np.ndarray,
@@ -334,13 +326,13 @@ def quadratic_fixed_point(
     averages; admissibility requires delta > 0 and theta*omega/delta^2 < 1/4.
     """
     k, n = pert.k, pert.n
-    sel = PerturbedSelectors.from_blocks(pert.da21, pert.db21, k, n)
+    op = StarSylvesterOperator(PerturbedSelectors(pert.da21, pert.db21, k, n), kind)
     w0 = m0 + pert.da11
     w1 = m1 + pert.db11
     theta = pair_norm(pert.da22, pert.db22)
     omega = pair_norm(w0, w1)
 
-    solver, delta = _solver_for(sel, kind)
+    solver, delta = _solver_for(op)
     kappa1 = theta * omega / delta**2
     if kappa1 >= 0.25:
         raise ThresholdError(
@@ -355,7 +347,7 @@ def quadratic_fixed_point(
         tol = 1e-13 * max(1.0, theta)
 
     state = FixedPointState(
-        x=np.zeros_like(sel.ehat),
+        x=np.zeros_like(op.sel.ehat),
         delta=delta,
         theta=theta,
         omega=omega,
@@ -364,11 +356,16 @@ def quadratic_fixed_point(
         rho0=theta / delta,
     )
 
-    b0 = np.concatenate([_vec(-pert.da22), _vec(-pert.db22)])
-    y, z = _split_solution(solver.solve(b0), k, n)
-    x = (y + z) / 2.0
+    # q = (X w0 X^*, X w1 X^*) at the current iterate, shared by its residual
+    # and the next right-hand side.
+    q0 = q1 = np.zeros_like(pert.da22)
     for it in range(1, max_iter + 1):
-        resid = _quad_residual(x, sel, kind, pert.da22, pert.db22, w0, w1)
+        b = np.concatenate([_vec(-pert.da22 - q0), _vec(-pert.db22 - q1)])
+        y, z = _split_solution(solver.solve(b), k, n)
+        x = (y + z) / 2.0
+        q0, q1 = x @ w0 @ star(x), x @ w1 @ star(x)
+        r0, r1 = op.at(x)
+        resid = pair_norm(r0 + pert.da22 + q0, r1 + pert.db22 + q1)
         state.x = x
         state.residuals.append(resid)
         state.x_norms.append(float(np.linalg.norm(x)))
@@ -376,11 +373,6 @@ def quadratic_fixed_point(
         if resid <= tol:
             state.converged = True
             return state
-        rhs0 = -pert.da22 - x @ w0 @ star(x)
-        rhs1 = -pert.db22 - x @ w1 @ star(x)
-        b = np.concatenate([_vec(rhs0), _vec(rhs1)])
-        y, z = _split_solution(solver.solve(b), k, n)
-        x = (y + z) / 2.0
     raise ConvergenceError(
         f"fixed point did not reach {tol:.3e} in {max_iter} sweeps "
         f"(last residual {state.residuals[-1]:.3e})"

@@ -209,3 +209,32 @@ def test_config_validation_direct():
     with pytest.raises(StruktError):
         ExperimentConfig(kind="no-such-kind").validate()
     assert ExperimentConfig(kind="all").validate().kinds() == list(StructureKind)
+    for bad in _BAD_TYPES + [
+        {"grade": True},
+        {"pert_norms": [True]},
+        {"pert_norms": [float("nan")]},
+        {"pert_norms": [float("inf")]},
+        {"output": 3},
+    ]:
+        with pytest.raises(StruktError):
+            ExperimentConfig(**bad).validate()
+
+
+_BAD_TYPES = [{"trials": "3"}, {"n": 2.5}, {"pert_norms": 1e-8}, {"seed": "x"}]
+
+
+def test_certify_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for doc in ("5", '[["grade"]]'):
+        cfg.write_text(doc)
+        assert main(["certify", str(cfg)]) == EXIT_USAGE
+        assert "JSON object" in capsys.readouterr().err
+
+
+def test_certify_config_of_wrong_type_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for bad in _BAD_TYPES:
+        cfg.write_text(json.dumps(bad))
+        assert main(["certify", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and "Traceback" not in err

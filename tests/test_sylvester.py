@@ -18,7 +18,8 @@ from strukt import (
 )
 from strukt import backward, sylvester
 from strukt.errors import NumericalError, StructureError, ThresholdError
-from strukt.sylvester import PerturbedSelectors, build_delta_TA, build_TA_mid
+from strukt.polycore import COMPLEX, REAL, MobiusMatrix, driver_matrix
+from strukt.sylvester import PerturbedSelectors, StarSylvesterOperator, build_TA_mid
 
 from conftest import ALL_KINDS
 
@@ -109,9 +110,51 @@ def test_exact_sign_reduction_identities(k):
     assert np.array_equal(left @ t_even @ right, ref)
 
 
-def test_delta_TA_is_zero_without_perturbation():
-    sel = PerturbedSelectors.unperturbed(2, 2)
-    assert not build_delta_TA(sel, StructureKind.even).any()
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_zero_perturbation_gives_the_law_and_build_TA(kind, k):
+    op = StarSylvesterOperator(PerturbedSelectors.unperturbed(k, 2), kind)
+    assert op.gap() == sigma_min_formula(k)
+    assert np.array_equal(op.matrix(), build_TA(k, 2, kind))
+
+
+def _draw(rng, shape, field_tag, scale=1.0):
+    m = rng.standard_normal(shape)
+    if field_tag == COMPLEX:
+        m = m + 1j * rng.standard_normal(shape)
+    return scale * m
+
+
+# A real involutory driver other than the six canonical matrices.
+_INVOLUTORY = MobiusMatrix(math.sqrt(1.0 - 0.6 * 0.5), 0.6, 0.5, -math.sqrt(1.0 - 0.6 * 0.5))
+
+
+@pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
+@pytest.mark.parametrize("kind", ALL_KINDS + [pytest.param(_INVOLUTORY, id="involutory")])
+def test_operator_matrix_matches_matrix_products(kind, field_tag, rng):
+    """The vectorized matrix applied to [vec Y; vec Z^*] is the vec of
+    (Y G0^* + ehat Z^*, Y G1^* + fhat Z^*), with G0 + l*G1 written out from
+    the driver's entries."""
+    k, n = 2, 2
+    shape = (k * n, (k + 1) * n)
+    sel = PerturbedSelectors(
+        _draw(rng, shape, field_tag, 0.1), _draw(rng, shape, field_tag, 0.1), k, n
+    )
+    a = driver_matrix(kind)
+    g0 = a.b * sel.fhat + a.d * sel.ehat
+    g1 = a.a * sel.fhat + a.c * sel.ehat
+    y = _draw(rng, shape, field_tag)
+    z = _draw(rng, shape, field_tag)
+    zs = z.conj().T
+    want0 = y @ g0.conj().T + sel.ehat @ zs
+    want1 = y @ g1.conj().T + sel.fhat @ zs
+    op = StarSylvesterOperator(sel, kind)
+    got = op.matrix() @ np.concatenate([y.reshape(-1, order="F"), zs.reshape(-1, order="F")])
+    want = np.concatenate([want0.reshape(-1, order="F"), want1.reshape(-1, order="F")])
+    assert np.allclose(got, want, rtol=0, atol=1e-13)
+    at0, at1 = op.at(y)
+    assert np.allclose(at0, y @ g0.conj().T + sel.ehat @ y.conj().T, rtol=0, atol=1e-13)
+    assert np.allclose(at1, y @ g1.conj().T + sel.fhat @ y.conj().T, rtol=0, atol=1e-13)
 
 
 def test_min_norm_solver_refuses_gap_above_sigma_min():
@@ -132,13 +175,24 @@ def test_delta_lower_bound_values():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_delta_lower_bound_is_a_lower_bound(k, rng):
-    for trial in range(20):
+    """delta_lower_bound <= gap <= sigma_min(T_A) - ||dT_A||_2 <= sigma_min(T)
+    in both fields, with the dense difference of the perturbed and
+    unperturbed matrices as the oracle for ||dT_A||_2."""
+    for trial in range(40):
         kind = ALL_KINDS[trial % 6]
+        field_tag = (REAL, COMPLEX)[trial // 20]
         nrm = float(rng.uniform(0.0, 0.99 / (3.0 * k)))
-        pert = backward.random_structured_perturbation(k, 2, kind, nrm, seed=trial)
-        sel = PerturbedSelectors.from_blocks(pert.da21, pert.db21, k, 2)
-        delta = sigma_min_formula(k) - np.linalg.norm(build_delta_TA(sel, kind), 2)
+        pert = backward.random_structured_perturbation(
+            k, 2, kind, nrm, seed=trial, field_tag=field_tag
+        )
+        op = StarSylvesterOperator(PerturbedSelectors(pert.da21, pert.db21, k, 2), kind)
+        t = op.matrix()
+        weyl = sigma_min_formula(k) - np.linalg.norm(t - build_TA(k, 2, kind), 2)
+        sigma = np.linalg.svd(t, compute_uv=False)[-1]
+        delta = op.gap()
         assert delta_lower_bound(k, nrm) <= delta + 1e-12
+        assert delta <= weyl + 1e-12
+        assert weyl <= sigma + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +222,7 @@ def test_min_norm_solve_bound_and_consistency(kind, rng):
 def test_min_norm_solve_rank_risk(rng):
     k, n = 2, 1
     huge = rng.standard_normal((k * n, (k + 1) * n)) * 10.0
-    sel = PerturbedSelectors.from_blocks(huge, huge, k, n)
+    sel = PerturbedSelectors(huge, huge, k, n)
     with pytest.raises(ThresholdError):
         min_norm_sylvester_solve(StructureKind.symmetric, sel, np.zeros((2, 2)), np.zeros((2, 2)))
 
@@ -203,11 +257,9 @@ def test_star_from_sylvester_rejects_unstructured_rhs(rng):
 def test_star_from_sylvester_random_involutory(rng):
     """The averaging step needs only a real involutory driver, not one of the
     six canonical matrices."""
-    from strukt.polycore import MatrixPolynomial, MobiusMatrix, structure_project
+    from strukt.polycore import MatrixPolynomial, structure_project
 
-    b, c = 0.6, 0.5
-    root = math.sqrt(1.0 - b * c)
-    drv = MobiusMatrix(root, b, c, -root)
+    drv = _INVOLUTORY
     assert drv.is_coninvolutory()
     k, n = 2, 2
     sel = PerturbedSelectors.unperturbed(k, n)
