@@ -14,10 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -157,10 +155,7 @@ class CongruenceResult:
 def congruence_zero_block(
     pencil: BlockKroneckerPencil,
     pert: StructuredPerturbation,
-    tol: float = 1e-12,
     mode: str = "certified",
-    fp_tol: float | None = None,
-    max_iter: int = 100,
 ) -> CongruenceResult:
     """Rezero the (2,2) block of the perturbed pencil by a structure-preserving
     congruence [[I, 0], [X, I]] (L + dL) [[I, X^*], [0, I]].
@@ -178,10 +173,9 @@ def congruence_zero_block(
             value=norm_dl,
             bound=bound,
         )
-    if fp_tol is None and norm_dl > 0:
-        fp_tol = 1e-12 * pair_norm(pert.da22, pert.db22)
+    fp_tol = 1e-12 * pair_norm(pert.da22, pert.db22) if norm_dl > 0 else None
     state = sylvester.quadratic_fixed_point(
-        pert, pencil.m0, pencil.m1, pencil.kind, tol=fp_tol, max_iter=max_iter
+        pert, pencil.m0, pencil.m1, pencil.kind, tol=fp_tol
     )
     x = state.x
     size = pencil.size
@@ -195,7 +189,7 @@ def congruence_zero_block(
     t0 = g_left @ perturbed.coefficient(0) @ g_right
     t1 = g_left @ perturbed.coefficient(1) @ g_right
     residual22 = pair_norm(t0[top:, top:], t1[top:, top:])
-    if residual22 > max(tol, (fp_tol or 0.0) * 4.0):
+    if residual22 > max(1e-12, (fp_tol or 0.0) * 4.0):
         raise StruktError(
             f"(2,2) block residual {residual22:.3e} above tolerance after congruence"
         )
@@ -229,7 +223,6 @@ def reconstruct_perturbed_polynomial(
     k: int,
     n: int,
     kind: StructureKind,
-    tol: float = 1e-11,
     mode: str = "certified",
 ) -> ReconstructionResult:
     """Grade 2k+1 polynomial strongly linearized by the rezeroed pencil.
@@ -248,7 +241,7 @@ def reconstruct_perturbed_polynomial(
             value=norm_dt21,
             bound=bound,
         )
-    pair = minbases.dual_basis_complete(b21, k, n, tol=max(1e-12, tol * 0.1))
+    pair = minbases.dual_basis_complete(b21, k, n)
     return ReconstructionResult(
         poly=linearize.recover_from_m(m11, pair.N, kind),
         dual=pair,
@@ -292,35 +285,6 @@ def corollary_factor(k: int, n: int) -> float:
 # Certification runner
 # ---------------------------------------------------------------------------
 
-REPORT_COLUMNS = [
-    "seed",
-    "kind",
-    "g",
-    "n",
-    "k",
-    "placement",
-    "norm_P",
-    "norm_L",
-    "norm_M",
-    "norm_dL",
-    "threshold_ok",
-    "norm_X",
-    "norm_dR",
-    "norm_dP",
-    "ratio",
-    "C_PL",
-    "bound",
-    "ratio_le_bound",
-    "structure_ok",
-    "eig_chordal_max",
-    "iters",
-    "wall_ms",
-]
-
-_BOOL_COLUMNS = {"threshold_ok", "ratio_le_bound", "structure_ok"}
-_INT_COLUMNS = {"seed", "g", "n", "k", "iters"}
-
-
 @dataclass
 class BackwardErrorReport:
     """One certification trial; the field order matches the CSV schema."""
@@ -337,8 +301,8 @@ class BackwardErrorReport:
     norm_dL: float
     threshold_ok: bool
     norm_X: float
-    norm_dP: float = math.nan
     norm_dR: float = math.nan
+    norm_dP: float = math.nan
     ratio: float = math.nan
     C_PL: float = math.nan
     bound: float = math.nan
@@ -353,6 +317,13 @@ class BackwardErrorReport:
         return {name: getattr(self, name) for name in REPORT_COLUMNS}
 
 
+# Serialized column name -> annotated type name, in field order.
+_COLUMN_TYPES = {
+    f.name: f.type for f in fields(BackwardErrorReport) if f.name != "error"
+}
+REPORT_COLUMNS = list(_COLUMN_TYPES)
+
+
 def _run_single_trial(
     p,
     pencil,
@@ -364,7 +335,6 @@ def _run_single_trial(
     seed_label,
     mode,
     compute_eigs,
-    fp_max_iter,
 ):
     start = time.perf_counter()
     norm_p = frob_norm(p)
@@ -406,9 +376,7 @@ def _run_single_trial(
             pert = random_structured_perturbation(
                 pencil.k, pencil.n, kind, norm_dl_target, trial_seed, field_tag=p.field
             )
-            cong = congruence_zero_block(
-                pencil, pert, mode=mode, max_iter=fp_max_iter
-            )
+            cong = congruence_zero_block(pencil, pert, mode=mode)
             recon = reconstruct_perturbed_polynomial(
                 cong.ltilde, pencil.k, pencil.n, kind, mode=mode
             )
@@ -443,52 +411,40 @@ def run_certification(
     seed: int,
     mode: str = "certified",
     compute_eigs: bool = False,
-    fp_max_iter: int = 100,
-    normalize: bool = True,
 ) -> list[BackwardErrorReport]:
     """Run the full pipeline over a grid of perturbation norms and trials.
 
-    Trials are independent and deterministic per (seed, norm index, trial
-    index); per-trial failures are recorded in the report, never raised.
+    ``p`` is scaled to unit Frobenius norm first. Trials run one after
+    another and are deterministic per (seed, norm index, trial index);
+    per-trial failures are recorded in the report, never raised. A grade
+    below 3, fewer than one trial or a norm outside [0, inf) is refused with
+    a `StruktError` before any trial.
     """
     if p.grade < 3:
         raise GradeError(f"certification needs grade >= 3 (k >= 1), got {p.grade}")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if any(nrm < 0 for nrm in pert_norms):
-        raise ValueError("perturbation norms must be nonnegative")
-    if normalize:
-        p = p * (1.0 / frob_norm(p))
+        raise StruktError("trials must be >= 1")
+    if not all(0 <= nrm < math.inf for nrm in pert_norms):
+        raise StruktError("perturbation norms must be finite and nonnegative")
+    p = p * (1.0 / frob_norm(p))
     pencil = linearize.build_linearization(p, kind, placement)
     tb = theorem_bound(p, pencil)
-
-    jobs = []
-    for ni, nrm in enumerate(pert_norms):
-        for ti in range(trials):
-            trial_seed = np.random.SeedSequence(entropy=seed, spawn_key=(ni, ti))
-            jobs.append((nrm, trial_seed))
-
-    def work(job):
-        nrm, trial_seed = job
-        return _run_single_trial(
+    return [
+        _run_single_trial(
             p,
             pencil,
             tb,
             kind,
             placement,
             nrm,
-            trial_seed,
+            np.random.SeedSequence(entropy=seed, spawn_key=(ni, ti)),
             seed,
             mode,
             compute_eigs,
-            fp_max_iter,
         )
-
-    workers = int(os.environ.get("STRUKT_NUM_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(work, jobs))
-    return [work(job) for job in jobs]
+        for ni, nrm in enumerate(pert_norms)
+        for ti in range(trials)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +469,12 @@ def _format_cell(value):
 
 
 def _parse_cell(name: str, text: str):
-    if name in _BOOL_COLUMNS:
+    type_name = _COLUMN_TYPES[name]
+    if type_name == "bool":
         return text == "true"
-    if name in _INT_COLUMNS:
+    if type_name == "int":
         return int(text)
-    if name in ("kind", "placement"):
+    if type_name == "str":
         return text
     return float(text)
 

@@ -74,9 +74,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise StruktError("config must be a JSON object")
+            doc = polycore.require_keys(json.load(fh), (), "config")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -140,15 +138,11 @@ def cmd_recover(args) -> int:
 def cmd_perturb(args) -> int:
     poly, record = linearize.load_pencil_file(args.pencil)
     k, n, kind = record["k"], record["n"], record["kind"]
-    seed = args.seed if args.seed is not None else 0
     pert = backward.random_structured_perturbation(
-        k, n, kind, args.norm, seed, field_tag=poly.field
+        k, n, kind, args.norm, args.seed, field_tag=poly.field
     )
-    perturbed = poly + pert.pencil()
     out = args.output or (str(Path(args.pencil).with_suffix("")) + ".perturbed.json")
-    polycore.save_polynomial(perturbed, out)
-    with open(linearize.sidecar_path(out), "w") as fh:
-        json.dump({"k": k, "n": n, "kind": kind.value, "sign": record["sign"]}, fh)
+    linearize.save_pencil_file(poly + pert.pencil(), record, out)
     print(f"norm_dL={pert.norm()!r}")
     print(f"wrote {out} and {linearize.sidecar_path(out)}")
     return EXIT_OK
@@ -308,52 +302,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, help="random seed where applicable")
-    common.add_argument("--tol", type=float, default=1e-12, help="structure tolerance")
-    common.add_argument("--mode", choices=["certified", "empirical"])
-    common.add_argument("--output")
-    common.add_argument("--format", choices=["csv", "json"])
-
-    lin = sub.add_parser(
-        "linearize", parents=[common],
-        help="build a structured pencil from a polynomial file",
-    )
+    lin = sub.add_parser("linearize", help="build a structured pencil from a polynomial file")
     lin.add_argument("input")
     lin.add_argument("--kind", required=True, choices=ALL_KINDS)
     lin.add_argument("--placement", default="tridiagonal", choices=sorted(linearize.PLACEMENTS))
+    lin.add_argument("--tol", type=float, default=1e-12, help="structure tolerance")
+    lin.add_argument("--output")
     lin.set_defaults(func=cmd_linearize)
 
-    rec = sub.add_parser(
-        "recover", parents=[common], help="recover the polynomial from a pencil file"
-    )
+    rec = sub.add_parser("recover", help="recover the polynomial from a pencil file")
     rec.add_argument("pencil")
+    rec.add_argument("--output")
     rec.set_defaults(func=cmd_recover)
 
-    per = sub.add_parser(
-        "perturb", parents=[common], help="write a structured perturbation of a pencil"
-    )
+    per = sub.add_parser("perturb", help="write a structured perturbation of a pencil")
     per.add_argument("pencil")
     per.add_argument("--norm", type=float, required=True)
+    per.add_argument("--seed", type=int, default=0)
+    per.add_argument("--output")
     per.set_defaults(func=cmd_perturb)
 
-    sig = sub.add_parser(
-        "sigma-min", parents=[common],
-        help="tabulate the system-matrix singular value law",
-    )
+    sig = sub.add_parser("sigma-min", help="tabulate the system-matrix singular value law")
     sig.add_argument("--kmax", type=int, default=6)
     sig.add_argument("--kinds", help="comma-separated subset of structure kinds")
     sig.set_defaults(func=cmd_sigma_min)
 
-    eig = sub.add_parser(
-        "eigs", parents=[common], help="eigenvalues of a polynomial or pencil file"
-    )
+    eig = sub.add_parser("eigs", help="eigenvalues of a polynomial or pencil file")
     eig.add_argument("input")
     eig.add_argument("--kind", choices=ALL_KINDS)
+    eig.add_argument("--output")
     eig.set_defaults(func=cmd_eigs)
 
-    cer = sub.add_parser("certify", parents=[common], help="run a certification campaign")
+    cer = sub.add_parser("certify", help="run a certification campaign")
     cer.add_argument("config", nargs="?", help="JSON config; defaults are built in")
+    cer.add_argument("--seed", type=int, help="overrides the config's seed")
+    cer.add_argument("--mode", choices=["certified", "empirical"])
+    cer.add_argument("--output")
+    cer.add_argument("--format", choices=["csv", "json"])
     cer.add_argument("--eigs", action="store_true", help="record eigenvalue transport per trial")
     cer.add_argument("--timings", action="store_true", help="record real wall times per trial")
     cer.set_defaults(func=cmd_certify)

@@ -345,28 +345,34 @@ def tridiagonal_form(pencil: BlockKroneckerPencil):
 # Pencil file format (polynomial JSON of grade 1 plus a sidecar record)
 # ---------------------------------------------------------------------------
 
+_SIDECAR_KEYS = ("k", "n", "kind", "sign")
+
+
 def sidecar_path(path) -> Path:
     p = Path(path)
     return p.with_name(p.stem + ".sidecar.json")
 
 
 def save_pencil(pencil: BlockKroneckerPencil, path) -> None:
-    polycore.save_polynomial(pencil.as_polynomial(), path)
-    record = {
-        "k": pencil.k,
-        "n": pencil.n,
-        "kind": pencil.kind.value,
-        "sign": pencil.sign,
-    }
+    record = {"k": pencil.k, "n": pencil.n, "kind": pencil.kind, "sign": pencil.sign}
+    save_pencil_file(pencil.as_polynomial(), record, path)
+
+
+def save_pencil_file(poly: MatrixPolynomial, record: dict, path) -> None:
+    """Write a pencil polynomial and its sidecar record; `load_pencil_file`
+    reads both back."""
+    polycore.save_polynomial(poly, path)
+    sidecar = {key: record[key] for key in _SIDECAR_KEYS}
+    sidecar["kind"] = record["kind"].value
     with open(sidecar_path(path), "w") as fh:
-        json.dump(record, fh)
+        json.dump(sidecar, fh)
 
 
 def load_pencil_file(path):
     """Load a pencil polynomial together with its sidecar record."""
     poly = polycore.load_polynomial(path)
     with open(sidecar_path(path)) as fh:
-        record = json.load(fh)
+        record = polycore.require_keys(json.load(fh), _SIDECAR_KEYS, "sidecar record")
     record["kind"] = StructureKind(record["kind"])
     return poly, record
 

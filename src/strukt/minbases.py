@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polycore
-from .errors import NumericalError, ThresholdError
+from .errors import GradeError, NumericalError, ThresholdError
 from .polycore import MatrixPolynomial
 
 #: A perturbed pencil within this bound of L_k (x) I_n is guaranteed to admit a
@@ -36,7 +36,7 @@ class SelectorMatrices:
 def selector_matrices(k: int, n: int) -> SelectorMatrices:
     """E = [I_k 0] (x) I_n and F = [0 I_k] (x) I_n, exact 0/1 matrices."""
     if k < 1:
-        raise ValueError("selector matrices need k >= 1")
+        raise GradeError("selector matrices need k >= 1")
     e = np.kron(np.hstack([np.eye(k), np.zeros((k, 1))]), np.eye(n))
     f = np.kron(np.hstack([np.zeros((k, 1)), np.eye(k)]), np.eye(n))
     return SelectorMatrices(e, f)
@@ -135,26 +135,13 @@ def is_minimal_basis(Q: MatrixPolynomial, tol: float = 1e-10) -> bool:
     return all(full_row_rank(polycore.evaluate(Q, pt)) for pt in points)
 
 
-def _lambda_stack(k: int, n: int) -> np.ndarray:
-    """Stacked ascending coefficients of the (k+1)n x n column Lambda_k (x) I_n."""
-    width = (k + 1) * n
-    out = np.zeros(((k + 1) * width, n))
-    for i in range(k + 1):
-        block = np.zeros((width, n))
-        block[(k - i) * n:(k - i + 1) * n, :] = np.eye(n)
-        out[i * width:(i + 1) * width, :] = block
-    return out
-
-
-def dual_basis_complete(
-    K: MatrixPolynomial, k: int, n: int, tol: float = 1e-12
-) -> DualBasisPair:
+def dual_basis_complete(K: MatrixPolynomial, k: int, n: int) -> DualBasisPair:
     """Minimum-norm degree-k dual partner of a perturbed bidiagonal pencil.
 
     K must be L_k (x) I_n plus a perturbation below `completion_threshold(k)`.
     The correction coefficients solve the vectorized convolution system
     K * (Lambda stack + correction) = 0 by min-norm least squares; the duality
-    residual is verified against tol before returning.
+    residual must be at most 1e-12.
     """
     if K.shape != (k * n, (k + 1) * n):
         raise ValueError(f"K must be {k * n} x {(k + 1) * n}, got {K.shape}")
@@ -168,17 +155,16 @@ def dual_basis_complete(
             bound=bound,
         )
     conv = convolution_matrix(K, k)
-    rhs = -conv @ _lambda_stack(k, n)
+    lam = build_Lambda(k, n)
+    rhs = -conv @ polycore.transpose_poly(lam).coeffs.reshape(-1, n)
     sol, *_ = np.linalg.lstsq(conv, rhs, rcond=None)
 
     width = (k + 1) * n
     delta_coeffs = np.stack([sol[i * width:(i + 1) * width, :] for i in range(k + 1)])
     delta_r = MatrixPolynomial(delta_coeffs, K.field)
-    N = build_Lambda(k, n) + polycore.transpose_poly(delta_r)
+    N = lam + polycore.transpose_poly(delta_r)
     pair = DualBasisPair(K=K, N=N, k=k, n=n)
     residual = pair.duality_residual()
-    if residual > tol:
-        raise NumericalError(
-            f"dual completion residual {residual:.3e} above tolerance {tol:.3e}"
-        )
+    if residual > 1e-12:
+        raise NumericalError(f"dual completion residual {residual:.3e} above tolerance 1e-12")
     return pair

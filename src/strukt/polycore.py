@@ -430,7 +430,18 @@ def to_json_dict(p: MatrixPolynomial) -> dict:
     }
 
 
+def require_keys(doc, keys, what: str) -> dict:
+    """``doc`` itself, once it is known to be a JSON object holding ``keys``."""
+    if not isinstance(doc, dict):
+        raise StruktError(f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise StruktError(f"{what} lacks the keys {missing}")
+    return doc
+
+
 def from_json_dict(doc: dict) -> MatrixPolynomial:
+    require_keys(doc, ("rows", "cols", "grade", "field", "coeffs"), "polynomial record")
     field = doc["field"]
     if field not in _FIELD_DTYPES:
         raise StruktError(f"unknown field tag {field!r}")

@@ -229,7 +229,6 @@ def min_norm_sylvester_solve(
     sel: PerturbedSelectors,
     c0: np.ndarray,
     c1: np.ndarray,
-    tol: float = 1e-12,
 ):
     """Minimum Frobenius norm (Y, Z) solving the coupled Sylvester pair
 
@@ -237,7 +236,8 @@ def min_norm_sylvester_solve(
         Y (a*fhat + c*ehat)^* + fhat Z^* = c1
 
     Requires a positive singular value gap; the solution obeys
-    ||(Y, Z)||_F <= ||(c0, c1)||_F / delta and is residual-checked.
+    ||(Y, Z)||_F <= ||(c0, c1)||_F / delta and its residual must be within
+    1e-12 of ||(c0, c1)||_F.
     """
     kn = sel.k * sel.n
     if c0.shape != (kn, kn) or c1.shape != (kn, kn):
@@ -247,10 +247,8 @@ def min_norm_sylvester_solve(
     x = solver.solve(b)
     resid = np.linalg.norm(solver.t @ x - b)
     scale = max(np.linalg.norm(b), 1e-300)
-    if resid > tol * scale:
-        raise NumericalError(
-            f"Sylvester solve residual {resid:.3e} above {tol:.1e} relative"
-        )
+    if resid > 1e-12 * scale:
+        raise NumericalError(f"Sylvester solve residual {resid:.3e} above 1e-12 relative")
     return _split_solution(x, sel.k, sel.n)
 
 
@@ -261,12 +259,11 @@ def star_from_sylvester(
     sel: PerturbedSelectors,
     c0: np.ndarray,
     c1: np.ndarray,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """Average a coupled-Sylvester solution pair into a star-Sylvester solution.
 
     Valid only when the right-hand pencil l*c1 + c0 carries the structure; the
-    averaged matrix is verified against both star equations before returning.
+    averaged matrix must satisfy both star equations to 1e-12 relative.
     """
     rhs = from_coeff_list([c0, c1], COMPLEX if np.iscomplexobj(c0) else None)
     if not is_structured(rhs, kind, tol=1e-10):
@@ -277,10 +274,8 @@ def star_from_sylvester(
     r0, r1 = StarSylvesterOperator(sel, kind).at(x)
     resid = pair_norm(r0 - c0, r1 - c1)
     scale = max(pair_norm(c0, c1), 1.0)
-    if resid > tol * scale:
-        raise NumericalError(
-            f"star-Sylvester residual {resid:.3e} above {tol:.1e} relative"
-        )
+    if resid > 1e-12 * scale:
+        raise NumericalError(f"star-Sylvester residual {resid:.3e} above 1e-12 relative")
     return x
 
 
@@ -316,7 +311,6 @@ def quadratic_fixed_point(
     m1: np.ndarray,
     kind,
     tol: float | None = None,
-    max_iter: int = 100,
 ) -> FixedPointState:
     """Solve the quadratic star-Sylvester system that rezeroes the (2,2) block.
 
@@ -324,6 +318,8 @@ def quadratic_fixed_point(
     attributes da11, db11, da21, db21, da22, db22 together with k and n.
     Each sweep solves the linearized coupled system at minimum norm and
     averages; admissibility requires delta > 0 and theta*omega/delta^2 < 1/4.
+    The iteration stops once the residual is at most ``tol`` (default
+    1e-13*max(1, theta)) and raises `ConvergenceError` after 100 sweeps.
     """
     k, n = pert.k, pert.n
     op = StarSylvesterOperator(PerturbedSelectors(pert.da21, pert.db21, k, n), kind)
@@ -359,7 +355,7 @@ def quadratic_fixed_point(
     # q = (X w0 X^*, X w1 X^*) at the current iterate, shared by its residual
     # and the next right-hand side.
     q0 = q1 = np.zeros_like(pert.da22)
-    for it in range(1, max_iter + 1):
+    for it in range(1, 101):
         b = np.concatenate([_vec(-pert.da22 - q0), _vec(-pert.db22 - q1)])
         y, z = _split_solution(solver.solve(b), k, n)
         x = (y + z) / 2.0
@@ -374,6 +370,6 @@ def quadratic_fixed_point(
             state.converged = True
             return state
     raise ConvergenceError(
-        f"fixed point did not reach {tol:.3e} in {max_iter} sweeps "
+        f"fixed point did not reach {tol:.3e} in 100 sweeps "
         f"(last residual {state.residuals[-1]:.3e})"
     )

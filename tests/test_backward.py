@@ -17,7 +17,7 @@ from strukt import (
 )
 from strukt import backward, polycore
 from strukt.backward import StructuredPerturbation, x_norm_bound
-from strukt.errors import GradeError, ThresholdError
+from strukt.errors import GradeError, StruktError, ThresholdError
 from strukt.linearize import build_linearization
 
 from conftest import ALL_KINDS
@@ -215,6 +215,20 @@ def test_run_certification_rejects_grade_1():
         run_certification(p, StructureKind.symmetric, "tridiagonal", [1e-8], trials=1, seed=3)
 
 
+@pytest.mark.parametrize("mode", ["certified", "empirical"])
+@pytest.mark.parametrize(
+    "norms, trials",
+    [([math.nan], 1), ([1e-8, math.inf], 1), ([-1e-8], 1), ([1e-8], 0)],
+)
+def test_run_certification_refuses_bad_arguments_before_any_trial(monkeypatch, mode, norms, trials):
+    monkeypatch.setattr(backward, "_run_single_trial", None)
+    p = random_structured(2, 3, StructureKind.symmetric, 1.0, seed=2)
+    with pytest.raises(StruktError):
+        run_certification(
+            p, StructureKind.symmetric, "tridiagonal", norms, trials=trials, seed=3, mode=mode
+        )
+
+
 def _same_cell(a, b):
     return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
 
@@ -235,7 +249,11 @@ def test_reports_roundtrip_csv_and_json(tmp_path):
         backward.reports_to_csv(reports, csv_path)
         backward.reports_to_json(reports, json_path)
         header = csv_path.read_text().splitlines()[0]
-        assert header == ",".join(backward.REPORT_COLUMNS)
+        assert header == (
+            "seed,kind,g,n,k,placement,norm_P,norm_L,norm_M,norm_dL,threshold_ok,norm_X,"
+            "norm_dR,norm_dP,ratio,C_PL,bound,ratio_le_bound,structure_ok,eig_chordal_max,"
+            "iters,wall_ms"
+        )
         rows = json.loads(json_path.read_text(), parse_constant=reject)
         assert all((row["eig_chordal_max"] is None) != compute_eigs for row in rows)
         for loaded in (backward.reports_from_csv(csv_path), backward.reports_from_json(json_path)):

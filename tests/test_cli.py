@@ -1,11 +1,21 @@
+import argparse
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 
 from strukt import StructureKind, frob_norm, load_polynomial, random_structured, save_polynomial
-from strukt import polycore
-from strukt.cli import EXIT_CERTIFICATION, EXIT_OK, EXIT_USAGE, ExperimentConfig, main
+from strukt import linearize, polycore
+from strukt.cli import (
+    EXIT_CERTIFICATION,
+    EXIT_OK,
+    EXIT_USAGE,
+    ExperimentConfig,
+    build_parser,
+    main,
+)
 from strukt.errors import StruktError
 
 
@@ -46,6 +56,33 @@ def test_recover_missing_sidecar_exits_2(tmp_path, poly_file):
     assert main(["recover", str(path)]) == EXIT_USAGE
 
 
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", ["{}", "[1, 2]", '{"rows": 2, "cols": 2, "grade": 1}'])
+def test_linearize_malformed_polynomial_file_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert main(["linearize", str(path), "--kind", "even"]) == EXIT_USAGE
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("missing", ["k", "n", "kind", "sign"])
+def test_recover_sidecar_missing_key_exits_2(tmp_path, poly_file, capsys, missing):
+    path, _ = poly_file
+    pencil_path = tmp_path / "pencil.json"
+    main(["linearize", str(path), "--kind", "symmetric", "--output", str(pencil_path)])
+    sidecar = linearize.sidecar_path(pencil_path)
+    record = json.loads(sidecar.read_text())
+    del record[missing]
+    sidecar.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["recover", str(pencil_path)]) == EXIT_USAGE
+    _assert_one_error_line(capsys)
+
+
 def test_recover_zero_pencil_gives_zero(tmp_path):
     size = 10
     zero = polycore.zeros(size, size, 1)
@@ -74,6 +111,7 @@ def test_perturb_writes_pencil(tmp_path, poly_file):
         assert abs(frob_norm(dl) - 1e-6) <= 1e-16
         assert polycore.is_structured(dl, StructureKind.symmetric, tol=1e-10)
         assert np.any(dl.coeffs.imag != 0.0) == (field == polycore.COMPLEX)
+        assert linearize.load_pencil_file(out)[1] == linearize.load_pencil_file(pencil_path)[1]
 
 
 def test_sigma_min_passes(capsys):
@@ -197,6 +235,41 @@ def test_certify_all_kinds_concatenates_single_kind_reports(tmp_path, capsys):
 
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+_OPTIONS = {
+    "linearize": {"--kind", "--placement", "--tol", "--output"},
+    "recover": {"--output"},
+    "perturb": {"--norm", "--seed", "--output"},
+    "sigma-min": {"--kmax", "--kinds"},
+    "eigs": {"--kind", "--output"},
+    "certify": {"--seed", "--mode", "--output", "--format", "--eigs", "--timings"},
+}
+
+
+def test_every_subcommand_option_is_read_by_its_command():
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(_OPTIONS)
+    for name, parser in sub.choices.items():
+        actions = [a for a in parser._actions if a.dest != "help"]
+        assert {opt for a in actions for opt in a.option_strings} == _OPTIONS[name]
+        read = set(re.findall(r"\bargs\.(\w+)", inspect.getsource(parser.get_default("func"))))
+        assert {a.dest for a in actions} == read, name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma-min", "--output", "x.json"],
+        ["recover", "p.json", "--mode", "empirical"],
+        ["eigs", "p.json", "--seed", "3"],
+        ["linearize", "p.json", "--kind", "even", "--format", "json"],
+        ["certify", "--tol", "1e-9"],
+    ],
+)
+def test_option_another_subcommand_reads_exits_2(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_config_validation_direct():

@@ -18,7 +18,7 @@ from strukt import (
     transpose_poly,
 )
 from strukt import minbases, polycore
-from strukt.errors import ThresholdError
+from strukt.errors import GradeError, ThresholdError
 
 from conftest import ALL_KINDS
 
@@ -59,6 +59,8 @@ def test_selector_matrices_small():
     assert np.array_equal(sel.f, np.array([[0.0, 1.0]]))
     sel2 = selector_matrices(2, 1)
     assert np.array_equal(sel2.e, np.array([[1.0, 0, 0], [0, 1.0, 0]]))
+    with pytest.raises(GradeError):
+        selector_matrices(0, 2)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
