@@ -109,6 +109,8 @@ def random_structured_perturbation(
     extracted, the (1,2) block is replaced by its determined form, and the
     whole object is rescaled; the (2,2) block is generically nonzero.
     """
+    if not 0 <= target_norm < math.inf:
+        raise StruktError(f"perturbation norm must be finite and nonnegative, got {target_norm!r}")
     dl = polycore.random_structured(
         (2 * k + 1) * n, 1, kind, target_norm=1.0, seed=seed, field=field_tag
     )

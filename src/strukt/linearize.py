@@ -373,6 +373,7 @@ def load_pencil_file(path):
     poly = polycore.load_polynomial(path)
     with open(sidecar_path(path)) as fh:
         record = polycore.require_keys(json.load(fh), _SIDECAR_KEYS, "sidecar record")
+    polycore.require_ints(record, ("k", "n", "sign"), "sidecar record")
     record["kind"] = StructureKind(record["kind"])
     return poly, record
 

@@ -440,8 +440,16 @@ def require_keys(doc, keys, what: str) -> dict:
     return doc
 
 
+def require_ints(doc: dict, keys, what: str) -> None:
+    """Refuse ``doc`` unless each of ``keys`` holds a JSON integer (not a bool)."""
+    bad = [key for key in keys if isinstance(doc[key], bool) or not isinstance(doc[key], int)]
+    if bad:
+        raise StruktError(f"{what} keys {bad} must be integers")
+
+
 def from_json_dict(doc: dict) -> MatrixPolynomial:
     require_keys(doc, ("rows", "cols", "grade", "field", "coeffs"), "polynomial record")
+    require_ints(doc, ("rows", "cols", "grade"), "polynomial record")
     field = doc["field"]
     if field not in _FIELD_DTYPES:
         raise StruktError(f"unknown field tag {field!r}")

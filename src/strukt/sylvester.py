@@ -4,8 +4,10 @@ pencil's trailing block.
 The linear step vectorizes a pair of coupled Sylvester equations into one
 underdetermined system whose matrix has exact 0/+-1 entries and minimum
 singular value 2*sin(pi/(4k)) for every structure kind and every block size.
-The quadratic step wraps the linear solve in a fixed-point iteration whose
-convergence is certified by delta > 0 and theta*omega/delta^2 < 1/4.
+Its minimum-norm solve factors the Gram matrix T T^*, assembled from
+Kronecker sums, and never forms T itself. The quadratic step wraps the
+linear solve in a fixed-point iteration whose convergence is certified by
+delta > 0 and theta*omega/delta^2 < 1/4.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import minbases
 from .errors import ConvergenceError, NumericalError, StructureError, ThresholdError
@@ -74,13 +77,44 @@ class StarSylvesterOperator:
         self.driver = driver_matrix(kind)
         self.g0, self.g1 = mobius(from_coeff_list([sel.ehat, sel.fhat]), self.driver).coeffs
 
+    def apply(self, y: np.ndarray, zs: np.ndarray):
+        """Matrix-free image of the pair (Y, Z), given Y and Z^*."""
+        return y @ star(self.g0) + self.sel.ehat @ zs, y @ star(self.g1) + self.sel.fhat @ zs
+
     def at(self, x: np.ndarray):
         """Matrix-free image of the pair (X, X)."""
-        xs = star(x)
-        return x @ star(self.g0) + self.sel.ehat @ xs, x @ star(self.g1) + self.sel.fhat @ xs
+        return self.apply(x, star(x))
+
+    def adjoint(self, c0: np.ndarray, c1: np.ndarray):
+        """Adjoint map (c0, c1) -> (Y, Z^*) = (c0 G0 + c1 G1, ehat^* c0 + fhat^* c1)."""
+        sel = self.sel
+        return c0 @ self.g0 + c1 @ self.g1, star(sel.ehat) @ c0 + star(sel.fhat) @ c1
+
+    def gram(self) -> np.ndarray:
+        """T T^* for T = `matrix()`, assembled in O(m^2) without forming T.
+
+        Block (i, j) is the Kronecker sum conj(G_i G_j^*) (x) I + I (x) H_i H_j^*,
+        with (H0, H1) = (ehat, fhat): its entry ((a, p), (b, q)) is
+        conj(G_i G_j^*)[a, b] [p == q] + [a == b] (H_i H_j^*)[p, q].
+        """
+        kn = self.sel.k * self.sel.n
+        g = (self.g0, self.g1)
+        h = (self.sel.ehat, self.sel.fhat)
+        out = np.zeros((2, kn, kn, 2, kn, kn), dtype=np.result_type(*g, *h))
+        diag = np.arange(kn)
+        for i in (0, 1):
+            for j in (0, 1):
+                block = out[i, :, :, j]
+                block[:, diag, :, diag] = np.conj(g[i] @ star(g[j]))
+                block[diag, :, diag, :] += h[i] @ star(h[j])
+        return out.reshape(2 * kn * kn, 2 * kn * kn)
 
     def matrix(self) -> np.ndarray:
-        """Vectorized 2k^2n^2 x 2k(k+1)n^2 matrix acting on [vec Y; vec Z^*]."""
+        """Vectorized 2k^2n^2 x 2k(k+1)n^2 matrix acting on [vec Y; vec Z^*].
+
+        Only `build_TA`, `strukt sigma-min` and test oracles form it; solves
+        go through `gram()`.
+        """
         eye = np.eye(self.sel.k * self.sel.n)
         top = np.hstack([np.kron(np.conj(self.g0), eye), np.kron(eye, self.sel.ehat)])
         bot = np.hstack([np.kron(np.conj(self.g1), eye), np.kron(eye, self.sel.fhat)])
@@ -184,25 +218,37 @@ def _unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 class _MinNormSolver:
-    """SVD-backed pseudoinverse of a matrix whose smallest singular value is
-    certified to be at least ``delta``; a computed one below it (beyond
-    rounding) means the certificate is broken, and the solver refuses."""
+    """Minimum-norm solves with a wide operator T whose smallest singular
+    value is certified to be at least ``delta``, through a Cholesky factor
+    of its Gram matrix: (Y, Z^*) = T^* (T T^*)^{-1} (c0, c1).
 
-    def __init__(self, t: np.ndarray, delta: float):
-        u, self.s, vt = np.linalg.svd(t, full_matrices=False)
-        if self.s[-1] < delta - 1e-12 * self.s[0]:
+    The certificate is checked first: T T^* - (delta - 1e-12*nu)^2 I must
+    factor, with nu = sqrt(max diag T T^*) the largest row norm of T (nu is
+    at most sigma_max). If it does not, a singular value lies below the
+    certified gap beyond rounding, and the solver refuses.
+    """
+
+    def __init__(self, op: StarSylvesterOperator, delta: float):
+        gram = op.gram()
+        nu = math.sqrt(float(np.max(gram.diagonal().real)))
+        floor = max(delta - 1e-12 * nu, 0.0)
+        shifted = gram.copy()
+        shifted[np.diag_indices_from(shifted)] -= floor**2
+        try:
+            scipy.linalg.cholesky(shifted, overwrite_a=True)
+        except np.linalg.LinAlgError:
             raise NumericalError(
-                f"smallest singular value {self.s[-1]:.3e} below the certified "
-                f"gap {delta:.3e}"
-            )
-        # The BLAS kernel, and so the rounding of every solve, follows the
-        # memory layout; a C-ordered U^* keeps reports bit-stable.
-        self.uh = np.ascontiguousarray(u.conj().T)
-        self.v = vt.conj().T
-        self.t = t
+                f"a singular value lies below the certified gap {delta:.3e} "
+                "(shifted Gram matrix not positive definite)"
+            ) from None
+        self.factor = scipy.linalg.cho_factor(gram)
+        self.op = op
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.v @ ((self.uh @ b) / self.s)
+    def solve(self, c0: np.ndarray, c1: np.ndarray):
+        """Minimum Frobenius norm (Y, Z^*) with op.apply(Y, Z^*) = (c0, c1)."""
+        kn = c0.shape[0]
+        w = scipy.linalg.cho_solve(self.factor, np.concatenate([_vec(c0), _vec(c1)]))
+        return self.op.adjoint(_unvec(w[: kn * kn], kn, kn), _unvec(w[kn * kn :], kn, kn))
 
 
 def _solver_for(op: StarSylvesterOperator):
@@ -214,14 +260,7 @@ def _solver_for(op: StarSylvesterOperator):
             value=delta,
             bound=0.0,
         )
-    return _MinNormSolver(op.matrix(), delta), delta
-
-
-def _split_solution(x: np.ndarray, k: int, n: int):
-    half = x.size // 2
-    y = _unvec(x[:half], k * n, (k + 1) * n)
-    zstar = _unvec(x[half:], (k + 1) * n, k * n)
-    return y, star(zstar)
+    return _MinNormSolver(op, delta), delta
 
 
 def min_norm_sylvester_solve(
@@ -242,14 +281,15 @@ def min_norm_sylvester_solve(
     kn = sel.k * sel.n
     if c0.shape != (kn, kn) or c1.shape != (kn, kn):
         raise ValueError(f"right-hand sides must be {kn} square")
-    solver, _ = _solver_for(StarSylvesterOperator(sel, kind))
-    b = np.concatenate([_vec(c0), _vec(c1)])
-    x = solver.solve(b)
-    resid = np.linalg.norm(solver.t @ x - b)
-    scale = max(np.linalg.norm(b), 1e-300)
+    op = StarSylvesterOperator(sel, kind)
+    solver, _ = _solver_for(op)
+    y, zs = solver.solve(c0, c1)
+    r0, r1 = op.apply(y, zs)
+    resid = pair_norm(r0 - c0, r1 - c1)
+    scale = max(pair_norm(c0, c1), 1e-300)
     if resid > 1e-12 * scale:
         raise NumericalError(f"Sylvester solve residual {resid:.3e} above 1e-12 relative")
-    return _split_solution(x, sel.k, sel.n)
+    return y, star(zs)
 
 
 def star_from_sylvester(
@@ -356,9 +396,8 @@ def quadratic_fixed_point(
     # and the next right-hand side.
     q0 = q1 = np.zeros_like(pert.da22)
     for it in range(1, 101):
-        b = np.concatenate([_vec(-pert.da22 - q0), _vec(-pert.db22 - q1)])
-        y, z = _split_solution(solver.solve(b), k, n)
-        x = (y + z) / 2.0
+        y, zs = solver.solve(-pert.da22 - q0, -pert.db22 - q1)
+        x = (y + star(zs)) / 2.0
         q0, q1 = x @ w0 @ star(x), x @ w1 @ star(x)
         r0, r1 = op.at(x)
         resid = pair_norm(r0 + pert.da22 + q0, r1 + pert.db22 + q1)

@@ -15,7 +15,7 @@ from strukt import (
     run_certification,
     theorem_bound,
 )
-from strukt import backward, polycore
+from strukt import backward, polycore, sylvester
 from strukt.backward import StructuredPerturbation, x_norm_bound
 from strukt.errors import GradeError, StruktError, ThresholdError
 from strukt.linearize import build_linearization
@@ -213,6 +213,26 @@ def test_run_certification_rejects_grade_1():
     p = random_structured(2, 1, StructureKind.symmetric, 1.0, seed=2)
     with pytest.raises(GradeError):
         run_certification(p, StructureKind.symmetric, "tridiagonal", [1e-8], trials=1, seed=3)
+
+
+def test_certification_never_forms_the_dense_system(monkeypatch):
+    """The dense vectorized matrix is for oracles only: with it disabled,
+    every kind still certifies."""
+
+    def refuse(self):
+        raise AssertionError("dense star-Sylvester matrix formed on the certification path")
+
+    monkeypatch.setattr(sylvester.StarSylvesterOperator, "matrix", refuse)
+    for kind in ALL_KINDS:
+        p = random_structured(2, 5, kind, 1.0, seed=8)
+        reports = run_certification(p, kind, "tridiagonal", [1e-6], trials=2, seed=9)
+        assert all(r.error is None and r.ratio_le_bound and r.structure_ok for r in reports)
+
+
+@pytest.mark.parametrize("norm", [-1.0, math.nan, math.inf])
+def test_random_structured_perturbation_refuses_bad_norm(norm):
+    with pytest.raises(StruktError):
+        random_structured_perturbation(2, 2, StructureKind.even, norm, seed=1)
 
 
 @pytest.mark.parametrize("mode", ["certified", "empirical"])

@@ -83,6 +83,32 @@ def test_recover_sidecar_missing_key_exits_2(tmp_path, poly_file, capsys, missin
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "key, value", [("grade", "5"), ("grade", 5.0), ("rows", "10"), ("cols", True)]
+)
+def test_linearize_polynomial_field_of_wrong_type_exits_2(tmp_path, poly_file, capsys, key, value):
+    path, _ = poly_file
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    assert main(["linearize", str(path), "--kind", "symmetric"]) == EXIT_USAGE
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("key, value", [("k", "2"), ("n", 2.0), ("sign", True)])
+def test_recover_sidecar_field_of_wrong_type_exits_2(tmp_path, poly_file, capsys, key, value):
+    path, _ = poly_file
+    pencil_path = tmp_path / "pencil.json"
+    main(["linearize", str(path), "--kind", "symmetric", "--output", str(pencil_path)])
+    sidecar = linearize.sidecar_path(pencil_path)
+    record = json.loads(sidecar.read_text())
+    record[key] = value
+    sidecar.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["recover", str(pencil_path)]) == EXIT_USAGE
+    _assert_one_error_line(capsys)
+
+
 def test_recover_zero_pencil_gives_zero(tmp_path):
     size = 10
     zero = polycore.zeros(size, size, 1)
@@ -112,6 +138,18 @@ def test_perturb_writes_pencil(tmp_path, poly_file):
         assert polycore.is_structured(dl, StructureKind.symmetric, tol=1e-10)
         assert np.any(dl.coeffs.imag != 0.0) == (field == polycore.COMPLEX)
         assert linearize.load_pencil_file(out)[1] == linearize.load_pencil_file(pencil_path)[1]
+
+
+@pytest.mark.parametrize("norm", ["-1", "nan", "inf"])
+def test_perturb_bad_norm_exits_2(tmp_path, poly_file, capsys, norm):
+    path, _ = poly_file
+    pencil_path = tmp_path / "pencil.json"
+    main(["linearize", str(path), "--kind", "symmetric", "--output", str(pencil_path)])
+    capsys.readouterr()
+    out = tmp_path / "pert.json"
+    assert main(["perturb", str(pencil_path), f"--norm={norm}", "--output", str(out)]) == EXIT_USAGE
+    _assert_one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_sigma_min_passes(capsys):

@@ -157,12 +157,57 @@ def test_operator_matrix_matches_matrix_products(kind, field_tag, rng):
     assert np.allclose(at1, y @ g1.conj().T + sel.fhat @ y.conj().T, rtol=0, atol=1e-13)
 
 
+def _vec_pair(a, b):
+    return np.concatenate([a.reshape(-1, order="F"), b.reshape(-1, order="F")])
+
+
+@pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_operator_gram_apply_adjoint_and_solve_match_dense_oracles(kind, field_tag, rng):
+    """With a nonzero structured perturbation: gram() is matrix() matrix()^*,
+    apply() is matrix() on [vec Y; vec Z^*], adjoint() is its adjoint in the
+    Frobenius inner product, and the minimum-norm solve is lstsq's."""
+    k, n = 2, 2
+    kn = k * n
+    pert = backward.random_structured_perturbation(k, n, kind, 0.05, seed=7, field_tag=field_tag)
+    sel = PerturbedSelectors(pert.da21, pert.db21, k, n)
+    op = StarSylvesterOperator(sel, kind)
+    t = op.matrix()
+    assert np.allclose(op.gram(), t @ t.conj().T, rtol=0, atol=1e-13)
+
+    y = _draw(rng, (kn, (k + 1) * n), field_tag)
+    zs = _draw(rng, ((k + 1) * n, kn), field_tag)
+    c0 = _draw(rng, (kn, kn), field_tag)
+    c1 = _draw(rng, (kn, kn), field_tag)
+    r0, r1 = op.apply(y, zs)
+    assert np.allclose(_vec_pair(r0, r1), t @ _vec_pair(y, zs), rtol=0, atol=1e-13)
+    a0, a1 = op.adjoint(c0, c1)
+    lhs = np.vdot(_vec_pair(c0, c1), _vec_pair(r0, r1))
+    rhs = np.vdot(_vec_pair(a0, a1), _vec_pair(y, zs))
+    assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+    want = np.linalg.lstsq(t, _vec_pair(c0, c1), rcond=None)[0]
+    ys, z = min_norm_sylvester_solve(kind, sel, c0, c1)
+    got = _vec_pair(ys, z.conj().T)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_min_norm_solver_refuses_gap_above_sigma_min():
     k = 2
-    t = build_TA(k, 1, StructureKind.even)
-    sylvester._MinNormSolver(t, sigma_min_formula(k))  # rounding-level agreement passes
+    op = StarSylvesterOperator(PerturbedSelectors.unperturbed(k, 1), StructureKind.even)
+    sylvester._MinNormSolver(op, sigma_min_formula(k))  # rounding-level agreement passes
     with pytest.raises(NumericalError):
-        sylvester._MinNormSolver(t, 1.01 * sigma_min_formula(k))
+        sylvester._MinNormSolver(op, 1.01 * sigma_min_formula(k))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_min_norm_solver_accepts_the_exact_gap(kind):
+    """sigma_min of the unperturbed system is exactly the law, so the
+    shifted-Cholesky check must pass at delta = sigma_min_formula(k)."""
+    for k in range(1, 5):
+        for n in range(1, 4):
+            op = StarSylvesterOperator(PerturbedSelectors.unperturbed(k, n), kind)
+            sylvester._MinNormSolver(op, sigma_min_formula(k))
 
 
 def test_delta_lower_bound_values():
