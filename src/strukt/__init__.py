@@ -55,14 +55,11 @@ from .linearize import (
 )
 from .sylvester import (
     FixedPointState,
-    PerturbedSelectors,
     build_TA,
     build_TA_reduced,
     delta_lower_bound,
-    min_norm_sylvester_solve,
     quadratic_fixed_point,
     sigma_min_formula,
-    star_from_sylvester,
 )
 from .backward import (
     BackwardErrorReport,

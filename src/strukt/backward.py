@@ -225,29 +225,21 @@ def reconstruct_perturbed_polynomial(
     k: int,
     n: int,
     kind: StructureKind,
-    mode: str = "certified",
 ) -> ReconstructionResult:
     """Grade 2k+1 polynomial strongly linearized by the rezeroed pencil.
 
     Completes the perturbed (2,1) block to a dual basis pair and sandwiches
     the (1,1) block with `linearize.recover_from_m`, the completed basis
-    taking the place of the monomial row.
+    taking the place of the monomial row. The completion refuses a (2,1)
+    defect at or above `minbases.completion_threshold(k)` with
+    `ThresholdError`.
     """
     m11, b21, _, _ = linearize.split_natural_partition(ltilde, k, n)
-    dt21 = b21 - minbases.build_Lk(k, n)
-    norm_dt21 = frob_norm(dt21)
-    bound = minbases.completion_threshold(k)
-    if mode == "certified" and norm_dt21 >= bound:
-        raise ThresholdError(
-            f"(2,1) defect {norm_dt21:.3e} exceeds the completion bound {bound:.3e}",
-            value=norm_dt21,
-            bound=bound,
-        )
     pair = minbases.dual_basis_complete(b21, k, n)
     return ReconstructionResult(
         poly=linearize.recover_from_m(m11, pair.N, kind),
         dual=pair,
-        norm_dtilde21=norm_dt21,
+        norm_dtilde21=frob_norm(b21 - minbases.build_Lk(k, n)),
         norm_dr=frob_norm(pair.delta_r()),
     )
 
@@ -379,9 +371,7 @@ def _run_single_trial(
                 pencil.k, pencil.n, kind, norm_dl_target, trial_seed, field_tag=p.field
             )
             cong = congruence_zero_block(pencil, pert, mode=mode)
-            recon = reconstruct_perturbed_polynomial(
-                cong.ltilde, pencil.k, pencil.n, kind, mode=mode
-            )
+            recon = reconstruct_perturbed_polynomial(cong.ltilde, pencil.k, pencil.n, kind)
             dp = recon.poly - p
             report.norm_X = float(np.linalg.norm(cong.x))
             report.norm_dR = recon.norm_dr

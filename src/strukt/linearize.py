@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import minbases, polycore
-from .errors import GradeError, StructureError
+from .errors import GradeError, StructureError, StruktError
 from .polycore import (
     DEFAULT_STRUCTURE_TOL,
     MatrixPolynomial,
@@ -369,12 +369,31 @@ def save_pencil_file(poly: MatrixPolynomial, record: dict, path) -> None:
 
 
 def load_pencil_file(path):
-    """Load a pencil polynomial together with its sidecar record."""
+    """Load a pencil polynomial together with its sidecar record.
+
+    The record must describe the pencil: k, n >= 1, a square grade-1 pencil
+    of size (2k+1)n, and the kind's recovery sign at k, as `save_pencil`
+    writes it.
+    """
     poly = polycore.load_polynomial(path)
     with open(sidecar_path(path)) as fh:
         record = polycore.require_keys(json.load(fh), _SIDECAR_KEYS, "sidecar record")
     polycore.require_ints(record, ("k", "n", "sign"), "sidecar record")
     record["kind"] = StructureKind(record["kind"])
+    k, n = record["k"], record["n"]
+    if k < 1 or n < 1:
+        raise StruktError(f"sidecar k = {k} and n = {n} must both be at least 1")
+    size = (2 * k + 1) * n
+    if poly.grade != 1 or poly.shape != (size, size):
+        raise StruktError(
+            f"sidecar k = {k}, n = {n} needs a {size} x {size} pencil of grade 1, "
+            f"got {poly.rows} x {poly.cols} of grade {poly.grade}"
+        )
+    if record["sign"] != record["kind"].recovery_sign(k):
+        raise StruktError(
+            f"sidecar sign {record['sign']} is not the {record['kind'].value} "
+            f"recovery sign {record['kind'].recovery_sign(k)} at k = {k}"
+        )
     return poly, record
 
 

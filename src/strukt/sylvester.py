@@ -19,16 +19,8 @@ import numpy as np
 import scipy.linalg
 
 from . import minbases
-from .errors import ConvergenceError, NumericalError, StructureError, ThresholdError
-from .polycore import (
-    COMPLEX,
-    driver_matrix,
-    from_coeff_list,
-    is_structured,
-    mobius,
-    pair_norm,
-    star,
-)
+from .errors import ConvergenceError, NumericalError, ThresholdError
+from .polycore import driver_matrix, from_coeff_list, mobius, pair_norm, star
 
 
 def sigma_min_formula(k: int) -> float:
@@ -38,48 +30,35 @@ def sigma_min_formula(k: int) -> float:
     return 2.0 * math.sin(math.pi / (4.0 * k))
 
 
-@dataclass(frozen=True)
-class PerturbedSelectors:
-    """Selector matrices shifted by the (2,1) perturbation blocks.
-
-    ehat = -E + da21 and fhat = F + db21; with a zero perturbation they reduce
-    to (-E, F).
-    """
-
-    da21: np.ndarray
-    db21: np.ndarray
-    k: int
-    n: int
-    ehat: np.ndarray = field(init=False)
-    fhat: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        sel = minbases.selector_matrices(self.k, self.n)
-        object.__setattr__(self, "ehat", -sel.e + self.da21)
-        object.__setattr__(self, "fhat", sel.f + self.db21)
-
-    @classmethod
-    def unperturbed(cls, k: int, n: int) -> "PerturbedSelectors":
-        zero = np.zeros((k * n, (k + 1) * n))
-        return cls(zero, zero, k, n)
-
-
 class StarSylvesterOperator:
     """The coupled map (Y, Z) -> (Y G0^* + ehat Z^*, Y G1^* + fhat Z^*).
 
+    ehat = -E + da21 and fhat = F + db21 are the bidiagonal selectors shifted
+    by the (2,1) perturbation blocks, whose shape kn x (k+1)n fixes k and n.
     G0 + l*G1 is the kind's Mobius image of the perturbed bidiagonal pencil
     ehat + l*fhat: the rule that fixes a structured pencil's (1,2) block from
     its (2,1) block.
     """
 
-    def __init__(self, sel: PerturbedSelectors, kind):
-        self.sel = sel
+    def __init__(self, da21: np.ndarray, db21: np.ndarray, kind):
+        kn, width = da21.shape
+        n = width - kn
+        self.k = kn // n
+        sel = minbases.selector_matrices(self.k, n)
+        self.da21, self.db21 = da21, db21
+        self.ehat = -sel.e + da21
+        self.fhat = sel.f + db21
         self.driver = driver_matrix(kind)
-        self.g0, self.g1 = mobius(from_coeff_list([sel.ehat, sel.fhat]), self.driver).coeffs
+        self.g0, self.g1 = mobius(from_coeff_list([self.ehat, self.fhat]), self.driver).coeffs
+
+    @classmethod
+    def unperturbed(cls, k: int, n: int, kind) -> "StarSylvesterOperator":
+        zero = np.zeros((k * n, (k + 1) * n))
+        return cls(zero, zero, kind)
 
     def apply(self, y: np.ndarray, zs: np.ndarray):
         """Matrix-free image of the pair (Y, Z), given Y and Z^*."""
-        return y @ star(self.g0) + self.sel.ehat @ zs, y @ star(self.g1) + self.sel.fhat @ zs
+        return y @ star(self.g0) + self.ehat @ zs, y @ star(self.g1) + self.fhat @ zs
 
     def at(self, x: np.ndarray):
         """Matrix-free image of the pair (X, X)."""
@@ -87,8 +66,7 @@ class StarSylvesterOperator:
 
     def adjoint(self, c0: np.ndarray, c1: np.ndarray):
         """Adjoint map (c0, c1) -> (Y, Z^*) = (c0 G0 + c1 G1, ehat^* c0 + fhat^* c1)."""
-        sel = self.sel
-        return c0 @ self.g0 + c1 @ self.g1, star(sel.ehat) @ c0 + star(sel.fhat) @ c1
+        return c0 @ self.g0 + c1 @ self.g1, star(self.ehat) @ c0 + star(self.fhat) @ c1
 
     def gram(self) -> np.ndarray:
         """T T^* for T = `matrix()`, assembled in O(m^2) without forming T.
@@ -97,9 +75,9 @@ class StarSylvesterOperator:
         with (H0, H1) = (ehat, fhat): its entry ((a, p), (b, q)) is
         conj(G_i G_j^*)[a, b] [p == q] + [a == b] (H_i H_j^*)[p, q].
         """
-        kn = self.sel.k * self.sel.n
+        kn = self.ehat.shape[0]
         g = (self.g0, self.g1)
-        h = (self.sel.ehat, self.sel.fhat)
+        h = (self.ehat, self.fhat)
         out = np.zeros((2, kn, kn, 2, kn, kn), dtype=np.result_type(*g, *h))
         diag = np.arange(kn)
         for i in (0, 1):
@@ -115,9 +93,9 @@ class StarSylvesterOperator:
         Only `build_TA`, `strukt sigma-min` and test oracles form it; solves
         go through `gram()`.
         """
-        eye = np.eye(self.sel.k * self.sel.n)
-        top = np.hstack([np.kron(np.conj(self.g0), eye), np.kron(eye, self.sel.ehat)])
-        bot = np.hstack([np.kron(np.conj(self.g1), eye), np.kron(eye, self.sel.fhat)])
+        eye = np.eye(self.ehat.shape[0])
+        top = np.hstack([np.kron(np.conj(self.g0), eye), np.kron(eye, self.ehat)])
+        bot = np.hstack([np.kron(np.conj(self.g1), eye), np.kron(eye, self.fhat)])
         return np.vstack([top, bot])
 
     def gap(self) -> float:
@@ -127,13 +105,12 @@ class StarSylvesterOperator:
         [A; C] (x) I and I (x) [da21; db21], with (A, C) the Mobius image of
         (da21, db21); Weyl's inequality then gives the bound below.
         """
-        sel = self.sel
-        image = mobius(from_coeff_list([sel.da21, sel.db21]), self.driver).coeffs
+        image = mobius(from_coeff_list([self.da21, self.db21]), self.driver).coeffs
         norm_dt = math.hypot(
             np.linalg.norm(np.vstack(image), 2),
-            np.linalg.norm(np.vstack([sel.da21, sel.db21]), 2),
+            np.linalg.norm(np.vstack([self.da21, self.db21]), 2),
         )
-        return sigma_min_formula(sel.k) - norm_dt
+        return sigma_min_formula(self.k) - norm_dt
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +119,7 @@ class StarSylvesterOperator:
 
 def build_TA(k: int, n: int, kind) -> np.ndarray:
     """Unperturbed 2k^2n^2 x 2k(k+1)n^2 system matrix, exact 0/+-1 entries."""
-    return StarSylvesterOperator(PerturbedSelectors.unperturbed(k, n), kind).matrix()
+    return StarSylvesterOperator.unperturbed(k, n, kind).matrix()
 
 
 def build_TA_mid(k: int, n: int, kind) -> np.ndarray:
@@ -222,13 +199,21 @@ class _MinNormSolver:
     value is certified to be at least ``delta``, through a Cholesky factor
     of its Gram matrix: (Y, Z^*) = T^* (T T^*)^{-1} (c0, c1).
 
-    The certificate is checked first: T T^* - (delta - 1e-12*nu)^2 I must
-    factor, with nu = sqrt(max diag T T^*) the largest row norm of T (nu is
-    at most sigma_max). If it does not, a singular value lies below the
-    certified gap beyond rounding, and the solver refuses.
+    A gap delta <= 0 is refused with `ThresholdError`. The certificate is
+    then checked: T T^* - (delta - 1e-12*nu)^2 I must factor, with
+    nu = sqrt(max diag T T^*) the largest row norm of T (nu is at most
+    sigma_max). If it does not, a singular value lies below the certified
+    gap beyond rounding, and the solver refuses with `NumericalError`.
     """
 
     def __init__(self, op: StarSylvesterOperator, delta: float):
+        if delta <= 0:
+            raise ThresholdError(
+                "perturbed system matrix may be rank deficient "
+                f"(singular value gap {delta:.3e} <= 0)",
+                value=delta,
+                bound=0.0,
+            )
         gram = op.gram()
         nu = math.sqrt(float(np.max(gram.diagonal().real)))
         floor = max(delta - 1e-12 * nu, 0.0)
@@ -245,78 +230,19 @@ class _MinNormSolver:
         self.op = op
 
     def solve(self, c0: np.ndarray, c1: np.ndarray):
-        """Minimum Frobenius norm (Y, Z^*) with op.apply(Y, Z^*) = (c0, c1)."""
+        """Minimum Frobenius norm (Y, Z^*) with op.apply(Y, Z^*) = (c0, c1).
+
+        Raises `NumericalError` unless the residual is within 1e-12 of
+        ||(c0, c1)||_F; the solution obeys ||(Y, Z)||_F <= ||(c0, c1)||_F / delta.
+        """
         kn = c0.shape[0]
         w = scipy.linalg.cho_solve(self.factor, np.concatenate([_vec(c0), _vec(c1)]))
-        return self.op.adjoint(_unvec(w[: kn * kn], kn, kn), _unvec(w[kn * kn :], kn, kn))
-
-
-def _solver_for(op: StarSylvesterOperator):
-    delta = op.gap()
-    if delta <= 0:
-        raise ThresholdError(
-            "perturbed system matrix may be rank deficient "
-            f"(singular value gap {delta:.3e} <= 0)",
-            value=delta,
-            bound=0.0,
-        )
-    return _MinNormSolver(op, delta), delta
-
-
-def min_norm_sylvester_solve(
-    kind,
-    sel: PerturbedSelectors,
-    c0: np.ndarray,
-    c1: np.ndarray,
-):
-    """Minimum Frobenius norm (Y, Z) solving the coupled Sylvester pair
-
-        Y (b*fhat + d*ehat)^* + ehat Z^* = c0
-        Y (a*fhat + c*ehat)^* + fhat Z^* = c1
-
-    Requires a positive singular value gap; the solution obeys
-    ||(Y, Z)||_F <= ||(c0, c1)||_F / delta and its residual must be within
-    1e-12 of ||(c0, c1)||_F.
-    """
-    kn = sel.k * sel.n
-    if c0.shape != (kn, kn) or c1.shape != (kn, kn):
-        raise ValueError(f"right-hand sides must be {kn} square")
-    op = StarSylvesterOperator(sel, kind)
-    solver, _ = _solver_for(op)
-    y, zs = solver.solve(c0, c1)
-    r0, r1 = op.apply(y, zs)
-    resid = pair_norm(r0 - c0, r1 - c1)
-    scale = max(pair_norm(c0, c1), 1e-300)
-    if resid > 1e-12 * scale:
-        raise NumericalError(f"Sylvester solve residual {resid:.3e} above 1e-12 relative")
-    return y, star(zs)
-
-
-def star_from_sylvester(
-    y: np.ndarray,
-    z: np.ndarray,
-    kind,
-    sel: PerturbedSelectors,
-    c0: np.ndarray,
-    c1: np.ndarray,
-) -> np.ndarray:
-    """Average a coupled-Sylvester solution pair into a star-Sylvester solution.
-
-    Valid only when the right-hand pencil l*c1 + c0 carries the structure; the
-    averaged matrix must satisfy both star equations to 1e-12 relative.
-    """
-    rhs = from_coeff_list([c0, c1], COMPLEX if np.iscomplexobj(c0) else None)
-    if not is_structured(rhs, kind, tol=1e-10):
-        raise StructureError(
-            "right-hand pencil must carry the structure for the averaging step"
-        )
-    x = (y + z) / 2.0
-    r0, r1 = StarSylvesterOperator(sel, kind).at(x)
-    resid = pair_norm(r0 - c0, r1 - c1)
-    scale = max(pair_norm(c0, c1), 1.0)
-    if resid > 1e-12 * scale:
-        raise NumericalError(f"star-Sylvester residual {resid:.3e} above 1e-12 relative")
-    return x
+        y, zs = self.op.adjoint(_unvec(w[: kn * kn], kn, kn), _unvec(w[kn * kn :], kn, kn))
+        r0, r1 = self.op.apply(y, zs)
+        resid = pair_norm(r0 - c0, r1 - c1)
+        if resid > 1e-12 * max(pair_norm(c0, c1), 1e-300):
+            raise NumericalError(f"Sylvester solve residual {resid:.3e} above 1e-12 relative")
+        return y, zs
 
 
 # ---------------------------------------------------------------------------
@@ -355,20 +281,23 @@ def quadratic_fixed_point(
     """Solve the quadratic star-Sylvester system that rezeroes the (2,2) block.
 
     ``pert`` is any object exposing the six natural perturbation blocks as
-    attributes da11, db11, da21, db21, da22, db22 together with k and n.
-    Each sweep solves the linearized coupled system at minimum norm and
-    averages; admissibility requires delta > 0 and theta*omega/delta^2 < 1/4.
-    The iteration stops once the residual is at most ``tol`` (default
-    1e-13*max(1, theta)) and raises `ConvergenceError` after 100 sweeps.
+    attributes da11, db11, da21, db21, da22, db22. Each sweep solves the
+    linearized coupled system at minimum norm and averages; admissibility
+    requires delta > 0 and theta*omega/delta^2 < 1/4. Averaging is exact
+    because every sweep's right-hand pencil carries the structure. A solve
+    residual above 1e-12 relative raises `NumericalError` at its sweep; the
+    iteration stops once the fixed-point residual is at most ``tol``
+    (default 1e-13*max(1, theta)) and raises `ConvergenceError` after 100
+    sweeps.
     """
-    k, n = pert.k, pert.n
-    op = StarSylvesterOperator(PerturbedSelectors(pert.da21, pert.db21, k, n), kind)
+    op = StarSylvesterOperator(pert.da21, pert.db21, kind)
     w0 = m0 + pert.da11
     w1 = m1 + pert.db11
     theta = pair_norm(pert.da22, pert.db22)
     omega = pair_norm(w0, w1)
 
-    solver, delta = _solver_for(op)
+    delta = op.gap()
+    solver = _MinNormSolver(op, delta)
     kappa1 = theta * omega / delta**2
     if kappa1 >= 0.25:
         raise ThresholdError(
@@ -383,7 +312,7 @@ def quadratic_fixed_point(
         tol = 1e-13 * max(1.0, theta)
 
     state = FixedPointState(
-        x=np.zeros_like(op.sel.ehat),
+        x=np.zeros_like(op.ehat),
         delta=delta,
         theta=theta,
         omega=omega,

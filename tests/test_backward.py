@@ -15,7 +15,7 @@ from strukt import (
     run_certification,
     theorem_bound,
 )
-from strukt import backward, polycore, sylvester
+from strukt import backward, minbases, polycore, sylvester
 from strukt.backward import StructuredPerturbation, x_norm_bound
 from strukt.errors import GradeError, StruktError, ThresholdError
 from strukt.linearize import build_linearization
@@ -117,6 +117,20 @@ def test_reconstruct_zero_perturbation_exact():
     recon = reconstruct_perturbed_polynomial(pencil.as_polynomial(), 2, 2, kind)
     assert frob_norm(recon.poly - p) <= 1e-14
     assert recon.norm_dr == 0.0
+
+
+def test_reconstruct_refuses_defect_at_the_completion_bound(rng):
+    """The completion refuses a (2,1) defect beyond its bound, carrying the
+    defect and `completion_threshold(k)`."""
+    kind = StructureKind.palindromic
+    _, pencil, _ = make_case(kind, seed=31)
+    coeffs = pencil.as_polynomial().coeffs.copy()
+    bump = rng.standard_normal((4, 6))
+    coeffs[0, 6:, :6] += 0.98 * bump / np.linalg.norm(bump)
+    with pytest.raises(ThresholdError) as err:
+        reconstruct_perturbed_polynomial(polycore.MatrixPolynomial(coeffs), 2, 2, kind)
+    assert err.value.bound == minbases.completion_threshold(2)
+    assert err.value.value == pytest.approx(0.98, rel=1e-14)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

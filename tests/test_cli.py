@@ -59,6 +59,7 @@ def test_recover_missing_sidecar_exits_2(tmp_path, poly_file):
 def _assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("doc", ["{}", "[1, 2]", '{"rows": 2, "cols": 2, "grade": 1}'])
@@ -107,6 +108,39 @@ def test_recover_sidecar_field_of_wrong_type_exits_2(tmp_path, poly_file, capsys
     capsys.readouterr()
     assert main(["recover", str(pencil_path)]) == EXIT_USAGE
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["recover", "perturb", "eigs"])
+@pytest.mark.parametrize("key, value", [("k", 3), ("k", 1), ("n", 1), ("n", 3), ("sign", 5), ("sign", -1)])
+def test_sidecar_that_does_not_describe_the_pencil_exits_2(
+    tmp_path, poly_file, capsys, command, key, value
+):
+    """The symmetric grade-5 pencil of n = 2 is 10 x 10 with k = 2 and
+    recovery sign 1; a sidecar saying otherwise is refused before any work."""
+    path, _ = poly_file
+    pencil_path = tmp_path / "pencil.json"
+    main(["linearize", str(path), "--kind", "symmetric", "--output", str(pencil_path)])
+    sidecar = linearize.sidecar_path(pencil_path)
+    record = json.loads(sidecar.read_text())
+    record[key] = value
+    sidecar.write_text(json.dumps(record))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    norm = ["--norm", "1e-6"] if command == "perturb" else []
+    assert main([command, str(pencil_path), "--output", str(out), *norm]) == EXIT_USAGE
+    assert "sidecar" in _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_sidecar_of_a_polynomial_that_is_not_a_pencil_exits_2(tmp_path, poly_file, capsys):
+    """A 10 x 10 polynomial of grade 2 with a valid k = 2, n = 2 sidecar."""
+    path, _ = poly_file
+    pencil_path = tmp_path / "pencil.json"
+    main(["linearize", str(path), "--kind", "symmetric", "--output", str(pencil_path)])
+    save_polynomial(polycore.pad_to_grade(load_polynomial(pencil_path), 2), pencil_path)
+    capsys.readouterr()
+    assert main(["recover", str(pencil_path)]) == EXIT_USAGE
+    assert "grade 2" in _assert_one_error_line(capsys)
 
 
 def test_recover_zero_pencil_gives_zero(tmp_path):

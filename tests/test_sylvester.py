@@ -9,17 +9,15 @@ from strukt import (
     build_TA_reduced,
     delta_lower_bound,
     frob_norm,
-    min_norm_sylvester_solve,
     pair_norm,
     quadratic_fixed_point,
     random_structured,
     sigma_min_formula,
-    star_from_sylvester,
 )
-from strukt import backward, sylvester
-from strukt.errors import NumericalError, StructureError, ThresholdError
-from strukt.polycore import COMPLEX, REAL, MobiusMatrix, driver_matrix
-from strukt.sylvester import PerturbedSelectors, StarSylvesterOperator, build_TA_mid
+from strukt import backward, minbases, sylvester
+from strukt.errors import NumericalError, ThresholdError
+from strukt.polycore import COMPLEX, REAL, MobiusMatrix, driver_matrix, star
+from strukt.sylvester import StarSylvesterOperator, _MinNormSolver, build_TA_mid
 
 from conftest import ALL_KINDS
 
@@ -113,7 +111,7 @@ def test_exact_sign_reduction_identities(k):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_zero_perturbation_gives_the_law_and_build_TA(kind, k):
-    op = StarSylvesterOperator(PerturbedSelectors.unperturbed(k, 2), kind)
+    op = StarSylvesterOperator.unperturbed(k, 2, kind)
     assert op.gap() == sigma_min_formula(k)
     assert np.array_equal(op.matrix(), build_TA(k, 2, kind))
 
@@ -137,24 +135,26 @@ def test_operator_matrix_matches_matrix_products(kind, field_tag, rng):
     the driver's entries."""
     k, n = 2, 2
     shape = (k * n, (k + 1) * n)
-    sel = PerturbedSelectors(
-        _draw(rng, shape, field_tag, 0.1), _draw(rng, shape, field_tag, 0.1), k, n
-    )
+    da21 = _draw(rng, shape, field_tag, 0.1)
+    db21 = _draw(rng, shape, field_tag, 0.1)
+    sel = minbases.selector_matrices(k, n)
+    ehat, fhat = -sel.e + da21, sel.f + db21
     a = driver_matrix(kind)
-    g0 = a.b * sel.fhat + a.d * sel.ehat
-    g1 = a.a * sel.fhat + a.c * sel.ehat
+    g0 = a.b * fhat + a.d * ehat
+    g1 = a.a * fhat + a.c * ehat
     y = _draw(rng, shape, field_tag)
     z = _draw(rng, shape, field_tag)
     zs = z.conj().T
-    want0 = y @ g0.conj().T + sel.ehat @ zs
-    want1 = y @ g1.conj().T + sel.fhat @ zs
-    op = StarSylvesterOperator(sel, kind)
+    want0 = y @ g0.conj().T + ehat @ zs
+    want1 = y @ g1.conj().T + fhat @ zs
+    op = StarSylvesterOperator(da21, db21, kind)
+    assert (op.k, op.ehat.shape) == (k, shape)
     got = op.matrix() @ np.concatenate([y.reshape(-1, order="F"), zs.reshape(-1, order="F")])
     want = np.concatenate([want0.reshape(-1, order="F"), want1.reshape(-1, order="F")])
     assert np.allclose(got, want, rtol=0, atol=1e-13)
     at0, at1 = op.at(y)
-    assert np.allclose(at0, y @ g0.conj().T + sel.ehat @ y.conj().T, rtol=0, atol=1e-13)
-    assert np.allclose(at1, y @ g1.conj().T + sel.fhat @ y.conj().T, rtol=0, atol=1e-13)
+    assert np.allclose(at0, y @ g0.conj().T + ehat @ y.conj().T, rtol=0, atol=1e-13)
+    assert np.allclose(at1, y @ g1.conj().T + fhat @ y.conj().T, rtol=0, atol=1e-13)
 
 
 def _vec_pair(a, b):
@@ -170,8 +170,7 @@ def test_operator_gram_apply_adjoint_and_solve_match_dense_oracles(kind, field_t
     k, n = 2, 2
     kn = k * n
     pert = backward.random_structured_perturbation(k, n, kind, 0.05, seed=7, field_tag=field_tag)
-    sel = PerturbedSelectors(pert.da21, pert.db21, k, n)
-    op = StarSylvesterOperator(sel, kind)
+    op = StarSylvesterOperator(pert.da21, pert.db21, kind)
     t = op.matrix()
     assert np.allclose(op.gram(), t @ t.conj().T, rtol=0, atol=1e-13)
 
@@ -187,17 +186,16 @@ def test_operator_gram_apply_adjoint_and_solve_match_dense_oracles(kind, field_t
     assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
     want = np.linalg.lstsq(t, _vec_pair(c0, c1), rcond=None)[0]
-    ys, z = min_norm_sylvester_solve(kind, sel, c0, c1)
-    got = _vec_pair(ys, z.conj().T)
+    got = _vec_pair(*_MinNormSolver(op, op.gap()).solve(c0, c1))
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_min_norm_solver_refuses_gap_above_sigma_min():
     k = 2
-    op = StarSylvesterOperator(PerturbedSelectors.unperturbed(k, 1), StructureKind.even)
-    sylvester._MinNormSolver(op, sigma_min_formula(k))  # rounding-level agreement passes
+    op = StarSylvesterOperator.unperturbed(k, 1, StructureKind.even)
+    _MinNormSolver(op, sigma_min_formula(k))  # rounding-level agreement passes
     with pytest.raises(NumericalError):
-        sylvester._MinNormSolver(op, 1.01 * sigma_min_formula(k))
+        _MinNormSolver(op, 1.01 * sigma_min_formula(k))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -206,8 +204,8 @@ def test_min_norm_solver_accepts_the_exact_gap(kind):
     shifted-Cholesky check must pass at delta = sigma_min_formula(k)."""
     for k in range(1, 5):
         for n in range(1, 4):
-            op = StarSylvesterOperator(PerturbedSelectors.unperturbed(k, n), kind)
-            sylvester._MinNormSolver(op, sigma_min_formula(k))
+            op = StarSylvesterOperator.unperturbed(k, n, kind)
+            _MinNormSolver(op, sigma_min_formula(k))
 
 
 def test_delta_lower_bound_values():
@@ -230,7 +228,7 @@ def test_delta_lower_bound_is_a_lower_bound(k, rng):
         pert = backward.random_structured_perturbation(
             k, 2, kind, nrm, seed=trial, field_tag=field_tag
         )
-        op = StarSylvesterOperator(PerturbedSelectors(pert.da21, pert.db21, k, 2), kind)
+        op = StarSylvesterOperator(pert.da21, pert.db21, kind)
         t = op.matrix()
         weyl = sigma_min_formula(k) - np.linalg.norm(t - build_TA(k, 2, kind), 2)
         sigma = np.linalg.svd(t, compute_uv=False)[-1]
@@ -244,59 +242,80 @@ def test_delta_lower_bound_is_a_lower_bound(k, rng):
 # solves
 # ---------------------------------------------------------------------------
 
+def _solver(kind, k, n):
+    op = StarSylvesterOperator.unperturbed(k, n, kind)
+    return op, _MinNormSolver(op, sigma_min_formula(k))
+
+
+def _star_residual(op, x, c0, c1):
+    """Relative residual of the averaged X in both star equations."""
+    r0, r1 = op.at(x)
+    return pair_norm(r0 - c0, r1 - c1) / max(pair_norm(c0, c1), 1.0)
+
+
 def test_min_norm_solve_zero_rhs():
-    sel = PerturbedSelectors.unperturbed(2, 2)
-    y, z = min_norm_sylvester_solve(StructureKind.symmetric, sel, np.zeros((4, 4)), np.zeros((4, 4)))
-    assert not y.any() and not z.any()
+    _, solver = _solver(StructureKind.symmetric, 2, 2)
+    y, zs = solver.solve(np.zeros((4, 4)), np.zeros((4, 4)))
+    assert not y.any() and not zs.any()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_min_norm_solve_bound_and_consistency(kind, rng):
     k, n = 2, 2
-    sel = PerturbedSelectors.unperturbed(k, n)
+    op, solver = _solver(kind, k, n)
     a = kind.mobius
     c0 = rng.standard_normal((k * n, k * n))
     c1 = rng.standard_normal((k * n, k * n))
-    y, z = min_norm_sylvester_solve(kind, sel, c0, c1)
-    assert pair_norm(y, z) <= pair_norm(c0, c1) / sigma_min_formula(k) + 1e-12
-    r0 = y @ (a.b * sel.fhat + a.d * sel.ehat).T + sel.ehat @ z.T - c0
-    r1 = y @ (a.a * sel.fhat + a.c * sel.ehat).T + sel.fhat @ z.T - c1
+    y, zs = solver.solve(c0, c1)
+    assert pair_norm(y, zs) <= pair_norm(c0, c1) / sigma_min_formula(k) + 1e-12
+    r0 = y @ (a.b * op.fhat + a.d * op.ehat).T + op.ehat @ zs - c0
+    r1 = y @ (a.a * op.fhat + a.c * op.ehat).T + op.fhat @ zs - c1
     assert pair_norm(r0, r1) <= 1e-12 * pair_norm(c0, c1)
 
 
 def test_min_norm_solve_rank_risk(rng):
     k, n = 2, 1
     huge = rng.standard_normal((k * n, (k + 1) * n)) * 10.0
-    sel = PerturbedSelectors(huge, huge, k, n)
+    op = StarSylvesterOperator(huge, huge, StructureKind.symmetric)
     with pytest.raises(ThresholdError):
-        min_norm_sylvester_solve(StructureKind.symmetric, sel, np.zeros((2, 2)), np.zeros((2, 2)))
+        _MinNormSolver(op, op.gap())
+    for delta in (0.0, -1e-3):
+        with pytest.raises(ThresholdError) as err:
+            _MinNormSolver(StarSylvesterOperator.unperturbed(2, 2, StructureKind.even), delta)
+        assert (err.value.value, err.value.bound) == (delta, 0.0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_star_from_sylvester_structured_rhs(kind, rng):
+    """For a structured right-hand pencil l*c1 + c0, averaging the two halves
+    of the minimum-norm solution gives X with op.at(X) = (c0, c1)."""
     k, n = 2, 2
-    sel = PerturbedSelectors.unperturbed(k, n)
+    op, solver = _solver(kind, k, n)
     rhs = random_structured(k * n, 1, kind, 0.7, seed=13)
     c0, c1 = rhs.coefficient(0), rhs.coefficient(1)
-    y, z = min_norm_sylvester_solve(kind, sel, c0, c1)
-    x = star_from_sylvester(y, z, kind, sel, c0, c1)
+    y, zs = solver.solve(c0, c1)
+    x = (y + star(zs)) / 2.0
     assert x.shape == (k * n, (k + 1) * n)
+    assert _star_residual(op, x, c0, c1) <= 1e-12
 
 
 def test_star_from_sylvester_trivial_cases():
-    sel = PerturbedSelectors.unperturbed(2, 2)
+    op, solver = _solver(StructureKind.even, 2, 2)
     z4 = np.zeros((4, 4))
-    y = np.zeros((4, 6))
-    x = star_from_sylvester(y, y, StructureKind.even, sel, z4, z4)
+    y, zs = solver.solve(z4, z4)
+    x = (y + star(zs)) / 2.0
     assert not x.any()
+    assert _star_residual(op, x, z4, z4) == 0.0
 
 
-def test_star_from_sylvester_rejects_unstructured_rhs(rng):
-    sel = PerturbedSelectors.unperturbed(2, 2)
+def test_averaging_needs_a_structured_rhs(rng):
+    """An unstructured right-hand side still solves the coupled system, but
+    its averaged halves miss the star equations by far more than rounding."""
+    op, solver = _solver(StructureKind.symmetric, 2, 2)
     c0 = rng.standard_normal((4, 4))
     c1 = rng.standard_normal((4, 4))
-    with pytest.raises(StructureError):
-        star_from_sylvester(np.zeros((4, 6)), np.zeros((4, 6)), StructureKind.symmetric, sel, c0, c1)
+    y, zs = solver.solve(c0, c1)
+    assert _star_residual(op, (y + star(zs)) / 2.0, c0, c1) > 1e-3
 
 
 def test_star_from_sylvester_random_involutory(rng):
@@ -307,15 +326,15 @@ def test_star_from_sylvester_random_involutory(rng):
     drv = _INVOLUTORY
     assert drv.is_coninvolutory()
     k, n = 2, 2
-    sel = PerturbedSelectors.unperturbed(k, n)
+    op = StarSylvesterOperator.unperturbed(k, n, drv)
+    sigma = np.linalg.svd(op.matrix(), compute_uv=False)[-1]
     raw = MatrixPolynomial(rng.standard_normal((2, k * n, k * n)))
     rhs = structure_project(raw, drv)
     c0, c1 = rhs.coefficient(0), rhs.coefficient(1)
-    y, z = min_norm_sylvester_solve(drv, sel, c0, c1)
-    x = star_from_sylvester(y, z, drv, sel, c0, c1)
-    assert np.linalg.norm(x) <= pair_norm(c0, c1) / (
-        np.linalg.svd(sylvester.build_TA(k, n, drv), compute_uv=False)[-1]
-    ) + 1e-12
+    y, zs = _MinNormSolver(op, sigma).solve(c0, c1)
+    x = (y + star(zs)) / 2.0
+    assert _star_residual(op, x, c0, c1) <= 1e-12
+    assert np.linalg.norm(x) <= pair_norm(c0, c1) / sigma + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -404,3 +423,23 @@ def test_fixed_point_inadmissible_raises():
     with pytest.raises(ThresholdError) as err:
         quadratic_fixed_point(forced, pencil.m0, pencil.m1, kind)
     assert err.value.bound == 0.25
+
+
+def test_fixed_point_gates_every_solve(monkeypatch):
+    """A solve that misses its right-hand side by 1e-9 relative is refused at
+    the sweep where it happens, not after the sweeps run out. The tolerance
+    is the one `congruence_zero_block` passes."""
+    kind = StructureKind.palindromic
+    pencil, pert = _pencil_blocks(kind, 61)
+    tol = 1e-12 * pair_norm(pert.da22, pert.db22)
+    exact = sylvester.scipy.linalg.cho_solve
+    calls = []
+
+    def slightly_wrong(factor, b):
+        calls.append(b)
+        return exact(factor, b) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(sylvester.scipy.linalg, "cho_solve", slightly_wrong)
+    with pytest.raises(NumericalError, match="solve residual"):
+        quadratic_fixed_point(pert, pencil.m0, pencil.m1, kind, tol=tol)
+    assert len(calls) == 1
