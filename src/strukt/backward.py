@@ -16,6 +16,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class StructuredPerturbation:
     """The six natural blocks of a structured pencil perturbation.
 
     The (1,2) block is the star of the kind's Mobius image of the (2,1) block,
-    so it is never stored; `pencil()` rebuilds it exactly.
+    so it is never stored; `pencil()` rebuilds it exactly, once per instance.
     """
 
     da11: np.ndarray
@@ -55,6 +56,10 @@ class StructuredPerturbation:
     n: int
 
     def pencil(self) -> MatrixPolynomial:
+        return self._pencil
+
+    @cached_property
+    def _pencil(self) -> MatrixPolynomial:
         d21 = polycore.from_coeff_list([self.da21, self.db21])
         d12 = polycore.star_adjoint(polycore.mobius(d21, self.kind.mobius))
         return polycore.from_coeff_list(

@@ -4,12 +4,16 @@ The two protagonists are the bidiagonal pencil L_k (x) I_n (block pattern
 [-I, lI] per row) and the monomial row Lambda_k^T (x) I_n = [l^k I, ..., l I, I].
 They multiply to zero and stay minimal under the structure substitutions.
 When the pencil is perturbed, `dual_basis_complete` rebuilds a dual partner of
-degree k by a minimum-norm least-squares solve on the coefficient-convolution
-system.
+degree k by a minimum-norm solve of the coefficient-convolution system: the
+system is applied as matrix products, and conjugate gradients run on its
+Gram matrix, preconditioned by the n = 1 Gram inverse of the unperturbed
+pencil. `convolution_matrix` forms the system densely for oracles and
+minimal-index estimation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,9 +41,7 @@ def selector_matrices(k: int, n: int) -> SelectorMatrices:
     """E = [I_k 0] (x) I_n and F = [0 I_k] (x) I_n, exact 0/1 matrices."""
     if k < 1:
         raise GradeError("selector matrices need k >= 1")
-    e = np.kron(np.hstack([np.eye(k), np.zeros((k, 1))]), np.eye(n))
-    f = np.kron(np.hstack([np.zeros((k, 1)), np.eye(k)]), np.eye(n))
-    return SelectorMatrices(e, f)
+    return SelectorMatrices(np.eye(k * n, (k + 1) * n), np.eye(k * n, (k + 1) * n, n))
 
 
 def build_Lk(k: int, n: int) -> MatrixPolynomial:
@@ -69,12 +71,16 @@ def build_Lambda(k: int, n: int) -> MatrixPolynomial:
 
 @dataclass(frozen=True)
 class DualBasisPair:
-    """A wide pencil K and a degree-k partner N with K N^T = 0."""
+    """A wide pencil K and a degree-k partner N with K N^T = 0.
+
+    ``iterations`` counts the CG iterations of the completion that built N.
+    """
 
     K: MatrixPolynomial
     N: MatrixPolynomial
     k: int
     n: int
+    iterations: int
 
     def duality_residual(self) -> float:
         return polycore.frob_norm(polycore.poly_matmul(self.K, polycore.transpose_poly(self.N)))
@@ -135,16 +141,48 @@ def is_minimal_basis(Q: MatrixPolynomial, tol: float = 1e-10) -> bool:
     return all(full_row_rank(polycore.evaluate(Q, pt)) for pt in points)
 
 
+def _times(K: MatrixPolynomial, d: np.ndarray) -> np.ndarray:
+    """Coefficients of K times the factor with coefficient stack ``d``."""
+    out = np.zeros((K.grade + len(d), K.rows, d.shape[2]), dtype=np.result_type(K.coeffs, d))
+    for i, ki in enumerate(K.coeffs):
+        out[i:i + len(d)] += ki @ d
+    return out
+
+
+def _times_adjoint(K: MatrixPolynomial, c: np.ndarray) -> np.ndarray:
+    """Adjoint of `_times` in the Frobenius inner product."""
+    width = len(c) - K.grade
+    return sum(polycore.star(ki) @ c[i:i + width] for i, ki in enumerate(K.coeffs))
+
+
+@functools.lru_cache(maxsize=None)
+def _completion_preconditioner(k: int) -> np.ndarray:
+    """Inverse of C C^T for C = `convolution_matrix(build_Lk(k, 1), k)`, the
+    (k+2)k square Gram matrix of the n = 1 completion, built matrix-free."""
+    lk = build_Lk(k, 1)
+    basis = np.eye((k + 2) * k).reshape(k + 2, k, -1)
+    gram = _times(lk, _times_adjoint(lk, basis)).reshape((k + 2) * k, -1)
+    pinv = np.linalg.inv(gram)
+    pinv.setflags(write=False)
+    return pinv
+
+
 def dual_basis_complete(K: MatrixPolynomial, k: int, n: int) -> DualBasisPair:
     """Minimum-norm degree-k dual partner of a perturbed bidiagonal pencil.
 
-    K must be L_k (x) I_n plus a perturbation below `completion_threshold(k)`.
-    The correction coefficients solve the vectorized convolution system
-    K * (Lambda stack + correction) = 0 by min-norm least squares; the duality
-    residual must be at most 1e-12.
+    K must be a pencil L_k (x) I_n plus a perturbation below
+    `completion_threshold(k)`. Let A map a degree-k factor D to the
+    coefficients of K D; it is applied as matrix products and never formed.
+    The correction of the monomial row is the minimum-norm D with
+    A (Lambda^T + D) = 0, namely D = A^* w with A A^* w = -A Lambda^T.
+    `polycore.pcg` solves for w, preconditioned by the inverse of the n = 1
+    Gram matrix of L_k: at zero perturbation A A^* is a permutation of that
+    matrix (x) I_{n^2}. The duality residual must be at most 1e-12.
     """
-    if K.shape != (k * n, (k + 1) * n):
-        raise ValueError(f"K must be {k * n} x {(k + 1) * n}, got {K.shape}")
+    if K.shape != (k * n, (k + 1) * n) or K.grade != 1:
+        raise ValueError(
+            f"K must be a {k * n} x {(k + 1) * n} pencil, got {K.shape} of grade {K.grade}"
+        )
     base = build_Lk(k, n)
     dl_norm = polycore.frob_norm(K - base)
     bound = completion_threshold(k)
@@ -154,16 +192,19 @@ def dual_basis_complete(K: MatrixPolynomial, k: int, n: int) -> DualBasisPair:
             value=dl_norm,
             bound=bound,
         )
-    conv = convolution_matrix(K, k)
-    lam = build_Lambda(k, n)
-    rhs = -conv @ polycore.transpose_poly(lam).coeffs.reshape(-1, n)
-    sol, *_ = np.linalg.lstsq(conv, rhs, rcond=None)
+    pinv = _completion_preconditioner(k)
+    rows = (k + 2) * k
 
-    width = (k + 1) * n
-    delta_coeffs = np.stack([sol[i * width:(i + 1) * width, :] for i in range(k + 1)])
-    delta_r = MatrixPolynomial(delta_coeffs, K.field)
+    def precondition(r: np.ndarray) -> np.ndarray:
+        # (k+2, kn, n) -> ((k+2)k, n^2): the Kronecker blocks become channels.
+        return (pinv @ r.reshape(rows, n * n)).reshape(r.shape)
+
+    lam = build_Lambda(k, n)
+    rhs = -_times(K, polycore.transpose_poly(lam).coeffs)
+    w, iterations = polycore.pcg(lambda v: _times(K, _times_adjoint(K, v)), precondition, rhs)
+    delta_r = MatrixPolynomial(_times_adjoint(K, w), K.field)
     N = lam + polycore.transpose_poly(delta_r)
-    pair = DualBasisPair(K=K, N=N, k=k, n=n)
+    pair = DualBasisPair(K=K, N=N, k=k, n=n, iterations=iterations)
     residual = pair.duality_residual()
     if residual > 1e-12:
         raise NumericalError(f"dual completion residual {residual:.3e} above tolerance 1e-12")

@@ -7,7 +7,9 @@ grade, the Frobenius norm does not).  On top of that this module provides
 Horner evaluation, grade-aware reversal, Mobius transformations driven by a
 nonsingular 2x2 matrix, and the six classical structure classes (symmetric,
 skew-symmetric, palindromic, anti-palindromic, even, odd) together with a
-structure test, a structure projector, and a seeded random sampler.
+structure test, a structure projector, and a seeded random sampler. `pcg`
+is the matrix-free conjugate-gradient solve that both minimum-norm solves
+of the certification pipeline share.
 """
 
 from __future__ import annotations
@@ -261,6 +263,40 @@ def frob_norm(p: MatrixPolynomial) -> float:
 def pair_norm(c: np.ndarray, d: np.ndarray) -> float:
     """Frobenius norm of a pair of matrices of possibly different sizes."""
     return float(math.hypot(np.linalg.norm(c), np.linalg.norm(d)))
+
+
+# ---------------------------------------------------------------------------
+# Matrix-free minimum-norm solves
+# ---------------------------------------------------------------------------
+
+def pcg(gram_apply, precondition, c: np.ndarray):
+    """Solve G w = c by preconditioned conjugate gradients; return (w, iterations).
+
+    G is Hermitian positive definite and given only through ``gram_apply``;
+    ``precondition`` applies an approximation of G^{-1}. ``c`` is an ndarray
+    of any shape. Inner products are Re vdot, so the complex field works. A
+    zero ``c`` returns exact zeros after no iteration. The run stops once the
+    recurred residual is at most 1e-14 ||c||_F, or after 100 iterations; the
+    caller checks the true residual of what it builds from w.
+    """
+    w = np.zeros_like(c)
+    norm_c = np.linalg.norm(c)
+    if norm_c == 0.0:
+        return w, 0
+    r = c
+    p = z = precondition(r)
+    rz = np.vdot(r, z).real
+    for it in range(1, 101):
+        q = gram_apply(p)
+        alpha = rz / np.vdot(p, q).real
+        w = w + alpha * p
+        r = r - alpha * q
+        if np.linalg.norm(r) <= 1e-14 * norm_c:
+            break
+        z = precondition(r)
+        rz, rz_prev = np.vdot(r, z).real, rz
+        p = z + (rz / rz_prev) * p
+    return w, it
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,18 @@ pencil's trailing block.
 The linear step vectorizes a pair of coupled Sylvester equations into one
 underdetermined system whose matrix has exact 0/+-1 entries and minimum
 singular value 2*sin(pi/(4k)) for every structure kind and every block size.
-Its minimum-norm solve factors the Gram matrix T T^*, assembled from
-Kronecker sums, and never forms T itself. The quadratic step wraps the
+Its minimum-norm solve never forms T itself. It checks the certified gap
+with one shifted Cholesky of the Gram matrix T T^*, assembled from Kronecker
+sums, then solves T T^* w = c by conjugate gradients preconditioned with the
+unperturbed Gram inverse, which is its n = 1 reduction applied to n^2
+channels, and returns T^* w. The quadratic step wraps the
 linear solve in a fixed-point iteration whose convergence is certified by
 delta > 0 and theta*omega/delta^2 < 1/4.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +24,7 @@ import scipy.linalg
 
 from . import minbases
 from .errors import ConvergenceError, NumericalError, ThresholdError
-from .polycore import driver_matrix, from_coeff_list, mobius, pair_norm, star
+from .polycore import driver_matrix, from_coeff_list, mobius, pair_norm, pcg, star
 
 
 def sigma_min_formula(k: int) -> float:
@@ -186,24 +190,34 @@ def delta_lower_bound(k: int, norm_dl: float) -> float:
 # Minimum-norm solves
 # ---------------------------------------------------------------------------
 
-def _vec(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).reshape(-1, order="F")
-
-
-def _unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return np.asarray(v).reshape((rows, cols), order="F")
+@functools.lru_cache(maxsize=None)
+def _kron_preconditioner(k: int, driver) -> np.ndarray:
+    """Inverse of the unperturbed n = 1 Gram matrix, rows and columns in the
+    order (equation, row block, column block) of `_MinNormSolver.precondition`."""
+    gram = StarSylvesterOperator.unperturbed(k, 1, driver).gram()
+    # gram() orders each equation's entries column-major; swap to row-major.
+    gram = gram.reshape(2, k, k, 2, k, k).transpose(0, 2, 1, 3, 5, 4).reshape(2 * k * k, -1)
+    pinv = np.linalg.inv(gram)
+    pinv.setflags(write=False)
+    return pinv
 
 
 class _MinNormSolver:
     """Minimum-norm solves with a wide operator T whose smallest singular
-    value is certified to be at least ``delta``, through a Cholesky factor
-    of its Gram matrix: (Y, Z^*) = T^* (T T^*)^{-1} (c0, c1).
+    value is certified to be at least ``delta``:
+    (Y, Z^*) = T^* w with T T^* w = (c0, c1).
 
     A gap delta <= 0 is refused with `ThresholdError`. The certificate is
     then checked: T T^* - (delta - 1e-12*nu)^2 I must factor, with
     nu = sqrt(max diag T T^*) the largest row norm of T (nu is at most
     sigma_max). If it does not, a singular value lies below the certified
     gap beyond rounding, and the solver refuses with `NumericalError`.
+
+    Each solve then runs `polycore.pcg` on T T^* w = (c0, c1), applying
+    T T^* as `apply` after `adjoint`. The preconditioner is the inverse of
+    the unperturbed Gram matrix: at zero perturbation T is a row and column
+    permutation of its n = 1 reduction (x) I_{n^2}, so that inverse is one
+    2k^2 x 2k^2 matrix applied to n^2 channels.
     """
 
     def __init__(self, op: StarSylvesterOperator, delta: float):
@@ -214,10 +228,9 @@ class _MinNormSolver:
                 value=delta,
                 bound=0.0,
             )
-        gram = op.gram()
-        nu = math.sqrt(float(np.max(gram.diagonal().real)))
+        shifted = op.gram()
+        nu = math.sqrt(float(np.max(shifted.diagonal().real)))
         floor = max(delta - 1e-12 * nu, 0.0)
-        shifted = gram.copy()
         shifted[np.diag_indices_from(shifted)] -= floor**2
         try:
             scipy.linalg.cholesky(shifted, overwrite_a=True)
@@ -226,8 +239,22 @@ class _MinNormSolver:
                 f"a singular value lies below the certified gap {delta:.3e} "
                 "(shifted Gram matrix not positive definite)"
             ) from None
-        self.factor = scipy.linalg.cho_factor(gram)
         self.op = op
+        self.pinv = _kron_preconditioner(op.k, op.driver)
+        #: CG iterations of the latest `solve`.
+        self.iterations = 0
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """Inverse of the unperturbed Gram matrix applied to a (2, kn, kn)
+        stack, whose Kronecker blocks become n^2 channels of `pinv`."""
+        k = self.op.k
+        n = r.shape[1] // k
+        channels = r.reshape(2, k, n, k, n).transpose(0, 1, 3, 2, 4).reshape(2 * k * k, n * n)
+        out = (self.pinv @ channels).reshape(2, k, k, n, n)
+        return out.transpose(0, 1, 3, 2, 4).reshape(r.shape)
+
+    def _gram_apply(self, w: np.ndarray) -> np.ndarray:
+        return np.stack(self.op.apply(*self.op.adjoint(w[0], w[1])))
 
     def solve(self, c0: np.ndarray, c1: np.ndarray):
         """Minimum Frobenius norm (Y, Z^*) with op.apply(Y, Z^*) = (c0, c1).
@@ -235,9 +262,8 @@ class _MinNormSolver:
         Raises `NumericalError` unless the residual is within 1e-12 of
         ||(c0, c1)||_F; the solution obeys ||(Y, Z)||_F <= ||(c0, c1)||_F / delta.
         """
-        kn = c0.shape[0]
-        w = scipy.linalg.cho_solve(self.factor, np.concatenate([_vec(c0), _vec(c1)]))
-        y, zs = self.op.adjoint(_unvec(w[: kn * kn], kn, kn), _unvec(w[kn * kn :], kn, kn))
+        w, self.iterations = pcg(self._gram_apply, self.precondition, np.stack([c0, c1]))
+        y, zs = self.op.adjoint(w[0], w[1])
         r0, r1 = self.op.apply(y, zs)
         resid = pair_norm(r0 - c0, r1 - c1)
         if resid > 1e-12 * max(pair_norm(c0, c1), 1e-300):
@@ -262,6 +288,7 @@ class FixedPointState:
     rho0: float
     residuals: list = field(default_factory=list)
     x_norms: list = field(default_factory=list)
+    solve_iterations: list = field(default_factory=list)  # CG iterations per sweep
     iterations: int = 0
     converged: bool = False
 
@@ -333,6 +360,7 @@ def quadratic_fixed_point(
         state.x = x
         state.residuals.append(resid)
         state.x_norms.append(float(np.linalg.norm(x)))
+        state.solve_iterations.append(solver.iterations)
         state.iterations = it
         if resid <= tol:
             state.converged = True

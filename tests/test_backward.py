@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from strukt import (
     StructureKind,
@@ -15,7 +18,7 @@ from strukt import (
     run_certification,
     theorem_bound,
 )
-from strukt import backward, minbases, polycore, sylvester
+from strukt import backward, errors, minbases, polycore, sylvester
 from strukt.backward import StructuredPerturbation, x_norm_bound
 from strukt.errors import GradeError, StruktError, ThresholdError
 from strukt.linearize import build_linearization
@@ -230,13 +233,17 @@ def test_run_certification_rejects_grade_1():
 
 
 def test_certification_never_forms_the_dense_system(monkeypatch):
-    """The dense vectorized matrix is for oracles only: with it disabled,
-    every kind still certifies."""
+    """The dense vectorized star-Sylvester matrix, the convolution matrix and
+    dense solves are for oracles only: with them disabled, every kind still
+    certifies."""
 
-    def refuse(self):
-        raise AssertionError("dense star-Sylvester matrix formed on the certification path")
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense system formed or solved on the certification path")
 
     monkeypatch.setattr(sylvester.StarSylvesterOperator, "matrix", refuse)
+    monkeypatch.setattr(minbases, "convolution_matrix", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
     for kind in ALL_KINDS:
         p = random_structured(2, 5, kind, 1.0, seed=8)
         reports = run_certification(p, kind, "tridiagonal", [1e-6], trials=2, seed=9)
@@ -349,3 +356,29 @@ def test_ratio_bound_monotone_in_perturbation_norm():
     norms = [1e-6 / 2**i for i in range(8)]
     bounds = [tb.ratio_bound(nrm, norm_l) for nrm in norms]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
+
+
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    k=st.integers(0, 4),
+    n=st.integers(1, 3),
+    field_tag=st.sampled_from([polycore.REAL, polycore.COMPLEX]),
+    norm=st.one_of(st.just(0.0), st.floats(-10.0, -2.0).map(lambda e: 10.0**e)),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_every_trial_certifies_or_names_a_typed_error(kind, k, n, field_tag, norm):
+    """k = 0 is refused with `GradeError`. Otherwise a trial below the
+    theorem's threshold certifies, and any other trial records the name of
+    a `StruktError` subclass."""
+    # A real skew-symmetric 1 x 1 polynomial is zero and cannot be normalized.
+    assume(not (kind == StructureKind.skew_symmetric and n == 1 and field_tag == polycore.REAL))
+    p = random_structured(n, 2 * k + 1, kind, 1.0, seed=k + 7 * n, field=field_tag)
+    if k == 0:
+        with pytest.raises(GradeError):
+            run_certification(p, kind, "tridiagonal", [norm], trials=1, seed=5)
+        return
+    [row] = run_certification(p, kind, "tridiagonal", [norm], trials=1, seed=5)
+    if row.threshold_ok:
+        assert row.error is None and row.ratio_le_bound and row.structure_ok, row.error
+    else:
+        assert issubclass(getattr(errors, row.error.split(":")[0]), StruktError)

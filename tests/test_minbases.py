@@ -146,6 +146,37 @@ def test_completion_unperturbed_is_exact():
     pair = dual_basis_complete(build_Lk(k, n), k, n)
     assert frob_norm(pair.delta_r()) == 0.0
     assert np.array_equal(pair.N.coeffs, build_Lambda(k, n).coeffs)
+    assert pair.iterations == 0
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_completion_matches_the_dense_lstsq_oracle(k, complex_field, rng):
+    """The matrix-free completion is lstsq's minimum-norm solution of the
+    convolution system. The norms keep the correction far above the rounding
+    of N - Lambda, whose entries sit next to ones."""
+    n = 2
+    for scale in (0.1, 0.5):
+        raw = rng.standard_normal((2, k * n, (k + 1) * n))
+        if complex_field:
+            raw = raw + 1j * rng.standard_normal(raw.shape)
+        dl = polycore.from_coeff_list(list(raw))
+        kpoly = build_Lk(k, n) + dl * (scale * minbases.completion_threshold(k) / frob_norm(dl))
+        conv = convolution_matrix(kpoly, k)
+        lam_t = transpose_poly(build_Lambda(k, n)).coeffs.reshape(-1, n)
+        want = np.linalg.lstsq(conv, -conv @ lam_t, rcond=None)[0]
+        pair = dual_basis_complete(kpoly, k, n)
+        got = transpose_poly(pair.delta_r()).coeffs.reshape(-1, n)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert 1 <= pair.iterations <= 10
+
+
+def test_completion_refuses_a_factor_that_is_not_a_pencil():
+    k, n = 2, 1
+    with pytest.raises(ValueError):
+        dual_basis_complete(polycore.pad_to_grade(build_Lk(k, n), 2), k, n)
+    with pytest.raises(ValueError):
+        dual_basis_complete(build_Lk(k, 2), k, n)
 
 
 def test_completion_norm_bound(rng):

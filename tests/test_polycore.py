@@ -336,3 +336,28 @@ def test_json_schema_fields(rng, tmp_path):
     doc = json.loads(path.read_text())
     assert set(doc) == {"rows", "cols", "grade", "field", "coeffs"}
     assert doc["rows"] == 2 and doc["cols"] == 3 and doc["grade"] == 1
+
+
+# ---------------------------------------------------------------------------
+# preconditioned conjugate gradients
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_pcg_solves_a_hermitian_system_on_any_shape(rng, complex_field):
+    a = random_poly(rng, 12, 12, 0, complex_field).coefficient(0)
+    g = a @ a.conj().T + 12.0 * np.eye(12)
+    c = random_poly(rng, 3, 4, 0, complex_field).coefficient(0)
+    w, iterations = polycore.pcg(
+        lambda v: (g @ v.reshape(-1)).reshape(v.shape), lambda r: r / 12.0, c
+    )
+    assert w.shape == c.shape and 1 <= iterations < 100  # stopped on the residual
+    want = np.linalg.solve(g, c.reshape(-1)).reshape(c.shape)
+    assert np.linalg.norm(w - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_pcg_zero_rhs_returns_exact_zeros():
+    def never(v):
+        raise AssertionError("no operator call for a zero right-hand side")
+
+    w, iterations = polycore.pcg(never, never, np.zeros((2, 3, 3), dtype=complex))
+    assert iterations == 0 and w.shape == (2, 3, 3) and not w.any()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from strukt import (
     StructureKind,
@@ -257,6 +258,23 @@ def test_min_norm_solve_zero_rhs():
     _, solver = _solver(StructureKind.symmetric, 2, 2)
     y, zs = solver.solve(np.zeros((4, 4)), np.zeros((4, 4)))
     assert not y.any() and not zs.any()
+    assert solver.iterations == 0
+
+
+@pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_preconditioner_is_the_unperturbed_gram_inverse(kind, field_tag, rng):
+    """At zero perturbation the Kronecker preconditioner is exactly
+    (T_A T_A^*)^{-1}, so conjugate gradients stops after one iteration."""
+    for k in range(1, 5):
+        for n in range(1, 4):
+            op, solver = _solver(kind, k, n)
+            c = _draw(rng, (2, k * n, k * n), field_tag)
+            want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(op.gram()), _vec_pair(*c))
+            got = _vec_pair(*solver.precondition(c))
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            solver.solve(c[0], c[1])
+            assert solver.iterations == 1
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -380,6 +398,8 @@ def test_fixed_point_small_perturbation(kind):
     assert state.converged
     assert state.residuals[-1] <= 1e-12 * theta
     assert np.linalg.norm(state.x) <= state.norm_bound
+    assert len(state.solve_iterations) == state.iterations
+    assert all(1 <= it <= 5 for it in state.solve_iterations)
 
 
 def test_fixed_point_congruence_zeroes_block(rng):
@@ -432,14 +452,15 @@ def test_fixed_point_gates_every_solve(monkeypatch):
     kind = StructureKind.palindromic
     pencil, pert = _pencil_blocks(kind, 61)
     tol = 1e-12 * pair_norm(pert.da22, pert.db22)
-    exact = sylvester.scipy.linalg.cho_solve
+    exact = sylvester.pcg
     calls = []
 
-    def slightly_wrong(factor, b):
-        calls.append(b)
-        return exact(factor, b) * (1.0 + 1e-9)
+    def slightly_wrong(gram_apply, precondition, c):
+        calls.append(c)
+        w, iterations = exact(gram_apply, precondition, c)
+        return w * (1.0 + 1e-9), iterations
 
-    monkeypatch.setattr(sylvester.scipy.linalg, "cho_solve", slightly_wrong)
+    monkeypatch.setattr(sylvester, "pcg", slightly_wrong)
     with pytest.raises(NumericalError, match="solve residual"):
         quadratic_fixed_point(pert, pencil.m0, pencil.m1, kind, tol=tol)
     assert len(calls) == 1
