@@ -73,11 +73,15 @@ def build_Lambda(k: int, n: int) -> MatrixPolynomial:
 class DualBasisPair:
     """A wide pencil K and a degree-k partner N with K N^T = 0.
 
-    ``iterations`` counts the CG iterations of the completion that built N.
+    ``correction`` is N minus the canonical monomial row, as solved: taking
+    N - Lambda instead would cancel the low bits of every entry next to a one
+    of Lambda. ``iterations`` counts the CG iterations of the completion that
+    built N.
     """
 
     K: MatrixPolynomial
     N: MatrixPolynomial
+    correction: MatrixPolynomial
     k: int
     n: int
     iterations: int
@@ -87,7 +91,7 @@ class DualBasisPair:
 
     def delta_r(self) -> MatrixPolynomial:
         """Correction of N relative to the canonical monomial row."""
-        return self.N - build_Lambda(self.k, self.n)
+        return self.correction
 
 
 def convolution_matrix(K: MatrixPolynomial, target_degree: int) -> np.ndarray:
@@ -202,9 +206,10 @@ def dual_basis_complete(K: MatrixPolynomial, k: int, n: int) -> DualBasisPair:
     lam = build_Lambda(k, n)
     rhs = -_times(K, polycore.transpose_poly(lam).coeffs)
     w, iterations = polycore.pcg(lambda v: _times(K, _times_adjoint(K, v)), precondition, rhs)
-    delta_r = MatrixPolynomial(_times_adjoint(K, w), K.field)
-    N = lam + polycore.transpose_poly(delta_r)
-    pair = DualBasisPair(K=K, N=N, k=k, n=n, iterations=iterations)
+    correction = polycore.transpose_poly(MatrixPolynomial(_times_adjoint(K, w), K.field))
+    pair = DualBasisPair(
+        K=K, N=lam + correction, correction=correction, k=k, n=n, iterations=iterations
+    )
     residual = pair.duality_residual()
     if residual > 1e-12:
         raise NumericalError(f"dual completion residual {residual:.3e} above tolerance 1e-12")

@@ -4,13 +4,13 @@ pencil's trailing block.
 The linear step vectorizes a pair of coupled Sylvester equations into one
 underdetermined system whose matrix has exact 0/+-1 entries and minimum
 singular value 2*sin(pi/(4k)) for every structure kind and every block size.
-Its minimum-norm solve never forms T itself. It checks the certified gap
-with one shifted Cholesky of the Gram matrix T T^*, assembled from Kronecker
-sums, then solves T T^* w = c by conjugate gradients preconditioned with the
-unperturbed Gram inverse, which is its n = 1 reduction applied to n^2
-channels, and returns T^* w. The quadratic step wraps the
-linear solve in a fixed-point iteration whose convergence is certified by
-delta > 0 and theta*omega/delta^2 < 1/4.
+Its minimum-norm solve never forms T or T T^*. It checks the certified gap
+by Weyl's inequality on the operator's own blocks, with sigma_min of the
+unperturbed system taken from its n = 1 Gram matrix, then solves
+T T^* w = c by conjugate gradients preconditioned with the unperturbed Gram
+inverse, which is its n = 1 reduction applied to n^2 channels, and returns
+T^* w. The quadratic step wraps the linear solve in a fixed-point iteration
+whose convergence is certified by delta > 0 and theta*omega/delta^2 < 1/4.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import minbases
 from .errors import ConvergenceError, NumericalError, ThresholdError
@@ -46,9 +45,9 @@ class StarSylvesterOperator:
 
     def __init__(self, da21: np.ndarray, db21: np.ndarray, kind):
         kn, width = da21.shape
-        n = width - kn
-        self.k = kn // n
-        sel = minbases.selector_matrices(self.k, n)
+        self.n = width - kn
+        self.k = kn // self.n
+        sel = minbases.selector_matrices(self.k, self.n)
         self.da21, self.db21 = da21, db21
         self.ehat = -sel.e + da21
         self.fhat = sel.f + db21
@@ -77,7 +76,8 @@ class StarSylvesterOperator:
 
         Block (i, j) is the Kronecker sum conj(G_i G_j^*) (x) I + I (x) H_i H_j^*,
         with (H0, H1) = (ehat, fhat): its entry ((a, p), (b, q)) is
-        conj(G_i G_j^*)[a, b] [p == q] + [a == b] (H_i H_j^*)[p, q].
+        conj(G_i G_j^*)[a, b] [p == q] + [a == b] (H_i H_j^*)[p, q]. Only the
+        n = 1 preconditioner and test oracles assemble it.
         """
         kn = self.ehat.shape[0]
         g = (self.g0, self.g1)
@@ -95,7 +95,7 @@ class StarSylvesterOperator:
         """Vectorized 2k^2n^2 x 2k(k+1)n^2 matrix acting on [vec Y; vec Z^*].
 
         Only `build_TA`, `strukt sigma-min` and test oracles form it; solves
-        go through `gram()`.
+        go through `apply` and `adjoint`.
         """
         eye = np.eye(self.ehat.shape[0])
         top = np.hstack([np.kron(np.conj(self.g0), eye), np.kron(eye, self.ehat)])
@@ -190,16 +190,58 @@ def delta_lower_bound(k: int, norm_dl: float) -> float:
 # Minimum-norm solves
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Reference:
+    """The unperturbed system T_A at one block size n. T_A(n) is a row and
+    column permutation of T_A(1) (x) I_{n^2}, so its Gram inverse and its
+    sigma_min are those of the n = 1 reduction."""
+
+    #: Inverse of the n = 1 Gram matrix, rows and columns in the order
+    #: (equation, row block, column block) of `_MinNormSolver.precondition`.
+    pinv: np.ndarray
+    #: sigma_min(T_A), from an eigvalsh of the same Gram matrix, not the formula.
+    sigma_min: float
+    #: The unperturbed blocks [G0; G1] and [H0; H1] at n.
+    g: np.ndarray
+    h: np.ndarray
+
+
 @functools.lru_cache(maxsize=None)
-def _kron_preconditioner(k: int, driver) -> np.ndarray:
-    """Inverse of the unperturbed n = 1 Gram matrix, rows and columns in the
-    order (equation, row block, column block) of `_MinNormSolver.precondition`."""
+def _reference(k: int, n: int, driver) -> _Reference:
     gram = StarSylvesterOperator.unperturbed(k, 1, driver).gram()
     # gram() orders each equation's entries column-major; swap to row-major.
     gram = gram.reshape(2, k, k, 2, k, k).transpose(0, 2, 1, 3, 5, 4).reshape(2 * k * k, -1)
-    pinv = np.linalg.inv(gram)
-    pinv.setflags(write=False)
-    return pinv
+    op = StarSylvesterOperator.unperturbed(k, n, driver)
+    ref = _Reference(
+        np.linalg.inv(gram),
+        math.sqrt(np.linalg.eigvalsh(gram)[0]),
+        np.vstack([op.g0, op.g1]),
+        np.vstack([op.ehat, op.fhat]),
+    )
+    for a in (ref.pinv, ref.g, ref.h):
+        a.setflags(write=False)
+    return ref
+
+
+def _weyl_bound(op: StarSylvesterOperator):
+    """(sigma_min(T_A) - b, nu) for the map that `op.apply` computes.
+
+    b bounds ||dT||_2, dT = T - T_A, from the differences of op's own blocks
+    [G0; G1] and [H0; H1] and the unperturbed ones: the two block columns of
+    dT are row permutations of [dG0; dG1] (x) I and I (x) [dH0; dH1], so
+    ||dT||_2 is at most the hypot of their spectral norms. nu =
+    sqrt(max diag T T^*) is the largest row norm of T: a row of equation i
+    pairs a row of G_i with a row of H_i.
+    """
+    ref = _reference(op.k, op.n, op.driver)
+    g = np.vstack([op.g0, op.g1])
+    h = np.vstack([op.ehat, op.fhat])
+    norm_dt = math.hypot(
+        np.linalg.svd(g - ref.g, compute_uv=False)[0],
+        np.linalg.svd(h - ref.h, compute_uv=False)[0],
+    )
+    row_g, row_h = (np.max((np.abs(b) ** 2).sum(axis=1).reshape(2, -1), axis=1) for b in (g, h))
+    return ref.sigma_min - norm_dt, math.sqrt(float(np.max(row_g + row_h)))
 
 
 class _MinNormSolver:
@@ -208,10 +250,15 @@ class _MinNormSolver:
     (Y, Z^*) = T^* w with T T^* w = (c0, c1).
 
     A gap delta <= 0 is refused with `ThresholdError`. The certificate is
-    then checked: T T^* - (delta - 1e-12*nu)^2 I must factor, with
-    nu = sqrt(max diag T T^*) the largest row norm of T (nu is at most
-    sigma_max). If it does not, a singular value lies below the certified
-    gap beyond rounding, and the solver refuses with `NumericalError`.
+    then checked on the operator's own blocks by Weyl's inequality:
+    sigma_min(T) >= sigma_min(T_A) - ||dT||_2 >= `_weyl_bound(op)`, with
+    sigma_min(T_A) from an eigvalsh of the unperturbed n = 1 Gram matrix and
+    ||dT||_2 bounded by two SVDs of O(kn) size. If that bound is below
+    delta - 1e-12*nu, nu the largest row norm of T, the solver refuses with
+    `NumericalError`. Nothing of size m x m, m = 2k^2n^2, is formed. The
+    check is independent of `sigma_min_formula` and of `op.gap()`, and it
+    refuses a delta above the Weyl bound even where delta is below the
+    true sigma_min.
 
     Each solve then runs `polycore.pcg` on T T^* w = (c0, c1), applying
     T T^* as `apply` after `adjoint`. The preconditioner is the inverse of
@@ -228,27 +275,21 @@ class _MinNormSolver:
                 value=delta,
                 bound=0.0,
             )
-        shifted = op.gram()
-        nu = math.sqrt(float(np.max(shifted.diagonal().real)))
-        floor = max(delta - 1e-12 * nu, 0.0)
-        shifted[np.diag_indices_from(shifted)] -= floor**2
-        try:
-            scipy.linalg.cholesky(shifted, overwrite_a=True)
-        except np.linalg.LinAlgError:
+        bound, nu = _weyl_bound(op)
+        if bound < delta - 1e-12 * nu:
             raise NumericalError(
-                f"a singular value lies below the certified gap {delta:.3e} "
-                "(shifted Gram matrix not positive definite)"
-            ) from None
+                f"the certified gap {delta:.3e} exceeds the computed Weyl bound "
+                f"{bound:.3e} on the smallest singular value"
+            )
         self.op = op
-        self.pinv = _kron_preconditioner(op.k, op.driver)
+        self.pinv = _reference(op.k, op.n, op.driver).pinv
         #: CG iterations of the latest `solve`.
         self.iterations = 0
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """Inverse of the unperturbed Gram matrix applied to a (2, kn, kn)
         stack, whose Kronecker blocks become n^2 channels of `pinv`."""
-        k = self.op.k
-        n = r.shape[1] // k
+        k, n = self.op.k, self.op.n
         channels = r.reshape(2, k, n, k, n).transpose(0, 1, 3, 2, 4).reshape(2 * k * k, n * n)
         out = (self.pinv @ channels).reshape(2, k, k, n, n)
         return out.transpose(0, 1, 3, 2, 4).reshape(r.shape)

@@ -233,21 +233,44 @@ def test_run_certification_rejects_grade_1():
 
 
 def test_certification_never_forms_the_dense_system(monkeypatch):
-    """The dense vectorized star-Sylvester matrix, the convolution matrix and
-    dense solves are for oracles only: with them disabled, every kind still
-    certifies."""
+    """The dense vectorized star-Sylvester matrix, the convolution matrix,
+    Cholesky factors, dense solves and any Gram matrix T T^* above n = 1 are
+    for oracles only: with them disabled, every kind still certifies."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense system formed or solved on the certification path")
 
+    gram = sylvester.StarSylvesterOperator.gram
+
+    def gram_at_n1(op):
+        # Only the n = 1 preconditioner may assemble T T^*.
+        if op.ehat.shape != (op.k, op.k + 1):
+            refuse()
+        return gram(op)
+
+    sylvester._reference.cache_clear()
     monkeypatch.setattr(sylvester.StarSylvesterOperator, "matrix", refuse)
+    monkeypatch.setattr(sylvester.StarSylvesterOperator, "gram", gram_at_n1)
     monkeypatch.setattr(minbases, "convolution_matrix", refuse)
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
+    monkeypatch.setattr(scipy.linalg, "cholesky", refuse)
     for kind in ALL_KINDS:
         p = random_structured(2, 5, kind, 1.0, seed=8)
         reports = run_certification(p, kind, "tridiagonal", [1e-6], trials=2, seed=9)
         assert all(r.error is None and r.ratio_le_bound and r.structure_ok for r in reports)
+
+
+def test_certification_checks_the_gap_independently_of_the_formula(monkeypatch):
+    """The solver's Weyl check computes sigma_min(T_A) itself: a formula that
+    claims 1e-9 more than the truth makes every trial a NumericalError row."""
+    formula = sylvester.sigma_min_formula
+    monkeypatch.setattr(sylvester, "sigma_min_formula", lambda k: formula(k) + 1e-9)
+    p = random_structured(2, 5, StructureKind.even, 1.0, seed=8)
+    reports = run_certification(p, StructureKind.even, "tridiagonal", [1e-6], trials=2, seed=9)
+    assert all(r.error.startswith("NumericalError:") for r in reports)
+    assert not any(r.ratio_le_bound for r in reports)
 
 
 @pytest.mark.parametrize("norm", [-1.0, math.nan, math.inf])

@@ -1,10 +1,16 @@
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strukt import StructureKind, frob_norm, load_polynomial, random_structured, save_polynomial
 from strukt import linearize, polycore
@@ -383,3 +389,117 @@ def test_certify_config_of_wrong_type_exits_2(tmp_path, capsys):
         assert main(["certify", str(cfg)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: config ") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# The CLI over generated inputs
+# ---------------------------------------------------------------------------
+
+_DROP = object()
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _edits(base, choices):
+    """``base`` with up to two keys set to one of their listed values or dropped."""
+    edit = st.sampled_from(sorted(choices)).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from([*choices[key], _DROP]))
+    )
+    return st.lists(edit, max_size=2).map(
+        lambda pairs: {
+            key: value for key, value in {**base, **dict(pairs)}.items() if value is not _DROP
+        }
+    )
+
+
+_SIDECARS = st.one_of(
+    _edits(
+        {"k": 2, "n": 2, "kind": "palindromic", "sign": 1},
+        {
+            "k": [1, 3, 0, -1, "2", 2.0, None, True],
+            "n": [1, 0, 2.5, "2", []],
+            "kind": ["even", "odd", "bogus", 7, None],
+            "sign": [-1, 5, True, "1"],
+        },
+    ),
+    st.sampled_from(["", "{", "[]", "null", "3", '{"k": 2}']),
+)
+
+_CONFIGS = _edits(
+    {"kind": "palindromic", "grade": 3, "n": 2, "trials": 1, "seed": 5},
+    {
+        "kind": ["all", "even", "bogus", 3, None],
+        "grade": [5, 1, 4, -3, 3.0, "3", True],
+        "n": [1, 0, -1, 2.5, None],
+        "trials": [2, 0, "1"],
+        "seed": [0, -1, 2**40, 1.5, "x"],
+        "placement": ["stacked", "bogus", 1],
+        "mode": ["empirical", "x"],
+        "format": ["json", "xml"],
+        "extra": [1],
+    },
+)
+_NORMS = [1e-8, 0.0, 1e-3, 0.5, 10.0, -1.0, _NAN, _INF, -_INF, 1e300, 5e-324]
+
+
+@pytest.fixture(scope="module")
+def base_pencil(tmp_path_factory):
+    root = tmp_path_factory.mktemp("base")
+    poly = root / "p.json"
+    save_polynomial(random_structured(2, 5, StructureKind.palindromic, 1.0, seed=3), poly)
+    pencil = root / "pencil.json"
+    argv = ["linearize", str(poly), "--kind", "palindromic", "--output", str(pencil)]
+    assert _run_cli(argv) == (EXIT_OK, "")
+    return pencil
+
+
+def _run_cli(argv):
+    """Exit code and stderr of `main`, which must return and not raise."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    """Exit 0, 1 or 2, and one `error:` line exactly when the exit is 2."""
+    assert code in (EXIT_OK, EXIT_CERTIFICATION, EXIT_USAGE)
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == (code == EXIT_USAGE)
+
+
+@given(
+    command=st.sampled_from(["recover", "perturb", "eigs"]),
+    sidecar=_SIDECARS,
+    norm=st.sampled_from(_NORMS),
+    seed=st.sampled_from([0, 4, -1, 2**40]),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_cli_on_edited_sidecars_exits_cleanly(base_pencil, command, sidecar, norm, seed):
+    """`recover`, `perturb` and `eigs` on a pencil whose sidecar has keys
+    dropped or set to values of the wrong type or range, or is not a JSON
+    object, and `perturb` with any norm and seed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        pencil = Path(tmp) / "pencil.json"
+        pencil.write_bytes(base_pencil.read_bytes())
+        text = sidecar if isinstance(sidecar, str) else json.dumps(sidecar)
+        linearize.sidecar_path(pencil).write_text(text)
+        argv = [command, str(pencil), "--output", str(Path(tmp) / "out.json")]
+        if command == "perturb":
+            argv += [f"--norm={norm!r}", f"--seed={seed}"]
+        _assert_clean_exit(*_run_cli(argv))
+
+
+@given(
+    config=_CONFIGS,
+    norms=st.lists(st.sampled_from([*_NORMS, True, "x"]), min_size=1, max_size=2),
+    flags=st.lists(st.sampled_from(["--eigs", "--timings", "--mode=empirical", "--format=json"])),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_cli_on_edited_configs_exits_cleanly(config, norms, flags):
+    """`certify` on configs with keys dropped, unknown or set to values of
+    the wrong type or range, and perturbation norms of any value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({**config, "pert_norms": norms}))
+        argv = ["certify", str(cfg), "--output", str(Path(tmp) / "out.csv"), *flags]
+        _assert_clean_exit(*_run_cli(argv))

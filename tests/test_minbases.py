@@ -171,6 +171,22 @@ def test_completion_matches_the_dense_lstsq_oracle(k, complex_field, rng):
         assert 1 <= pair.iterations <= 10
 
 
+def test_completion_correction_keeps_its_low_bits(rng):
+    """delta_r() is the solved correction, not N - Lambda: at ||dL|| = 1e-10
+    the entries of N next to the ones of Lambda carry only the top bits of
+    the correction, and the difference would miss lstsq's by about 1e-6."""
+    k, n = 4, 2
+    raw = rng.standard_normal((2, k * n, (k + 1) * n))
+    dl = polycore.from_coeff_list(list(raw))
+    kpoly = build_Lk(k, n) + dl * (1e-10 / frob_norm(dl))
+    conv = convolution_matrix(kpoly, k)
+    lam_t = transpose_poly(build_Lambda(k, n)).coeffs.reshape(-1, n)
+    want = np.linalg.lstsq(conv, -conv @ lam_t, rcond=None)[0]
+    pair = dual_basis_complete(kpoly, k, n)
+    got = transpose_poly(pair.delta_r()).coeffs.reshape(-1, n)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_completion_refuses_a_factor_that_is_not_a_pencil():
     k, n = 2, 1
     with pytest.raises(ValueError):

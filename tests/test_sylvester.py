@@ -201,12 +201,50 @@ def test_min_norm_solver_refuses_gap_above_sigma_min():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_min_norm_solver_accepts_the_exact_gap(kind):
-    """sigma_min of the unperturbed system is exactly the law, so the
-    shifted-Cholesky check must pass at delta = sigma_min_formula(k)."""
+    """sigma_min of the unperturbed system is exactly the law, and the Weyl
+    check computes it from the n = 1 Gram matrix, so it must pass at
+    delta = sigma_min_formula(k) for every block size."""
     for k in range(1, 5):
         for n in range(1, 4):
             op = StarSylvesterOperator.unperturbed(k, n, kind)
             _MinNormSolver(op, sigma_min_formula(k))
+
+
+@pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_weyl_bound_is_below_sigma_min_and_agrees_with_the_gap(kind, field_tag):
+    """The refusal's bound, computed from the operator's own blocks, never
+    exceeds the dense sigma_min of matrix() and equals gap() to rounding, up
+    to ||dL|| = 0.9/(3k)."""
+    for k in range(1, 4):
+        for n in range(1, 4):
+            for seed, frac in enumerate((0.0, 1e-8, 1e-3, 0.3, 0.9)):
+                nrm = frac / (3.0 * k)
+                pert = backward.random_structured_perturbation(
+                    k, n, kind, nrm, seed=seed, field_tag=field_tag
+                )
+                op = StarSylvesterOperator(pert.da21, pert.db21, kind)
+                bound, nu = sylvester._weyl_bound(op)
+                sigma = np.linalg.svd(op.matrix(), compute_uv=False)[-1]
+                assert bound <= sigma + 1e-12 * nu
+                assert abs(bound - op.gap()) <= 1e-12 * nu
+
+
+def test_min_norm_solver_refuses_a_gap_above_the_weyl_bound():
+    """A delta just above gap(), or between the Weyl bound and the true
+    sigma_min, is refused: the check is the bound, not the dense spectrum."""
+    k, n = 2, 2
+    kind = StructureKind.palindromic
+    pert = backward.random_structured_perturbation(k, n, kind, 0.05, seed=4)
+    op = StarSylvesterOperator(pert.da21, pert.db21, kind)
+    _MinNormSolver(op, op.gap())
+    with pytest.raises(NumericalError):
+        _MinNormSolver(op, op.gap() + 1e-9)
+    sigma = np.linalg.svd(op.matrix(), compute_uv=False)[-1]
+    between = (op.gap() + sigma) / 2.0
+    assert op.gap() + 1e-6 < between < sigma
+    with pytest.raises(NumericalError):
+        _MinNormSolver(op, between)
 
 
 def test_delta_lower_bound_values():
