@@ -138,11 +138,6 @@ def random_structured_perturbation(
 # Congruence and reconstruction
 # ---------------------------------------------------------------------------
 
-def congruence_threshold(k: int, norm_m: float) -> float:
-    """Admissibility bound on the perturbation for the rezeroing congruence."""
-    return (math.pi / 16.0) ** 2 / (k**2 * (1.0 + norm_m))
-
-
 def x_norm_bound(k: int, norm_dl: float) -> float:
     """Guaranteed bound 3k||dL|| / (1 - 3k||dL||) on the congruence factor."""
     denom = 1.0 - 3.0 * k * norm_dl
@@ -160,26 +155,17 @@ class CongruenceResult:
 
 
 def congruence_zero_block(
-    pencil: BlockKroneckerPencil,
-    pert: StructuredPerturbation,
-    mode: str = "certified",
+    pencil: BlockKroneckerPencil, pert: StructuredPerturbation
 ) -> CongruenceResult:
     """Rezero the (2,2) block of the perturbed pencil by a structure-preserving
     congruence [[I, 0], [X, I]] (L + dL) [[I, X^*], [0, I]].
 
-    In certified mode the perturbation must lie below `congruence_threshold`;
-    empirical mode proceeds whenever the fixed point is admissible.
+    `quadratic_fixed_point` refuses an inadmissible perturbation with
+    `ThresholdError`. No norm threshold is checked here: certified runs refuse
+    norms at or above `theorem_bound(...).threshold` before they get here.
     """
     k, n = pencil.k, pencil.n
-    norm_m = frob_norm(pencil.m_pencil)
     norm_dl = pert.norm()
-    bound = congruence_threshold(k, norm_m)
-    if mode == "certified" and norm_dl >= bound:
-        raise ThresholdError(
-            f"perturbation norm {norm_dl:.3e} exceeds the congruence bound {bound:.3e}",
-            value=norm_dl,
-            bound=bound,
-        )
     fp_tol = 1e-12 * pair_norm(pert.da22, pert.db22) if norm_dl > 0 else None
     state = sylvester.quadratic_fixed_point(
         pert, pencil.m0, pencil.m1, pencil.kind, tol=fp_tol
@@ -375,7 +361,7 @@ def _run_single_trial(
             pert = random_structured_perturbation(
                 pencil.k, pencil.n, kind, norm_dl_target, trial_seed, field_tag=p.field
             )
-            cong = congruence_zero_block(pencil, pert, mode=mode)
+            cong = congruence_zero_block(pencil, pert)
             recon = reconstruct_perturbed_polynomial(cong.ltilde, pencil.k, pencil.n, kind)
             dp = recon.poly - p
             report.norm_X = float(np.linalg.norm(cong.x))

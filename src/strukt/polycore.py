@@ -255,14 +255,28 @@ def pad_to_grade(p: MatrixPolynomial, grade: int) -> MatrixPolynomial:
 # Norms
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore")
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of an array whose squares may overflow.
+
+    Only when the plain norm is inf is it recomputed on the entries scaled by
+    a power of two, so every finite plain norm is returned as it is.
+    """
+    nrm = float(np.linalg.norm(a))
+    if nrm == math.inf:
+        scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(a))))[1])
+        nrm = float(np.linalg.norm(a * scale)) / scale
+    return nrm
+
+
 def frob_norm(p: MatrixPolynomial) -> float:
     """Frobenius norm sqrt(sum_i ||P_i||_F^2); padding-invariant by design."""
-    return float(np.linalg.norm(p.coeffs))
+    return _norm(p.coeffs)
 
 
 def pair_norm(c: np.ndarray, d: np.ndarray) -> float:
     """Frobenius norm of a pair of matrices of possibly different sizes."""
-    return float(math.hypot(np.linalg.norm(c), np.linalg.norm(d)))
+    return math.hypot(_norm(c), _norm(d))
 
 
 # ---------------------------------------------------------------------------

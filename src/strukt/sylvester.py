@@ -4,13 +4,14 @@ pencil's trailing block.
 The linear step vectorizes a pair of coupled Sylvester equations into one
 underdetermined system whose matrix has exact 0/+-1 entries and minimum
 singular value 2*sin(pi/(4k)) for every structure kind and every block size.
-Its minimum-norm solve never forms T or T T^*. It checks the certified gap
-by Weyl's inequality on the operator's own blocks, with sigma_min of the
-unperturbed system taken from its n = 1 Gram matrix, then solves
-T T^* w = c by conjugate gradients preconditioned with the unperturbed Gram
-inverse, which is its n = 1 reduction applied to n^2 channels, and returns
-T^* w. The quadratic step wraps the linear solve in a fixed-point iteration
-whose convergence is certified by delta > 0 and theta*omega/delta^2 < 1/4.
+Its minimum-norm solver never forms T or T T^*. It computes the certified
+gap delta once, by Weyl's inequality on the operator's own blocks, with
+sigma_min of the unperturbed system taken from its n = 1 Gram matrix. It
+then solves T T^* w = c by conjugate gradients preconditioned with the
+unperturbed Gram inverse, which is its n = 1 reduction applied to n^2
+channels, and returns T^* w. The quadratic step wraps the linear solve in a
+fixed-point iteration whose convergence is certified by delta > 0 and
+theta*omega/delta^2 < 1/4.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class StarSylvesterOperator:
         self.n = width - kn
         self.k = kn // self.n
         sel = minbases.selector_matrices(self.k, self.n)
-        self.da21, self.db21 = da21, db21
         self.ehat = -sel.e + da21
         self.fhat = sel.f + db21
         self.driver = driver_matrix(kind)
@@ -71,50 +71,17 @@ class StarSylvesterOperator:
         """Adjoint map (c0, c1) -> (Y, Z^*) = (c0 G0 + c1 G1, ehat^* c0 + fhat^* c1)."""
         return c0 @ self.g0 + c1 @ self.g1, star(self.ehat) @ c0 + star(self.fhat) @ c1
 
-    def gram(self) -> np.ndarray:
-        """T T^* for T = `matrix()`, assembled in O(m^2) without forming T.
-
-        Block (i, j) is the Kronecker sum conj(G_i G_j^*) (x) I + I (x) H_i H_j^*,
-        with (H0, H1) = (ehat, fhat): its entry ((a, p), (b, q)) is
-        conj(G_i G_j^*)[a, b] [p == q] + [a == b] (H_i H_j^*)[p, q]. Only the
-        n = 1 preconditioner and test oracles assemble it.
-        """
-        kn = self.ehat.shape[0]
-        g = (self.g0, self.g1)
-        h = (self.ehat, self.fhat)
-        out = np.zeros((2, kn, kn, 2, kn, kn), dtype=np.result_type(*g, *h))
-        diag = np.arange(kn)
-        for i in (0, 1):
-            for j in (0, 1):
-                block = out[i, :, :, j]
-                block[:, diag, :, diag] = np.conj(g[i] @ star(g[j]))
-                block[diag, :, diag, :] += h[i] @ star(h[j])
-        return out.reshape(2 * kn * kn, 2 * kn * kn)
-
     def matrix(self) -> np.ndarray:
         """Vectorized 2k^2n^2 x 2k(k+1)n^2 matrix acting on [vec Y; vec Z^*].
 
-        Only `build_TA`, `strukt sigma-min` and test oracles form it; solves
-        go through `apply` and `adjoint`.
+        Only `build_TA`, `strukt sigma-min` and test oracles form it; the
+        solver reads the gap off the operator's blocks and solves through
+        `apply` and `adjoint`.
         """
         eye = np.eye(self.ehat.shape[0])
         top = np.hstack([np.kron(np.conj(self.g0), eye), np.kron(eye, self.ehat)])
         bot = np.hstack([np.kron(np.conj(self.g1), eye), np.kron(eye, self.fhat)])
         return np.vstack([top, bot])
-
-    def gap(self) -> float:
-        """Certified lower bound on the smallest singular value of `matrix()`.
-
-        The block columns of dT_A = matrix() - T_A are row permutations of
-        [A; C] (x) I and I (x) [da21; db21], with (A, C) the Mobius image of
-        (da21, db21); Weyl's inequality then gives the bound below.
-        """
-        image = mobius(from_coeff_list([self.da21, self.db21]), self.driver).coeffs
-        norm_dt = math.hypot(
-            np.linalg.norm(np.vstack(image), 2),
-            np.linalg.norm(np.vstack([self.da21, self.db21]), 2),
-        )
-        return sigma_min_formula(self.k) - norm_dt
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +175,12 @@ class _Reference:
 
 @functools.lru_cache(maxsize=None)
 def _reference(k: int, n: int, driver) -> _Reference:
-    gram = StarSylvesterOperator.unperturbed(k, 1, driver).gram()
-    # gram() orders each equation's entries column-major; swap to row-major.
-    gram = gram.reshape(2, k, k, 2, k, k).transpose(0, 2, 1, 3, 5, 4).reshape(2 * k * k, -1)
+    # T T^* at n = 1 applied to each unit vector of the row-major
+    # (equation, row, column) basis, the order `precondition` uses.
+    op1 = StarSylvesterOperator.unperturbed(k, 1, driver)
+    basis = np.eye(2 * k * k).reshape(-1, 2, k, k)
+    gram = np.stack(op1.apply(*op1.adjoint(basis[:, 0], basis[:, 1])), axis=1)
+    gram = gram.reshape(2 * k * k, -1)
     op = StarSylvesterOperator.unperturbed(k, n, driver)
     ref = _Reference(
         np.linalg.inv(gram),
@@ -223,66 +193,44 @@ def _reference(k: int, n: int, driver) -> _Reference:
     return ref
 
 
-def _weyl_bound(op: StarSylvesterOperator):
-    """(sigma_min(T_A) - b, nu) for the map that `op.apply` computes.
-
-    b bounds ||dT||_2, dT = T - T_A, from the differences of op's own blocks
-    [G0; G1] and [H0; H1] and the unperturbed ones: the two block columns of
-    dT are row permutations of [dG0; dG1] (x) I and I (x) [dH0; dH1], so
-    ||dT||_2 is at most the hypot of their spectral norms. nu =
-    sqrt(max diag T T^*) is the largest row norm of T: a row of equation i
-    pairs a row of G_i with a row of H_i.
-    """
-    ref = _reference(op.k, op.n, op.driver)
-    g = np.vstack([op.g0, op.g1])
-    h = np.vstack([op.ehat, op.fhat])
-    norm_dt = math.hypot(
-        np.linalg.svd(g - ref.g, compute_uv=False)[0],
-        np.linalg.svd(h - ref.h, compute_uv=False)[0],
-    )
-    row_g, row_h = (np.max((np.abs(b) ** 2).sum(axis=1).reshape(2, -1), axis=1) for b in (g, h))
-    return ref.sigma_min - norm_dt, math.sqrt(float(np.max(row_g + row_h)))
-
-
 class _MinNormSolver:
-    """Minimum-norm solves with a wide operator T whose smallest singular
-    value is certified to be at least ``delta``:
+    """Minimum-norm solves with a wide operator T:
     (Y, Z^*) = T^* w with T T^* w = (c0, c1).
 
-    A gap delta <= 0 is refused with `ThresholdError`. The certificate is
-    then checked on the operator's own blocks by Weyl's inequality:
-    sigma_min(T) >= sigma_min(T_A) - ||dT||_2 >= `_weyl_bound(op)`, with
-    sigma_min(T_A) from an eigvalsh of the unperturbed n = 1 Gram matrix and
-    ||dT||_2 bounded by two SVDs of O(kn) size. If that bound is below
-    delta - 1e-12*nu, nu the largest row norm of T, the solver refuses with
-    `NumericalError`. Nothing of size m x m, m = 2k^2n^2, is formed. The
-    check is independent of `sigma_min_formula` and of `op.gap()`, and it
-    refuses a delta above the Weyl bound even where delta is below the
-    true sigma_min.
+    ``delta`` is the certified lower bound on sigma_min(T) that Weyl's
+    inequality gives on the operator's own blocks:
+    sigma_min(T) >= sigma_min(T_A) - ||dT||_2 >= delta. sigma_min(T_A) comes
+    from an eigvalsh of the unperturbed n = 1 Gram matrix, not from
+    `sigma_min_formula`. The two block columns of dT = T - T_A are row
+    permutations of [dG0; dG1] (x) I and I (x) [dH0; dH1], the differences of
+    the blocks [G0; G1] and [H0; H1] that `apply` uses from the unperturbed
+    ones, so ||dT||_2 is at most the hypot of their spectral norms: two SVDs
+    of O(kn) size. A gap delta <= 0 is refused with `ThresholdError`.
+    Nothing of size m x m, m = 2k^2n^2, is formed.
 
-    Each solve then runs `polycore.pcg` on T T^* w = (c0, c1), applying
-    T T^* as `apply` after `adjoint`. The preconditioner is the inverse of
-    the unperturbed Gram matrix: at zero perturbation T is a row and column
+    Each solve runs `polycore.pcg` on T T^* w = (c0, c1), applying T T^* as
+    `apply` after `adjoint`. The preconditioner is the inverse of the
+    unperturbed Gram matrix: at zero perturbation T is a row and column
     permutation of its n = 1 reduction (x) I_{n^2}, so that inverse is one
     2k^2 x 2k^2 matrix applied to n^2 channels.
     """
 
-    def __init__(self, op: StarSylvesterOperator, delta: float):
-        if delta <= 0:
+    def __init__(self, op: StarSylvesterOperator):
+        ref = _reference(op.k, op.n, op.driver)
+        norm_dt = math.hypot(
+            np.linalg.svd(np.vstack([op.g0, op.g1]) - ref.g, compute_uv=False)[0],
+            np.linalg.svd(np.vstack([op.ehat, op.fhat]) - ref.h, compute_uv=False)[0],
+        )
+        self.delta = ref.sigma_min - norm_dt
+        if self.delta <= 0:
             raise ThresholdError(
                 "perturbed system matrix may be rank deficient "
-                f"(singular value gap {delta:.3e} <= 0)",
-                value=delta,
+                f"(singular value gap {self.delta:.3e} <= 0)",
+                value=self.delta,
                 bound=0.0,
             )
-        bound, nu = _weyl_bound(op)
-        if bound < delta - 1e-12 * nu:
-            raise NumericalError(
-                f"the certified gap {delta:.3e} exceeds the computed Weyl bound "
-                f"{bound:.3e} on the smallest singular value"
-            )
         self.op = op
-        self.pinv = _reference(op.k, op.n, op.driver).pinv
+        self.pinv = ref.pinv
         #: CG iterations of the latest `solve`.
         self.iterations = 0
 
@@ -301,7 +249,7 @@ class _MinNormSolver:
         """Minimum Frobenius norm (Y, Z^*) with op.apply(Y, Z^*) = (c0, c1).
 
         Raises `NumericalError` unless the residual is within 1e-12 of
-        ||(c0, c1)||_F; the solution obeys ||(Y, Z)||_F <= ||(c0, c1)||_F / delta.
+        ||(c0, c1)||_F; the solution obeys ||(Y, Z)||_F <= ||(c0, c1)||_F / `delta`.
         """
         w, self.iterations = pcg(self._gram_apply, self.precondition, np.stack([c0, c1]))
         y, zs = self.op.adjoint(w[0], w[1])
@@ -364,8 +312,8 @@ def quadratic_fixed_point(
     theta = pair_norm(pert.da22, pert.db22)
     omega = pair_norm(w0, w1)
 
-    delta = op.gap()
-    solver = _MinNormSolver(op, delta)
+    solver = _MinNormSolver(op)
+    delta = solver.delta
     kappa1 = theta * omega / delta**2
     if kappa1 >= 0.25:
         raise ThresholdError(

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,11 +104,14 @@ def test_congruence_pipeline_small_perturbation(kind):
 
 
 def test_congruence_threshold_certified_mode():
+    """A perturbation far above the threshold is refused by the contraction
+    gate of the fixed point."""
     kind = StructureKind.even
     p, pencil, _ = make_case(kind, seed=23)
     big = random_structured_perturbation(2, 2, kind, 0.5, seed=2)
-    with pytest.raises(ThresholdError):
-        congruence_zero_block(pencil, big, mode="certified")
+    with pytest.raises(ThresholdError) as err:
+        congruence_zero_block(pencil, big)
+    assert err.value.bound == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -234,23 +238,14 @@ def test_run_certification_rejects_grade_1():
 
 def test_certification_never_forms_the_dense_system(monkeypatch):
     """The dense vectorized star-Sylvester matrix, the convolution matrix,
-    Cholesky factors, dense solves and any Gram matrix T T^* above n = 1 are
-    for oracles only: with them disabled, every kind still certifies."""
+    Cholesky factors and dense solves are for oracles only: with them
+    disabled, every kind still certifies."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense system formed or solved on the certification path")
 
-    gram = sylvester.StarSylvesterOperator.gram
-
-    def gram_at_n1(op):
-        # Only the n = 1 preconditioner may assemble T T^*.
-        if op.ehat.shape != (op.k, op.k + 1):
-            refuse()
-        return gram(op)
-
     sylvester._reference.cache_clear()
     monkeypatch.setattr(sylvester.StarSylvesterOperator, "matrix", refuse)
-    monkeypatch.setattr(sylvester.StarSylvesterOperator, "gram", gram_at_n1)
     monkeypatch.setattr(minbases, "convolution_matrix", refuse)
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
@@ -263,14 +258,41 @@ def test_certification_never_forms_the_dense_system(monkeypatch):
 
 
 def test_certification_checks_the_gap_independently_of_the_formula(monkeypatch):
-    """The solver's Weyl check computes sigma_min(T_A) itself: a formula that
-    claims 1e-9 more than the truth makes every trial a NumericalError row."""
-    formula = sylvester.sigma_min_formula
-    monkeypatch.setattr(sylvester, "sigma_min_formula", lambda k: formula(k) + 1e-9)
+    """The solver computes sigma_min(T_A) itself: with `sigma_min_formula`
+    made to raise, every row still certifies and equals the unpatched one."""
     p = random_structured(2, 5, StructureKind.even, 1.0, seed=8)
-    reports = run_certification(p, StructureKind.even, "tridiagonal", [1e-6], trials=2, seed=9)
-    assert all(r.error.startswith("NumericalError:") for r in reports)
-    assert not any(r.ratio_le_bound for r in reports)
+
+    def certify():
+        sylvester._reference.cache_clear()
+        reports = run_certification(
+            p, StructureKind.even, "tridiagonal", [1e-8, 1e-6], trials=2, seed=9
+        )
+        return [(r.error, dict(r.row(), wall_ms=0.0)) for r in reports]
+
+    want = certify()
+
+    def refuse(k):
+        raise AssertionError("the closed form was read on the certification path")
+
+    monkeypatch.setattr(sylvester, "sigma_min_formula", refuse)
+    got = certify()
+    assert all(err is None and row["ratio_le_bound"] for err, row in got)
+    assert got == want
+
+
+@pytest.mark.parametrize("norm", [1e160, 1e300, 1.7e308])
+def test_huge_perturbation_norms_end_in_a_typed_row_without_overflow(norm):
+    """Norms whose squares overflow are computed without overflow, so an
+    empirical run far above every bound ends in a `ThresholdError` row and
+    warns of nothing."""
+    p = random_structured(2, 5, StructureKind.palindromic, 1.0, seed=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = run_certification(
+            p, StructureKind.palindromic, "tridiagonal", [norm], trials=2, seed=9,
+            mode="empirical",
+        )
+    assert all(r.error.startswith("ThresholdError:") for r in reports)
 
 
 @pytest.mark.parametrize("norm", [-1.0, math.nan, math.inf])

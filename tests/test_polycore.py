@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,20 @@ def test_frob_norm_three_four_five():
 def test_frob_norm_grade_padding_invariant(rng):
     p = random_poly(rng, 2, 3, 2)
     assert frob_norm(polycore.pad_to_grade(p, 7)) == frob_norm(p)
+
+
+@pytest.mark.parametrize(
+    "scale", [2.0**540, 2.0**1000, 2.0**1020], ids=["2^540", "2^1000", "2^1020"]
+)
+def test_norms_do_not_overflow_below_the_largest_float(scale):
+    """A norm whose squares overflow is computed on power-of-two-scaled
+    entries: 3-4-5 at any finite scale, complex too, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = from_coeff_list([np.array([[3.0 * scale]]), np.array([[4.0j * scale]])])
+        assert frob_norm(p) == 5.0 * scale
+        assert pair_norm(np.array([[3.0 * scale]]), np.array([[4.0 * scale]])) == 5.0 * scale
+        assert frob_norm(from_coeff_list([np.array([[math.inf]])])) == math.inf
 
 
 def test_evaluate_pencil():

@@ -17,7 +17,15 @@ from strukt import (
 )
 from strukt import backward, minbases, sylvester
 from strukt.errors import NumericalError, ThresholdError
-from strukt.polycore import COMPLEX, REAL, MobiusMatrix, driver_matrix, star
+from strukt.polycore import (
+    COMPLEX,
+    REAL,
+    MobiusMatrix,
+    driver_matrix,
+    from_coeff_list,
+    mobius,
+    star,
+)
 from strukt.sylvester import StarSylvesterOperator, _MinNormSolver, build_TA_mid
 
 from conftest import ALL_KINDS
@@ -110,10 +118,16 @@ def test_exact_sign_reduction_identities(k):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_zero_perturbation_gives_the_law_and_build_TA(kind, k):
+    """At zero perturbation the solver's gap is sigma_min(T_A), computed from
+    an eigvalsh of the n = 1 Gram matrix, so it matches the law to rounding
+    for every block size: to 8 eps; the largest miss is 4 eps, at k = 4."""
+    law = sigma_min_formula(k)
+    for n in range(1, 4):
+        op = StarSylvesterOperator.unperturbed(k, n, kind)
+        assert abs(_MinNormSolver(op).delta - law) <= 8 * np.finfo(float).eps
     op = StarSylvesterOperator.unperturbed(k, 2, kind)
-    assert op.gap() == sigma_min_formula(k)
     assert np.array_equal(op.matrix(), build_TA(k, 2, kind))
 
 
@@ -165,15 +179,14 @@ def _vec_pair(a, b):
 @pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_operator_gram_apply_adjoint_and_solve_match_dense_oracles(kind, field_tag, rng):
-    """With a nonzero structured perturbation: gram() is matrix() matrix()^*,
-    apply() is matrix() on [vec Y; vec Z^*], adjoint() is its adjoint in the
-    Frobenius inner product, and the minimum-norm solve is lstsq's."""
+    """With a nonzero structured perturbation: apply() is matrix() on
+    [vec Y; vec Z^*], adjoint() is its adjoint in the Frobenius inner
+    product, and the minimum-norm solve is lstsq's."""
     k, n = 2, 2
     kn = k * n
     pert = backward.random_structured_perturbation(k, n, kind, 0.05, seed=7, field_tag=field_tag)
     op = StarSylvesterOperator(pert.da21, pert.db21, kind)
     t = op.matrix()
-    assert np.allclose(op.gram(), t @ t.conj().T, rtol=0, atol=1e-13)
 
     y = _draw(rng, (kn, (k + 1) * n), field_tag)
     zs = _draw(rng, ((k + 1) * n, kn), field_tag)
@@ -187,35 +200,18 @@ def test_operator_gram_apply_adjoint_and_solve_match_dense_oracles(kind, field_t
     assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
     want = np.linalg.lstsq(t, _vec_pair(c0, c1), rcond=None)[0]
-    got = _vec_pair(*_MinNormSolver(op, op.gap()).solve(c0, c1))
+    got = _vec_pair(*_MinNormSolver(op).solve(c0, c1))
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-
-def test_min_norm_solver_refuses_gap_above_sigma_min():
-    k = 2
-    op = StarSylvesterOperator.unperturbed(k, 1, StructureKind.even)
-    _MinNormSolver(op, sigma_min_formula(k))  # rounding-level agreement passes
-    with pytest.raises(NumericalError):
-        _MinNormSolver(op, 1.01 * sigma_min_formula(k))
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_min_norm_solver_accepts_the_exact_gap(kind):
-    """sigma_min of the unperturbed system is exactly the law, and the Weyl
-    check computes it from the n = 1 Gram matrix, so it must pass at
-    delta = sigma_min_formula(k) for every block size."""
-    for k in range(1, 5):
-        for n in range(1, 4):
-            op = StarSylvesterOperator.unperturbed(k, n, kind)
-            _MinNormSolver(op, sigma_min_formula(k))
 
 
 @pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_weyl_bound_is_below_sigma_min_and_agrees_with_the_gap(kind, field_tag):
-    """The refusal's bound, computed from the operator's own blocks, never
-    exceeds the dense sigma_min of matrix() and equals gap() to rounding, up
-    to ||dL|| = 0.9/(3k)."""
+    """The solver's gap, computed from the operator's own blocks, never
+    exceeds the dense sigma_min of matrix() and equals the paper's bound
+    sigma_min_formula(k) - hypot(||[A; C]||_2, ||[dA21; dB21]||_2), (A, C) the
+    Mobius image of (dA21, dB21), to rounding, up to ||dL|| = 0.9/(3k)."""
+    driver = driver_matrix(kind)
     for k in range(1, 4):
         for n in range(1, 4):
             for seed, frac in enumerate((0.0, 1e-8, 1e-3, 0.3, 0.9)):
@@ -224,27 +220,15 @@ def test_weyl_bound_is_below_sigma_min_and_agrees_with_the_gap(kind, field_tag):
                     k, n, kind, nrm, seed=seed, field_tag=field_tag
                 )
                 op = StarSylvesterOperator(pert.da21, pert.db21, kind)
-                bound, nu = sylvester._weyl_bound(op)
+                delta = _MinNormSolver(op).delta
                 sigma = np.linalg.svd(op.matrix(), compute_uv=False)[-1]
-                assert bound <= sigma + 1e-12 * nu
-                assert abs(bound - op.gap()) <= 1e-12 * nu
-
-
-def test_min_norm_solver_refuses_a_gap_above_the_weyl_bound():
-    """A delta just above gap(), or between the Weyl bound and the true
-    sigma_min, is refused: the check is the bound, not the dense spectrum."""
-    k, n = 2, 2
-    kind = StructureKind.palindromic
-    pert = backward.random_structured_perturbation(k, n, kind, 0.05, seed=4)
-    op = StarSylvesterOperator(pert.da21, pert.db21, kind)
-    _MinNormSolver(op, op.gap())
-    with pytest.raises(NumericalError):
-        _MinNormSolver(op, op.gap() + 1e-9)
-    sigma = np.linalg.svd(op.matrix(), compute_uv=False)[-1]
-    between = (op.gap() + sigma) / 2.0
-    assert op.gap() + 1e-6 < between < sigma
-    with pytest.raises(NumericalError):
-        _MinNormSolver(op, between)
+                image = mobius(from_coeff_list([pert.da21, pert.db21]), driver).coeffs
+                paper = sigma_min_formula(k) - math.hypot(
+                    np.linalg.norm(np.vstack(image), 2),
+                    np.linalg.norm(np.vstack([pert.da21, pert.db21]), 2),
+                )
+                assert delta <= sigma + 1e-12
+                assert abs(delta - paper) <= 1e-12
 
 
 def test_delta_lower_bound_values():
@@ -257,7 +241,7 @@ def test_delta_lower_bound_values():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_delta_lower_bound_is_a_lower_bound(k, rng):
-    """delta_lower_bound <= gap <= sigma_min(T_A) - ||dT_A||_2 <= sigma_min(T)
+    """delta_lower_bound <= delta <= sigma_min(T_A) - ||dT_A||_2 <= sigma_min(T)
     in both fields, with the dense difference of the perturbed and
     unperturbed matrices as the oracle for ||dT_A||_2."""
     for trial in range(40):
@@ -271,7 +255,7 @@ def test_delta_lower_bound_is_a_lower_bound(k, rng):
         t = op.matrix()
         weyl = sigma_min_formula(k) - np.linalg.norm(t - build_TA(k, 2, kind), 2)
         sigma = np.linalg.svd(t, compute_uv=False)[-1]
-        delta = op.gap()
+        delta = _MinNormSolver(op).delta
         assert delta_lower_bound(k, nrm) <= delta + 1e-12
         assert delta <= weyl + 1e-12
         assert weyl <= sigma + 1e-12
@@ -283,7 +267,7 @@ def test_delta_lower_bound_is_a_lower_bound(k, rng):
 
 def _solver(kind, k, n):
     op = StarSylvesterOperator.unperturbed(k, n, kind)
-    return op, _MinNormSolver(op, sigma_min_formula(k))
+    return op, _MinNormSolver(op)
 
 
 def _star_residual(op, x, c0, c1):
@@ -308,7 +292,9 @@ def test_preconditioner_is_the_unperturbed_gram_inverse(kind, field_tag, rng):
         for n in range(1, 4):
             op, solver = _solver(kind, k, n)
             c = _draw(rng, (2, k * n, k * n), field_tag)
-            want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(op.gram()), _vec_pair(*c))
+            t = op.matrix()
+            gram = t @ t.conj().T
+            want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), _vec_pair(*c))
             got = _vec_pair(*solver.precondition(c))
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
             solver.solve(c[0], c[1])
@@ -333,12 +319,10 @@ def test_min_norm_solve_rank_risk(rng):
     k, n = 2, 1
     huge = rng.standard_normal((k * n, (k + 1) * n)) * 10.0
     op = StarSylvesterOperator(huge, huge, StructureKind.symmetric)
-    with pytest.raises(ThresholdError):
-        _MinNormSolver(op, op.gap())
-    for delta in (0.0, -1e-3):
-        with pytest.raises(ThresholdError) as err:
-            _MinNormSolver(StarSylvesterOperator.unperturbed(2, 2, StructureKind.even), delta)
-        assert (err.value.value, err.value.bound) == (delta, 0.0)
+    with pytest.raises(ThresholdError) as err:
+        _MinNormSolver(op)
+    assert err.value.bound == 0.0
+    assert err.value.value < 0.0
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -387,7 +371,7 @@ def test_star_from_sylvester_random_involutory(rng):
     raw = MatrixPolynomial(rng.standard_normal((2, k * n, k * n)))
     rhs = structure_project(raw, drv)
     c0, c1 = rhs.coefficient(0), rhs.coefficient(1)
-    y, zs = _MinNormSolver(op, sigma).solve(c0, c1)
+    y, zs = _MinNormSolver(op).solve(c0, c1)
     x = (y + star(zs)) / 2.0
     assert _star_residual(op, x, c0, c1) <= 1e-12
     assert np.linalg.norm(x) <= pair_norm(c0, c1) / sigma + 1e-12
