@@ -16,7 +16,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -39,65 +38,34 @@ from .polycore import (
 
 @dataclass(frozen=True)
 class StructuredPerturbation:
-    """The six natural blocks of a structured pencil perturbation.
+    """A structured pencil perturbation dL of a (2k+1)n block Kronecker pencil.
 
-    The (1,2) block is the star of the kind's Mobius image of the (2,1) block,
-    so it is never stored; `pencil()` rebuilds it exactly, once per instance.
+    Only the pencil is stored; the fixed point cuts its natural-partition
+    blocks from it. `from_pencil` admits dL only when it is structured to
+    within 1e-12 of its own norm.
     """
 
-    da11: np.ndarray
-    db11: np.ndarray
-    da21: np.ndarray
-    db21: np.ndarray
-    da22: np.ndarray
-    db22: np.ndarray
+    pencil: MatrixPolynomial
     kind: StructureKind
     k: int
     n: int
 
-    def pencil(self) -> MatrixPolynomial:
-        return self._pencil
-
-    @cached_property
-    def _pencil(self) -> MatrixPolynomial:
-        d21 = polycore.from_coeff_list([self.da21, self.db21])
-        d12 = polycore.star_adjoint(polycore.mobius(d21, self.kind.mobius))
-        return polycore.from_coeff_list(
-            [
-                np.block([[self.da11, d12.coefficient(0)], [self.da21, self.da22]]),
-                np.block([[self.db11, d12.coefficient(1)], [self.db21, self.db22]]),
-            ]
-        )
-
     def norm(self) -> float:
-        return frob_norm(self.pencil())
+        return frob_norm(self.pencil)
 
     @classmethod
     def from_pencil(
-        cls, dl: MatrixPolynomial, k: int, n: int, kind: StructureKind, tol: float = 1e-10
+        cls, dl: MatrixPolynomial, k: int, n: int, kind: StructureKind
     ) -> "StructuredPerturbation":
         size = (2 * k + 1) * n
         if dl.shape != (size, size) or dl.grade != 1:
             raise ValueError(f"expected a {size} square pencil")
-        d11, d21, _, d22 = linearize.split_natural_partition(dl, k, n)
-        pert = cls(
-            da11=d11.coefficient(0),
-            db11=d11.coefficient(1),
-            da21=d21.coefficient(0),
-            db21=d21.coefficient(1),
-            da22=d22.coefficient(0),
-            db22=d22.coefficient(1),
-            kind=kind,
-            k=k,
-            n=n,
-        )
-        rebuilt = pert.pencil()
-        defect = frob_norm(rebuilt - dl)
-        if defect > tol * max(1.0, frob_norm(dl)):
+        residual, norm = structure_residual(dl, kind), frob_norm(dl)
+        if residual > 1e-12 * norm:
             raise StructureError(
-                f"(1,2) block is not determined by the (2,1) block (defect {defect:.3e})"
+                f"perturbation is not structured (residual {residual:.3e} at norm {norm:.3e})"
             )
-        return pert
+        return cls(dl, kind, k, n)
 
 
 def random_structured_perturbation(
@@ -108,30 +76,18 @@ def random_structured_perturbation(
     seed,
     field_tag: str = polycore.REAL,
 ) -> StructuredPerturbation:
-    """Random structured pencil perturbation with exact Frobenius norm.
+    """Random structured pencil perturbation with the requested Frobenius norm.
 
-    The raw pencil is projected onto the structure class, its blocks are
-    extracted, the (1,2) block is replaced by its determined form, and the
-    whole object is rescaled; the (2,2) block is generically nonzero.
+    A unit-norm structured pencil, scaled; the kind's involution only
+    permutes, negates or conjugates entries, so the draw is exactly
+    structured and its (2,2) block is generically nonzero.
     """
     if not 0 <= target_norm < math.inf:
         raise StruktError(f"perturbation norm must be finite and nonnegative, got {target_norm!r}")
-    dl = polycore.random_structured(
+    unit = polycore.random_structured(
         (2 * k + 1) * n, 1, kind, target_norm=1.0, seed=seed, field=field_tag
     )
-    pert = StructuredPerturbation.from_pencil(dl, k, n, kind, tol=1e-8)
-    scale = target_norm / pert.norm()
-    return StructuredPerturbation(
-        da11=pert.da11 * scale,
-        db11=pert.db11 * scale,
-        da21=pert.da21 * scale,
-        db21=pert.db21 * scale,
-        da22=pert.da22 * scale,
-        db22=pert.db22 * scale,
-        kind=kind,
-        k=k,
-        n=n,
-    )
+    return StructuredPerturbation.from_pencil(unit * target_norm, k, n, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +119,12 @@ def congruence_zero_block(
     `quadratic_fixed_point` refuses an inadmissible perturbation with
     `ThresholdError`. No norm threshold is checked here: certified runs refuse
     norms at or above `theorem_bound(...).threshold` before they get here.
+    The (2,2) block left by X is refused above max(1e-12, 4e-12*theta).
     """
     k, n = pencil.k, pencil.n
-    norm_dl = pert.norm()
-    fp_tol = 1e-12 * pair_norm(pert.da22, pert.db22) if norm_dl > 0 else None
-    state = sylvester.quadratic_fixed_point(
-        pert, pencil.m0, pencil.m1, pencil.kind, tol=fp_tol
-    )
+    if (pert.kind, pert.k, pert.n) != (pencil.kind, k, n):
+        raise StructureError("perturbation kind or block sizes differ from the pencil's")
+    state = sylvester.quadratic_fixed_point(pert, pencil.m0, pencil.m1)
     x = state.x
     size = pencil.size
     top = (k + 1) * n
@@ -178,11 +133,11 @@ def congruence_zero_block(
     g_right = np.eye(size, dtype=g_left.dtype)
     g_right[:top, top:] = star(x)
 
-    perturbed = pencil.as_polynomial() + pert.pencil()
+    perturbed = pencil.as_polynomial() + pert.pencil
     t0 = g_left @ perturbed.coefficient(0) @ g_right
     t1 = g_left @ perturbed.coefficient(1) @ g_right
     residual22 = pair_norm(t0[top:, top:], t1[top:, top:])
-    if residual22 > max(1e-12, (fp_tol or 0.0) * 4.0):
+    if residual22 > max(1e-12, 4e-12 * state.theta):
         raise StruktError(
             f"(2,2) block residual {residual22:.3e} above tolerance after congruence"
         )
@@ -199,7 +154,7 @@ def congruence_zero_block(
         dtilde21=dtilde21,
         state=state,
         residual22=residual22,
-        norm_dl=norm_dl,
+        norm_dl=pert.norm(),
     )
 
 
@@ -231,7 +186,7 @@ def reconstruct_perturbed_polynomial(
         poly=linearize.recover_from_m(m11, pair.N, kind),
         dual=pair,
         norm_dtilde21=frob_norm(b21 - minbases.build_Lk(k, n)),
-        norm_dr=frob_norm(pair.delta_r()),
+        norm_dr=frob_norm(pair.correction),
     )
 
 
@@ -375,7 +330,7 @@ def _run_single_trial(
             )
             report.iters = cong.state.iterations
             if compute_eigs:
-                lpert = pencil.as_polynomial() + pert.pencil()
+                lpert = pencil.as_polynomial() + pert.pencil
                 got = spectra.pencil_eigs(lpert.coefficient(0), lpert.coefficient(1))
                 want = spectra.reference_polyeigs(recon.poly)
                 report.eig_chordal_max = spectra.compare_spectra(got, want).max_distance

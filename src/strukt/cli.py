@@ -142,7 +142,7 @@ def cmd_perturb(args) -> int:
         k, n, kind, args.norm, args.seed, field_tag=poly.field
     )
     out = args.output or (str(Path(args.pencil).with_suffix("")) + ".perturbed.json")
-    linearize.save_pencil_file(poly + pert.pencil(), record, out)
+    linearize.save_pencil_file(poly + pert.pencil, record, out)
     print(f"norm_dL={pert.norm()!r}")
     print(f"wrote {out} and {linearize.sidecar_path(out)}")
     return EXIT_OK

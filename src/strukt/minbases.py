@@ -89,10 +89,6 @@ class DualBasisPair:
     def duality_residual(self) -> float:
         return polycore.frob_norm(polycore.poly_matmul(self.K, polycore.transpose_poly(self.N)))
 
-    def delta_r(self) -> MatrixPolynomial:
-        """Correction of N relative to the canonical monomial row."""
-        return self.correction
-
 
 def convolution_matrix(K: MatrixPolynomial, target_degree: int) -> np.ndarray:
     """Block-Toeplitz matrix mapping stacked right-factor coefficients to

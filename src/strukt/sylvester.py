@@ -24,6 +24,7 @@ import numpy as np
 
 from . import minbases
 from .errors import ConvergenceError, NumericalError, ThresholdError
+from .linearize import split_natural_partition
 from .polycore import driver_matrix, from_coeff_list, mobius, pair_norm, pcg, star
 
 
@@ -166,11 +167,15 @@ class _Reference:
     #: Inverse of the n = 1 Gram matrix, rows and columns in the order
     #: (equation, row block, column block) of `_MinNormSolver.precondition`.
     pinv: np.ndarray
-    #: sigma_min(T_A), from an eigvalsh of the same Gram matrix, not the formula.
+    #: A lower bound on sigma_min(T_A), from an eigvalsh of the same Gram
+    #: matrix less its rounding allowance, not from the formula.
     sigma_min: float
     #: The unperturbed blocks [G0; G1] and [H0; H1] at n.
     g: np.ndarray
     h: np.ndarray
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,9 +187,13 @@ def _reference(k: int, n: int, driver) -> _Reference:
     gram = np.stack(op1.apply(*op1.adjoint(basis[:, 0], basis[:, 1])), axis=1)
     gram = gram.reshape(2 * k * k, -1)
     op = StarSylvesterOperator.unperturbed(k, n, driver)
+    # eigvalsh is backward stable: each computed eigenvalue is within a small
+    # multiple of eps*||G||_2 of an exact one, so lambda_min less 2k^2*eps*||G||_F
+    # bounds the exact one from below.
+    lam = np.linalg.eigvalsh(gram)[0] - gram.shape[0] * _EPS * np.linalg.norm(gram)
     ref = _Reference(
         np.linalg.inv(gram),
-        math.sqrt(np.linalg.eigvalsh(gram)[0]),
+        math.sqrt(max(lam, 0.0)),
         np.vstack([op.g0, op.g1]),
         np.vstack([op.ehat, op.fhat]),
     )
@@ -200,12 +209,12 @@ class _MinNormSolver:
     ``delta`` is the certified lower bound on sigma_min(T) that Weyl's
     inequality gives on the operator's own blocks:
     sigma_min(T) >= sigma_min(T_A) - ||dT||_2 >= delta. sigma_min(T_A) comes
-    from an eigvalsh of the unperturbed n = 1 Gram matrix, not from
-    `sigma_min_formula`. The two block columns of dT = T - T_A are row
-    permutations of [dG0; dG1] (x) I and I (x) [dH0; dH1], the differences of
-    the blocks [G0; G1] and [H0; H1] that `apply` uses from the unperturbed
-    ones, so ||dT||_2 is at most the hypot of their spectral norms: two SVDs
-    of O(kn) size. A gap delta <= 0 is refused with `ThresholdError`.
+    from an eigvalsh of the unperturbed n = 1 Gram matrix, less an allowance
+    for its rounding, not from `sigma_min_formula`. The two block columns of
+    dT = T - T_A are row permutations of [dG0; dG1] (x) I and I (x) [dH0; dH1],
+    the differences of the blocks [G0; G1] and [H0; H1] that `apply` uses
+    from the unperturbed ones, so ||dT||_2 is at most the hypot of their
+    spectral norms: two SVDs of O(kn) size. A gap delta <= 0 is refused with `ThresholdError`.
     Nothing of size m x m, m = 2k^2n^2, is formed.
 
     Each solve runs `polycore.pcg` on T T^* w = (c0, c1), applying T T^* as
@@ -221,7 +230,11 @@ class _MinNormSolver:
             np.linalg.svd(np.vstack([op.g0, op.g1]) - ref.g, compute_uv=False)[0],
             np.linalg.svd(np.vstack([op.ehat, op.fhat]) - ref.h, compute_uv=False)[0],
         )
-        self.delta = ref.sigma_min - norm_dt
+        # ||dT||_2 rounds up and the difference down, so delta never exceeds
+        # the exact sigma_min - ||dT||_2 of these inputs.
+        self.delta = math.nextafter(
+            ref.sigma_min - math.nextafter(norm_dt, math.inf), -math.inf
+        )
         if self.delta <= 0:
             raise ThresholdError(
                 "perturbed system matrix may be rank deficient "
@@ -287,29 +300,25 @@ class FixedPointState:
         return 2.0 * self.theta / self.delta if self.delta > 0 else math.inf
 
 
-def quadratic_fixed_point(
-    pert,
-    m0: np.ndarray,
-    m1: np.ndarray,
-    kind,
-    tol: float | None = None,
-) -> FixedPointState:
+def quadratic_fixed_point(pert, m0: np.ndarray, m1: np.ndarray) -> FixedPointState:
     """Solve the quadratic star-Sylvester system that rezeroes the (2,2) block.
 
-    ``pert`` is any object exposing the six natural perturbation blocks as
-    attributes da11, db11, da21, db21, da22, db22. Each sweep solves the
-    linearized coupled system at minimum norm and averages; admissibility
-    requires delta > 0 and theta*omega/delta^2 < 1/4. Averaging is exact
-    because every sweep's right-hand pencil carries the structure. A solve
-    residual above 1e-12 relative raises `NumericalError` at its sweep; the
-    iteration stops once the fixed-point residual is at most ``tol``
-    (default 1e-13*max(1, theta)) and raises `ConvergenceError` after 100
-    sweeps.
+    ``pert`` is a `backward.StructuredPerturbation`; its natural-partition
+    blocks are cut once from its pencil, and its kind fixes the operator.
+    Each sweep solves the linearized coupled system at minimum norm and
+    averages; admissibility requires delta > 0 and theta*omega/delta^2 < 1/4.
+    Averaging is exact because every sweep's right-hand pencil carries the
+    structure. A solve residual above 1e-12 relative raises `NumericalError`
+    at its sweep; the iteration stops once the fixed-point residual is at
+    most 1e-12*theta (at theta = 0 the first sweep's residual is exactly 0)
+    and raises `ConvergenceError` after 100 sweeps.
     """
-    op = StarSylvesterOperator(pert.da21, pert.db21, kind)
-    w0 = m0 + pert.da11
-    w1 = m1 + pert.db11
-    theta = pair_norm(pert.da22, pert.db22)
+    d11, d21, _, d22 = split_natural_partition(pert.pencil, pert.k, pert.n)
+    (da11, db11), (da21, db21), (da22, db22) = d11.coeffs, d21.coeffs, d22.coeffs
+    op = StarSylvesterOperator(da21, db21, pert.kind)
+    w0 = m0 + da11
+    w1 = m1 + db11
+    theta = pair_norm(da22, db22)
     omega = pair_norm(w0, w1)
 
     solver = _MinNormSolver(op)
@@ -324,8 +333,7 @@ def quadratic_fixed_point(
     kappa = 0.0
     if kappa1 > 0:
         kappa = 2.0 * kappa1 / (1.0 - 2.0 * kappa1 + math.sqrt(1.0 - 4.0 * kappa1))
-    if tol is None:
-        tol = 1e-13 * max(1.0, theta)
+    tol = 1e-12 * theta
 
     state = FixedPointState(
         x=np.zeros_like(op.ehat),
@@ -339,13 +347,13 @@ def quadratic_fixed_point(
 
     # q = (X w0 X^*, X w1 X^*) at the current iterate, shared by its residual
     # and the next right-hand side.
-    q0 = q1 = np.zeros_like(pert.da22)
+    q0 = q1 = np.zeros_like(da22)
     for it in range(1, 101):
-        y, zs = solver.solve(-pert.da22 - q0, -pert.db22 - q1)
+        y, zs = solver.solve(-da22 - q0, -db22 - q1)
         x = (y + star(zs)) / 2.0
         q0, q1 = x @ w0 @ star(x), x @ w1 @ star(x)
         r0, r1 = op.at(x)
-        resid = pair_norm(r0 + pert.da22 + q0, r1 + pert.db22 + q1)
+        resid = pair_norm(r0 + da22 + q0, r1 + db22 + q1)
         state.x = x
         state.residuals.append(resid)
         state.x_norms.append(float(np.linalg.norm(x)))

@@ -34,7 +34,7 @@ from strukt import (
     symmetry_check,
     transpose_poly,
 )
-from strukt import backward, linearize, polycore, sylvester
+from strukt import linearize, polycore, sylvester
 from strukt.backward import (
     congruence_zero_block,
     random_structured_perturbation,
@@ -45,7 +45,12 @@ from strukt.backward import (
 from strukt.errors import ThresholdError
 from strukt.linearize import build_linearization, placement_tridiagonal, tridiagonal_form
 
-from conftest import ALL_KINDS, expected_tridiagonal_grade5, integer_structured_coeffs
+from conftest import (
+    ALL_KINDS,
+    expected_tridiagonal_grade5,
+    integer_structured_coeffs,
+    with_scaled_22_block,
+)
 
 
 @contextmanager
@@ -378,7 +383,7 @@ def test_criterion_9_fixed_point_theory():
             pencil = build_linearization(p, kind, "tridiagonal")
             norm_dl = float(rng.uniform(1e-8, 3e-2))
             pert = random_structured_perturbation(k, n, kind, norm_dl, seed=trial)
-            state = sylvester.quadratic_fixed_point(pert, pencil.m0, pencil.m1, kind)
+            state = sylvester.quadratic_fixed_point(pert, pencil.m0, pencil.m1)
             assert state.converged
             assert state.kappa1 < 0.25
             cap = state.rho0 * (1.0 + state.kappa)
@@ -388,17 +393,7 @@ def test_criterion_9_fixed_point_theory():
         p = random_structured(n, 5, kind, 1.0, seed=4000)
         pencil = build_linearization(p, kind, "tridiagonal")
         pert = random_structured_perturbation(k, n, kind, 1e-4, seed=4001)
-        forced = backward.StructuredPerturbation(
-            da11=pert.da11,
-            db11=pert.db11,
-            da21=pert.da21,
-            db21=pert.db21,
-            da22=pert.da22 * 1e7,
-            db22=pert.db22 * 1e7,
-            kind=kind,
-            k=k,
-            n=n,
-        )
+        forced = with_scaled_22_block(pert, 1e7)
         with pytest.raises(ThresholdError) as err:
-            sylvester.quadratic_fixed_point(forced, pencil.m0, pencil.m1, kind)
+            sylvester.quadratic_fixed_point(forced, pencil.m0, pencil.m1)
         assert err.value.value >= 0.25 and err.value.bound == 0.25

@@ -24,7 +24,7 @@ from strukt.backward import StructuredPerturbation, x_norm_bound
 from strukt.errors import GradeError, StruktError, ThresholdError
 from strukt.linearize import build_linearization
 
-from conftest import ALL_KINDS
+from conftest import ALL_KINDS, perturbation_blocks
 
 
 def make_case(kind, seed=0, g=5, n=2, norm=1e-8, placement="tridiagonal"):
@@ -42,25 +42,47 @@ def make_case(kind, seed=0, g=5, n=2, norm=1e-8, placement="tridiagonal"):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_perturbation_is_structured_with_exact_norm(kind):
     pert = random_structured_perturbation(2, 2, kind, 3e-4, seed=5)
-    full = pert.pencil()
-    assert is_structured(full, kind, tol=1e-13)
-    assert abs(frob_norm(full) - 3e-4) <= 1e-14 * 3e-4
-    assert np.linalg.norm(pert.da22) > 0 or np.linalg.norm(pert.db22) > 0
+    assert polycore.structure_residual(pert.pencil, kind) == 0.0
+    assert abs(frob_norm(pert.pencil) - 3e-4) <= 1e-14 * 3e-4
+    *_, da22, db22 = perturbation_blocks(pert)
+    assert np.linalg.norm(da22) > 0 or np.linalg.norm(db22) > 0
 
 
 def test_perturbation_blocks_roundtrip_bit_exact():
     kind = StructureKind.anti_palindromic
     pert = random_structured_perturbation(2, 2, kind, 1e-3, seed=9)
-    again = StructuredPerturbation.from_pencil(pert.pencil(), 2, 2, kind)
-    for name in ("da11", "db11", "da21", "db21", "da22", "db22"):
-        assert np.array_equal(getattr(again, name), getattr(pert, name))
-    assert np.array_equal(again.pencil().coeffs, pert.pencil().coeffs)
+    again = StructuredPerturbation.from_pencil(pert.pencil, 2, 2, kind)
+    assert (again.kind, again.k, again.n) == (kind, 2, 2)
+    assert np.array_equal(again.pencil.coeffs, pert.pencil.coeffs)
 
 
-def test_from_pencil_rejects_inconsistent_offdiagonal(rng):
-    raw = polycore.MatrixPolynomial(rng.standard_normal((2, 10, 10)))
-    with pytest.raises(Exception):
-        StructuredPerturbation.from_pencil(raw, 2, 2, StructureKind.symmetric)
+@pytest.mark.parametrize("field_tag", [polycore.REAL, polycore.COMPLEX])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize(
+    "block, norm",
+    [("11", 1.0), ("22", 1.0), ("12", 1e-11)],
+    ids=["unstructured-11", "unstructured-22", "tiny-arbitrary-12"],
+)
+def test_from_pencil_rejects_inconsistent_offdiagonal(block, norm, kind, field_tag, rng):
+    """A structured draw with one natural-partition block replaced by random
+    entries of the same norm is refused, however small ||dL|| is: an
+    unstructured (1,1) or (2,2) block, or an arbitrary (1,2) block at
+    ||dL|| = 1e-11."""
+    k, n = 2, 2
+    top = (k + 1) * n
+    head, tail = slice(0, top), slice(top, None)
+    rows, cols = {"11": (head, head), "22": (tail, tail), "12": (head, tail)}[block]
+    pert = random_structured_perturbation(k, n, kind, norm, seed=3, field_tag=field_tag)
+    coeffs = pert.pencil.coeffs.copy()
+    old = coeffs[:, rows, cols]
+    noise = rng.standard_normal(old.shape)
+    if field_tag == polycore.COMPLEX:
+        noise = noise + 1j * rng.standard_normal(old.shape)
+    coeffs[:, rows, cols] = noise * (np.linalg.norm(old) / np.linalg.norm(noise))
+    dl = polycore.MatrixPolynomial(coeffs, field_tag)
+    assert polycore.structure_residual(dl, kind) > 0.1 * frob_norm(dl)
+    with pytest.raises(errors.StructureError):
+        StructuredPerturbation.from_pencil(dl, k, n, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -70,21 +92,18 @@ def test_from_pencil_rejects_inconsistent_offdiagonal(rng):
 def test_congruence_zero_perturbation_is_identity():
     kind = StructureKind.symmetric
     p, pencil, _ = make_case(kind, seed=3)
-    zero = StructuredPerturbation(
-        da11=np.zeros((6, 6)),
-        db11=np.zeros((6, 6)),
-        da21=np.zeros((4, 6)),
-        db21=np.zeros((4, 6)),
-        da22=np.zeros((4, 4)),
-        db22=np.zeros((4, 4)),
-        kind=kind,
-        k=2,
-        n=2,
-    )
+    zero = StructuredPerturbation.from_pencil(polycore.zeros(10, 10, 1), 2, 2, kind)
     res = congruence_zero_block(pencil, zero)
     assert not res.x.any()
     assert np.array_equal(res.ltilde.coeffs, pencil.as_polynomial().coeffs)
     assert frob_norm(res.dtilde21) == 0.0
+
+
+def test_congruence_refuses_a_perturbation_of_another_kind():
+    p, pencil, _ = make_case(StructureKind.even, seed=3)
+    odd = random_structured_perturbation(2, 2, StructureKind.odd, 1e-8, seed=4)
+    with pytest.raises(errors.StructureError):
+        congruence_zero_block(pencil, odd)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -152,7 +171,7 @@ def test_reconstruct_structure_and_norm_bound(kind, g):
         dp = recon.poly - p
         assert polycore.structure_residual(dp, kind) <= 1e-11
         # stated perturbation bound in terms of the (1,1) defect and the dual correction
-        d11 = polycore.from_coeff_list([pert.da11, pert.db11])
+        d11 = polycore.from_coeff_list(perturbation_blocks(pert)[:2])
         cap = math.sqrt(k + 1) * (
             5.0 * frob_norm(d11)
             + 4.0 * frob_norm(pencil.m_pencil) * recon.norm_dr
@@ -370,7 +389,7 @@ def test_minimal_index_shift_under_perturbation():
     pert = random_structured_perturbation(k, n, kind, 1e-8, seed=9)
     cong = congruence_zero_block(pencil, pert)
     recon = reconstruct_perturbed_polynomial(cong.ltilde, k, n, kind)
-    lpert = pencil.as_polynomial() + pert.pencil()
+    lpert = pencil.as_polynomial() + pert.pencil
     rep_poly = minimal_indices(recon.poly)
     rep_pencil = minimal_indices(lpert, tol=1e-7)
     assert rep_poly.right == rep_poly.left
@@ -414,7 +433,8 @@ def test_ratio_bound_monotone_in_perturbation_norm():
 def test_every_trial_certifies_or_names_a_typed_error(kind, k, n, field_tag, norm):
     """k = 0 is refused with `GradeError`. Otherwise a trial below the
     theorem's threshold certifies, and any other trial records the name of
-    a `StruktError` subclass."""
+    a `StruktError` subclass. The draw is exactly structured and passes
+    through `from_pencil` bit-exactly."""
     # A real skew-symmetric 1 x 1 polynomial is zero and cannot be normalized.
     assume(not (kind == StructureKind.skew_symmetric and n == 1 and field_tag == polycore.REAL))
     p = random_structured(n, 2 * k + 1, kind, 1.0, seed=k + 7 * n, field=field_tag)
@@ -423,6 +443,11 @@ def test_every_trial_certifies_or_names_a_typed_error(kind, k, n, field_tag, nor
             run_certification(p, kind, "tridiagonal", [norm], trials=1, seed=5)
         return
     [row] = run_certification(p, kind, "tridiagonal", [norm], trials=1, seed=5)
+    trial_seed = np.random.SeedSequence(entropy=5, spawn_key=(0, 0))
+    pert = random_structured_perturbation(k, n, kind, norm, trial_seed, field_tag=field_tag)
+    assert polycore.structure_residual(pert.pencil, kind) == 0.0
+    again = StructuredPerturbation.from_pencil(pert.pencil, k, n, kind)
+    assert np.array_equal(again.pencil.coeffs, pert.pencil.coeffs)
     if row.threshold_ok:
         assert row.error is None and row.ratio_le_bound and row.structure_ok, row.error
     else:

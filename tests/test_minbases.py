@@ -144,7 +144,7 @@ def test_convolution_matrix_shape_formula(rng):
 def test_completion_unperturbed_is_exact():
     k, n = 2, 2
     pair = dual_basis_complete(build_Lk(k, n), k, n)
-    assert frob_norm(pair.delta_r()) == 0.0
+    assert frob_norm(pair.correction) == 0.0
     assert np.array_equal(pair.N.coeffs, build_Lambda(k, n).coeffs)
     assert pair.iterations == 0
 
@@ -166,13 +166,13 @@ def test_completion_matches_the_dense_lstsq_oracle(k, complex_field, rng):
         lam_t = transpose_poly(build_Lambda(k, n)).coeffs.reshape(-1, n)
         want = np.linalg.lstsq(conv, -conv @ lam_t, rcond=None)[0]
         pair = dual_basis_complete(kpoly, k, n)
-        got = transpose_poly(pair.delta_r()).coeffs.reshape(-1, n)
+        got = transpose_poly(pair.correction).coeffs.reshape(-1, n)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert 1 <= pair.iterations <= 10
 
 
 def test_completion_correction_keeps_its_low_bits(rng):
-    """delta_r() is the solved correction, not N - Lambda: at ||dL|| = 1e-10
+    """`correction` is the solved correction, not N - Lambda: at ||dL|| = 1e-10
     the entries of N next to the ones of Lambda carry only the top bits of
     the correction, and the difference would miss lstsq's by about 1e-6."""
     k, n = 4, 2
@@ -183,7 +183,7 @@ def test_completion_correction_keeps_its_low_bits(rng):
     lam_t = transpose_poly(build_Lambda(k, n)).coeffs.reshape(-1, n)
     want = np.linalg.lstsq(conv, -conv @ lam_t, rcond=None)[0]
     pair = dual_basis_complete(kpoly, k, n)
-    got = transpose_poly(pair.delta_r()).coeffs.reshape(-1, n)
+    got = transpose_poly(pair.correction).coeffs.reshape(-1, n)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -201,8 +201,8 @@ def test_completion_norm_bound(rng):
     dl = raw * (1e-4 / frob_norm(raw))
     pair = dual_basis_complete(build_Lk(k, n) + dl, k, n)
     bound = 6.0 * math.sqrt(2.0) * (k + 1) / math.pi * 1e-4
-    assert frob_norm(pair.delta_r()) <= bound
-    assert frob_norm(pair.delta_r()) < 1.0 / math.sqrt(2.0)
+    assert frob_norm(pair.correction) <= bound
+    assert frob_norm(pair.correction) < 1.0 / math.sqrt(2.0)
 
 
 def test_completion_residual_many_trials(rng):
@@ -230,7 +230,7 @@ def test_completion_leading_coefficient_keeps_row_rank(rng):
     dl = raw * (1e-3 / frob_norm(raw))
     pair = dual_basis_complete(build_Lk(k, n) + dl, k, n)
     lead = pair.N.coefficient(k)
-    assert np.linalg.norm(lead[:, :n] - np.eye(n)) <= 10 * frob_norm(pair.delta_r())
+    assert np.linalg.norm(lead[:, :n] - np.eye(n)) <= 10 * frob_norm(pair.correction)
     s = np.linalg.svd(lead, compute_uv=False)
     assert s[n - 1] > 0.5
 
@@ -242,13 +242,13 @@ def test_completion_is_minimum_norm(rng):
     dl = raw * (1e-3 / frob_norm(raw))
     kpoly = build_Lk(k, n) + dl
     pair = dual_basis_complete(kpoly, k, n)
-    base_norm = frob_norm(pair.delta_r())
+    base_norm = frob_norm(pair.correction)
 
     conv = convolution_matrix(kpoly, k)
     null = scipy.linalg.null_space(conv)
     assert null.shape[1] > 0
     stacked = np.vstack(
-        [transpose_poly(pair.delta_r()).coefficient(i) for i in range(k + 1)]
+        [transpose_poly(pair.correction).coefficient(i) for i in range(k + 1)]
     )
     for _ in range(20):
         other = stacked + null @ rng.standard_normal((null.shape[1], n))

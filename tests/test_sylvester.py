@@ -25,10 +25,11 @@ from strukt.polycore import (
     from_coeff_list,
     mobius,
     star,
+    zeros,
 )
 from strukt.sylvester import StarSylvesterOperator, _MinNormSolver, build_TA_mid
 
-from conftest import ALL_KINDS
+from conftest import ALL_KINDS, perturbation_blocks, with_scaled_22_block
 
 
 def test_sigma_min_formula_values():
@@ -118,15 +119,15 @@ def test_exact_sign_reduction_identities(k):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_zero_perturbation_gives_the_law_and_build_TA(kind, k):
     """At zero perturbation the solver's gap is sigma_min(T_A), computed from
-    an eigvalsh of the n = 1 Gram matrix, so it matches the law to rounding
-    for every block size: to 8 eps; the largest miss is 4 eps, at k = 4."""
+    an eigvalsh of the n = 1 Gram matrix less its rounding allowance, so it
+    never exceeds the law and is within 1e-12 of it for every block size."""
     law = sigma_min_formula(k)
     for n in range(1, 4):
         op = StarSylvesterOperator.unperturbed(k, n, kind)
-        assert abs(_MinNormSolver(op).delta - law) <= 8 * np.finfo(float).eps
+        assert 0.0 <= law - _MinNormSolver(op).delta <= 1e-12
     op = StarSylvesterOperator.unperturbed(k, 2, kind)
     assert np.array_equal(op.matrix(), build_TA(k, 2, kind))
 
@@ -185,7 +186,8 @@ def test_operator_gram_apply_adjoint_and_solve_match_dense_oracles(kind, field_t
     k, n = 2, 2
     kn = k * n
     pert = backward.random_structured_perturbation(k, n, kind, 0.05, seed=7, field_tag=field_tag)
-    op = StarSylvesterOperator(pert.da21, pert.db21, kind)
+    _, _, da21, db21, _, _ = perturbation_blocks(pert)
+    op = StarSylvesterOperator(da21, db21, kind)
     t = op.matrix()
 
     y = _draw(rng, (kn, (k + 1) * n), field_tag)
@@ -219,13 +221,14 @@ def test_weyl_bound_is_below_sigma_min_and_agrees_with_the_gap(kind, field_tag):
                 pert = backward.random_structured_perturbation(
                     k, n, kind, nrm, seed=seed, field_tag=field_tag
                 )
-                op = StarSylvesterOperator(pert.da21, pert.db21, kind)
+                _, _, da21, db21, _, _ = perturbation_blocks(pert)
+                op = StarSylvesterOperator(da21, db21, kind)
                 delta = _MinNormSolver(op).delta
                 sigma = np.linalg.svd(op.matrix(), compute_uv=False)[-1]
-                image = mobius(from_coeff_list([pert.da21, pert.db21]), driver).coeffs
+                image = mobius(from_coeff_list([da21, db21]), driver).coeffs
                 paper = sigma_min_formula(k) - math.hypot(
                     np.linalg.norm(np.vstack(image), 2),
-                    np.linalg.norm(np.vstack([pert.da21, pert.db21]), 2),
+                    np.linalg.norm(np.vstack([da21, db21]), 2),
                 )
                 assert delta <= sigma + 1e-12
                 assert abs(delta - paper) <= 1e-12
@@ -251,7 +254,8 @@ def test_delta_lower_bound_is_a_lower_bound(k, rng):
         pert = backward.random_structured_perturbation(
             k, 2, kind, nrm, seed=trial, field_tag=field_tag
         )
-        op = StarSylvesterOperator(pert.da21, pert.db21, kind)
+        _, _, da21, db21, _, _ = perturbation_blocks(pert)
+        op = StarSylvesterOperator(da21, db21, kind)
         t = op.matrix()
         weyl = sigma_min_formula(k) - np.linalg.norm(t - build_TA(k, 2, kind), 2)
         sigma = np.linalg.svd(t, compute_uv=False)[-1]
@@ -393,18 +397,8 @@ def _pencil_blocks(kind, seed, norm=1e-6, k=2, n=2):
 def test_fixed_point_zero_perturbation():
     kind = StructureKind.symmetric
     pencil, pert = _pencil_blocks(kind, 21)
-    zero = backward.StructuredPerturbation(
-        da11=np.zeros((6, 6)),
-        db11=np.zeros((6, 6)),
-        da21=np.zeros((4, 6)),
-        db21=np.zeros((4, 6)),
-        da22=np.zeros((4, 4)),
-        db22=np.zeros((4, 4)),
-        kind=kind,
-        k=2,
-        n=2,
-    )
-    state = quadratic_fixed_point(zero, pencil.m0, pencil.m1, kind)
+    zero = backward.StructuredPerturbation.from_pencil(zeros(10, 10, 1), 2, 2, kind)
+    state = quadratic_fixed_point(zero, pencil.m0, pencil.m1)
     assert not state.x.any()
     assert state.iterations == 1
     assert state.converged
@@ -413,10 +407,9 @@ def test_fixed_point_zero_perturbation():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_fixed_point_small_perturbation(kind):
     pencil, pert = _pencil_blocks(kind, 31)
-    theta = pair_norm(pert.da22, pert.db22)
-    state = quadratic_fixed_point(
-        pert, pencil.m0, pencil.m1, kind, tol=1e-12 * theta
-    )
+    *_, da22, db22 = perturbation_blocks(pert)
+    theta = pair_norm(da22, db22)
+    state = quadratic_fixed_point(pert, pencil.m0, pencil.m1)
     assert state.converged
     assert state.residuals[-1] <= 1e-12 * theta
     assert np.linalg.norm(state.x) <= state.norm_bound
@@ -427,13 +420,13 @@ def test_fixed_point_small_perturbation(kind):
 def test_fixed_point_congruence_zeroes_block(rng):
     kind = StructureKind.symmetric
     pencil, pert = _pencil_blocks(kind, 41)
-    state = quadratic_fixed_point(pert, pencil.m0, pencil.m1, kind)
+    state = quadratic_fixed_point(pert, pencil.m0, pencil.m1)
     x = state.x
     g = np.eye(10)
     g[6:, :6] = x
     h = np.eye(10)
     h[:6, 6:] = x.T
-    perturbed = pencil.as_polynomial() + pert.pencil()
+    perturbed = pencil.as_polynomial() + pert.pencil
     t0 = g @ perturbed.coefficient(0) @ h
     t1 = g @ perturbed.coefficient(1) @ h
     assert pair_norm(t0[6:, 6:], t1[6:, 6:]) <= 1e-13
@@ -442,7 +435,7 @@ def test_fixed_point_congruence_zeroes_block(rng):
 def test_fixed_point_iterate_norms_bounded():
     for seed, kind in enumerate(ALL_KINDS):
         pencil, pert = _pencil_blocks(kind, 100 + seed, norm=2e-2)
-        state = quadratic_fixed_point(pert, pencil.m0, pencil.m1, kind)
+        state = quadratic_fixed_point(pert, pencil.m0, pencil.m1)
         cap = state.rho0 * (1.0 + state.kappa) + 1e-12
         assert max(state.x_norms) <= cap
 
@@ -450,30 +443,17 @@ def test_fixed_point_iterate_norms_bounded():
 def test_fixed_point_inadmissible_raises():
     kind = StructureKind.even
     pencil, pert = _pencil_blocks(kind, 51, norm=1e-3)
-    scale = 1e6
-    forced = backward.StructuredPerturbation(
-        da11=pert.da11,
-        db11=pert.db11,
-        da21=pert.da21,
-        db21=pert.db21,
-        da22=pert.da22 * scale,
-        db22=pert.db22 * scale,
-        kind=kind,
-        k=2,
-        n=2,
-    )
+    forced = with_scaled_22_block(pert, 1e6)
     with pytest.raises(ThresholdError) as err:
-        quadratic_fixed_point(forced, pencil.m0, pencil.m1, kind)
+        quadratic_fixed_point(forced, pencil.m0, pencil.m1)
     assert err.value.bound == 0.25
 
 
 def test_fixed_point_gates_every_solve(monkeypatch):
     """A solve that misses its right-hand side by 1e-9 relative is refused at
-    the sweep where it happens, not after the sweeps run out. The tolerance
-    is the one `congruence_zero_block` passes."""
+    the sweep where it happens, not after the sweeps run out."""
     kind = StructureKind.palindromic
     pencil, pert = _pencil_blocks(kind, 61)
-    tol = 1e-12 * pair_norm(pert.da22, pert.db22)
     exact = sylvester.pcg
     calls = []
 
@@ -484,5 +464,5 @@ def test_fixed_point_gates_every_solve(monkeypatch):
 
     monkeypatch.setattr(sylvester, "pcg", slightly_wrong)
     with pytest.raises(NumericalError, match="solve residual"):
-        quadratic_fixed_point(pert, pencil.m0, pencil.m1, kind, tol=tol)
+        quadratic_fixed_point(pert, pencil.m0, pencil.m1)
     assert len(calls) == 1
