@@ -59,7 +59,10 @@ class StructuredPerturbation:
     ) -> "StructuredPerturbation":
         size = (2 * k + 1) * n
         if dl.shape != (size, size) or dl.grade != 1:
-            raise ValueError(f"expected a {size} square pencil")
+            raise StructureError(
+                f"expected a {size} x {size} pencil of grade 1, "
+                f"got {dl.rows} x {dl.cols} of grade {dl.grade}"
+            )
         residual, norm = structure_residual(dl, kind), frob_norm(dl)
         if residual > 1e-12 * norm:
             raise StructureError(
@@ -196,13 +199,17 @@ def reconstruct_perturbed_polynomial(
 
 @dataclass(frozen=True)
 class TheoremBound:
-    """Admissibility threshold and backward-error multiplier for a (P, L) pair."""
+    """Admissibility threshold and backward-error multiplier for a (P, L) pair,
+    with the three Frobenius norms they are computed from."""
 
     threshold: float
     c_pl: float
+    norm_p: float
+    norm_l: float
+    norm_m: float
 
-    def ratio_bound(self, norm_dl: float, norm_l: float) -> float:
-        return self.c_pl * norm_dl / norm_l
+    def ratio_bound(self, norm_dl: float) -> float:
+        return self.c_pl * norm_dl / self.norm_l
 
 
 def theorem_bound(p: MatrixPolynomial, pencil: BlockKroneckerPencil) -> TheoremBound:
@@ -212,7 +219,7 @@ def theorem_bound(p: MatrixPolynomial, pencil: BlockKroneckerPencil) -> TheoremB
     norm_l = frob_norm(pencil.as_polynomial())
     threshold = (math.pi / 16.0) ** 2 / ((k + 1) ** 2.5 * (1.0 + norm_m))
     c_pl = 68.0 * (k + 1) ** 2.5 * (norm_l / norm_p) * (1.0 + norm_m + norm_m**2)
-    return TheoremBound(threshold=threshold, c_pl=c_pl)
+    return TheoremBound(threshold, c_pl, norm_p, norm_l, norm_m)
 
 
 def corollary_factor(k: int, n: int) -> float:
@@ -277,9 +284,7 @@ def _run_single_trial(
     compute_eigs,
 ):
     start = time.perf_counter()
-    norm_p = frob_norm(p)
-    norm_l = frob_norm(pencil.as_polynomial())
-    norm_m = frob_norm(pencil.m_pencil)
+    norm_p = tb.norm_p
     report = BackwardErrorReport(
         seed=seed_label,
         kind=kind.value,
@@ -288,8 +293,8 @@ def _run_single_trial(
         k=pencil.k,
         placement=placement_name,
         norm_P=norm_p,
-        norm_L=norm_l,
-        norm_M=norm_m,
+        norm_L=tb.norm_l,
+        norm_M=tb.norm_m,
         norm_dL=norm_dl_target,
         threshold_ok=norm_dl_target < tb.threshold,
         norm_X=math.nan,
@@ -323,7 +328,7 @@ def _run_single_trial(
             report.norm_dR = recon.norm_dr
             report.norm_dP = frob_norm(dp)
             report.ratio = report.norm_dP / norm_p
-            report.bound = tb.ratio_bound(cong.norm_dl, norm_l)
+            report.bound = tb.ratio_bound(cong.norm_dl)
             report.ratio_le_bound = bool(report.ratio <= report.bound)
             report.structure_ok = bool(
                 structure_residual(dp, kind) <= 1e-11 * max(1.0, norm_p)

@@ -12,6 +12,7 @@ that the negated structure kinds introduce at odd k.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +37,11 @@ from .polycore import (
 
 @dataclass(frozen=True)
 class BlockKroneckerPencil:
-    """Assembled pencil l*L1 + L0 with its natural-partition metadata."""
+    """Assembled pencil l*L1 + L0 with its natural-partition metadata.
+
+    The four coefficient arrays are read-only, so the pencil and its (1,1)
+    block are built as polynomials once and shared.
+    """
 
     l0: np.ndarray
     l1: np.ndarray
@@ -47,16 +52,24 @@ class BlockKroneckerPencil:
     m1: np.ndarray
     sign: int
 
+    def __post_init__(self):
+        for a in (self.l0, self.l1, self.m0, self.m1):
+            a.setflags(write=False)
+
     @property
     def size(self) -> int:
         return (2 * self.k + 1) * self.n
 
-    @property
+    @functools.cached_property
     def m_pencil(self) -> MatrixPolynomial:
         """The (1,1) natural-partition block as a pencil."""
         return polycore.from_coeff_list([self.m0, self.m1])
 
     def as_polynomial(self) -> MatrixPolynomial:
+        return self._polynomial
+
+    @functools.cached_property
+    def _polynomial(self) -> MatrixPolynomial:
         return polycore.from_coeff_list([self.l0, self.l1])
 
 
@@ -259,8 +272,8 @@ def assemble(
         k=k,
         n=n,
         kind=kind,
-        m0=mp.coefficient(0).copy(),
-        m1=mp.coefficient(1).copy(),
+        m0=mp.coefficient(0),
+        m1=mp.coefficient(1),
         sign=kind.recovery_sign(k),
     )
 

@@ -37,18 +37,26 @@ class SelectorMatrices:
     f: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
 def selector_matrices(k: int, n: int) -> SelectorMatrices:
-    """E = [I_k 0] (x) I_n and F = [0 I_k] (x) I_n, exact 0/1 matrices."""
+    """E = [I_k 0] (x) I_n and F = [0 I_k] (x) I_n, exact 0/1 matrices.
+
+    Built once per (k, n) and shared, so both are read-only.
+    """
     if k < 1:
         raise GradeError("selector matrices need k >= 1")
-    return SelectorMatrices(np.eye(k * n, (k + 1) * n), np.eye(k * n, (k + 1) * n, n))
+    sel = SelectorMatrices(np.eye(k * n, (k + 1) * n), np.eye(k * n, (k + 1) * n, n))
+    sel.e.setflags(write=False)
+    sel.f.setflags(write=False)
+    return sel
 
 
+@functools.lru_cache(maxsize=None)
 def build_Lk(k: int, n: int) -> MatrixPolynomial:
     """The kn x (k+1)n block-bidiagonal pencil with -I_n and l*I_n entries.
 
     k = 0 yields the degenerate zero-row basis; downstream code then treats
-    the pencil as the polynomial itself.
+    the pencil as the polynomial itself. Built once per (k, n) and shared.
     """
     if k < 0 or n < 1:
         raise ValueError("build_Lk requires k >= 0 and n >= 1")
@@ -58,8 +66,10 @@ def build_Lk(k: int, n: int) -> MatrixPolynomial:
     return polycore.from_coeff_list([-sel.e, sel.f])
 
 
+@functools.lru_cache(maxsize=None)
 def build_Lambda(k: int, n: int) -> MatrixPolynomial:
-    """The n x (k+1)n monomial block row (l^k I_n, ..., l I_n, I_n)."""
+    """The n x (k+1)n monomial block row (l^k I_n, ..., l I_n, I_n), built
+    once per (k, n) and shared."""
     if k < 0 or n < 1:
         raise ValueError("build_Lambda requires k >= 0 and n >= 1")
     coeffs = np.zeros((k + 1, n, (k + 1) * n))

@@ -14,6 +14,7 @@ of the certification pipeline share.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -345,12 +346,14 @@ def star(a: np.ndarray) -> np.ndarray:
     return np.conj(a.T) if np.iscomplexobj(a) else a.T
 
 
+def _adjoint_coeffs(p: MatrixPolynomial) -> np.ndarray:
+    out = np.swapaxes(p.coeffs, 1, 2)
+    return np.conj(out) if p.field == COMPLEX else out
+
+
 def star_adjoint(p: MatrixPolynomial) -> MatrixPolynomial:
     """Coefficient-wise transpose (real field) or conjugate transpose (complex)."""
-    out = np.swapaxes(p.coeffs, 1, 2)
-    if p.field == COMPLEX:
-        out = np.conj(out)
-    return MatrixPolynomial(out, p.field)
+    return MatrixPolynomial(_adjoint_coeffs(p), p.field)
 
 
 def poly_matmul(p: MatrixPolynomial, q: MatrixPolynomial) -> MatrixPolynomial:
@@ -380,21 +383,34 @@ def mobius_weights(a: MobiusMatrix, grade: int) -> np.ndarray:
     """Weight table W with W[i, j] = coefficient of l**j in (al+b)^i (cl+d)^(g-i).
 
     The substituted polynomial's j-th coefficient is sum_i W[i, j] * P_i.  For
-    the six structure matrices the entries are exact signed integers.
+    the six structure matrices the entries are exact signed integers.  The
+    table is built once per (entries, grade) and shared, so it is read-only.
     """
-    rows = []
-    for i in range(grade + 1):
-        rows.append(np.convolve(_binom_poly(a.a, a.b, i), _binom_poly(a.c, a.d, grade - i)))
-    return np.vstack(rows)
+    return _mobius_weights(a.a, a.b, a.c, a.d, grade)
+
+
+# Keyed on the four entries with their types: MobiusMatrix(1, 0, 0, 1) and
+# MobiusMatrix(1+0j, 0, 0, 1) compare equal but give tables of different dtypes.
+@functools.lru_cache(maxsize=None, typed=True)
+def _mobius_weights(a, b, c, d, grade: int) -> np.ndarray:
+    w = np.vstack(
+        [np.convolve(_binom_poly(a, b, i), _binom_poly(c, d, grade - i)) for i in range(grade + 1)]
+    )
+    w.setflags(write=False)
+    return w
+
+
+def _substituted(p: MatrixPolynomial, a: MobiusMatrix) -> np.ndarray:
+    """Coefficient stack of `mobius(p, a)`; a singular ``a`` is refused."""
+    scale = max(abs(a.a), abs(a.b), abs(a.c), abs(a.d), 1.0)
+    if abs(a.det) <= 1e-14 * scale * scale:
+        raise StruktError("Mobius matrix is singular")
+    return np.einsum("ij,irc->jrc", mobius_weights(a, p.grade), p.coeffs)
 
 
 def mobius(p: MatrixPolynomial, a: MobiusMatrix) -> MatrixPolynomial:
     """Substitution P(l) -> sum_i P_i (al+b)^i (cl+d)^(g-i) at P's grade."""
-    scale = max(abs(a.a), abs(a.b), abs(a.c), abs(a.d), 1.0)
-    if abs(a.det) <= 1e-14 * scale * scale:
-        raise StruktError("Mobius matrix is singular")
-    w = mobius_weights(a, p.grade)
-    out = np.einsum("ij,irc->jrc", w, p.coeffs)
+    out = _substituted(p, a)
     field = COMPLEX if np.iscomplexobj(out) else p.field
     return MatrixPolynomial(out, field)
 
@@ -406,11 +422,13 @@ def mobius(p: MatrixPolynomial, a: MobiusMatrix) -> MatrixPolynomial:
 def structure_residual(p: MatrixPolynomial, kind) -> float:
     """Frobenius norm of the defect between the substituted and adjoint forms.
 
-    ``kind`` may be a StructureKind or any coninvolutory MobiusMatrix.
+    ``kind`` may be a StructureKind or any coninvolutory MobiusMatrix.  The
+    defect is formed on the coefficient arrays, with the same arithmetic as
+    ``frob_norm(mobius(p, A) - star_adjoint(p))``.
     """
     if not p.is_square:
         raise StructureError("structure checks require a square polynomial")
-    return frob_norm(mobius(p, driver_matrix(kind)) - star_adjoint(p))
+    return _norm(_substituted(p, driver_matrix(kind)) - _adjoint_coeffs(p))
 
 
 def is_structured(

@@ -55,11 +55,10 @@ def _normalize_pairs(alpha: np.ndarray, beta: np.ndarray) -> SpectrumReport:
     alpha /= norms
     beta /= norms
     # canonical phase: beta real nonnegative, falling back to alpha at infinity
-    for i in range(alpha.size):
-        ref = beta[i] if np.abs(beta[i]) > INFINITE_BETA_TOL else alpha[i]
-        phase = ref / np.abs(ref)
-        alpha[i] /= phase
-        beta[i] /= phase
+    ref = np.where(np.abs(beta) > INFINITE_BETA_TOL, beta, alpha)
+    phase = ref / np.abs(ref)
+    alpha /= phase
+    beta /= phase
     inf_mask = np.abs(beta) <= INFINITE_BETA_TOL
     order = np.lexsort((alpha.imag, alpha.real, inf_mask))
     return SpectrumReport(alpha=alpha[order], beta=beta[order])

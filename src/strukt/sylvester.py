@@ -25,7 +25,7 @@ import numpy as np
 from . import minbases
 from .errors import ConvergenceError, NumericalError, ThresholdError
 from .linearize import split_natural_partition
-from .polycore import driver_matrix, from_coeff_list, mobius, pair_norm, pcg, star
+from .polycore import driver_matrix, pair_norm, pcg, star
 
 
 def sigma_min_formula(k: int) -> float:
@@ -42,7 +42,8 @@ class StarSylvesterOperator:
     by the (2,1) perturbation blocks, whose shape kn x (k+1)n fixes k and n.
     G0 + l*G1 is the kind's Mobius image of the perturbed bidiagonal pencil
     ehat + l*fhat: the rule that fixes a structured pencil's (1,2) block from
-    its (2,1) block.
+    its (2,1) block. At grade 1 that image is G0 = d*ehat + b*fhat and
+    G1 = c*ehat + a*fhat for the driver [[a, b], [c, d]].
     """
 
     def __init__(self, da21: np.ndarray, db21: np.ndarray, kind):
@@ -52,8 +53,9 @@ class StarSylvesterOperator:
         sel = minbases.selector_matrices(self.k, self.n)
         self.ehat = -sel.e + da21
         self.fhat = sel.f + db21
-        self.driver = driver_matrix(kind)
-        self.g0, self.g1 = mobius(from_coeff_list([self.ehat, self.fhat]), self.driver).coeffs
+        a = self.driver = driver_matrix(kind)
+        self.g0 = a.d * self.ehat + a.b * self.fhat
+        self.g1 = a.c * self.ehat + a.a * self.fhat
 
     @classmethod
     def unperturbed(cls, k: int, n: int, kind) -> "StarSylvesterOperator":

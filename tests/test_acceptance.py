@@ -252,7 +252,6 @@ def test_criterion_5_backward_certification():
             p = random_structured(n, g, kind, 1.0, seed=2024)
             pencil = build_linearization(p, kind, "tridiagonal")
             tb = theorem_bound(p, pencil)
-            norm_l = frob_norm(pencil.as_polynomial())
             for ni, norm_dl in enumerate((1e-10, 1e-8, 1e-6)):
                 assert norm_dl < tb.threshold
                 for trial in range(100):
@@ -268,7 +267,7 @@ def test_criterion_5_backward_certification():
                     dp = recon.poly - p
                     assert polycore.structure_residual(dp, kind) <= 1e-11
                     ratio = frob_norm(dp) / frob_norm(p)
-                    assert ratio <= tb.ratio_bound(cong.norm_dl, norm_l)
+                    assert ratio <= tb.ratio_bound(cong.norm_dl)
         assert time.perf_counter() - start <= 300.0
 
 

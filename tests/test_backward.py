@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from strukt import (
     run_certification,
     theorem_bound,
 )
-from strukt import backward, errors, minbases, polycore, sylvester
+from strukt import backward, errors, linearize, minbases, polycore, spectra, sylvester
 from strukt.backward import StructuredPerturbation, x_norm_bound
 from strukt.errors import GradeError, StruktError, ThresholdError
 from strukt.linearize import build_linearization
@@ -83,6 +87,15 @@ def test_from_pencil_rejects_inconsistent_offdiagonal(block, norm, kind, field_t
     assert polycore.structure_residual(dl, kind) > 0.1 * frob_norm(dl)
     with pytest.raises(errors.StructureError):
         StructuredPerturbation.from_pencil(dl, k, n, kind)
+
+
+@pytest.mark.parametrize("size, grade", [(9, 1), (10, 2)], ids=["9x9-pencil", "grade-2"])
+def test_from_pencil_refuses_a_pencil_of_the_wrong_size_or_grade(size, grade):
+    """At (k, n) = (2, 2) only a 10 x 10 pencil of grade 1 is a perturbation;
+    anything else is a typed `StructureError`, not a bare `ValueError`."""
+    dl = polycore.zeros(size, size, grade)
+    with pytest.raises(errors.StructureError, match="10 x 10 pencil of grade 1"):
+        StructuredPerturbation.from_pencil(dl, 2, 2, StructureKind.symmetric)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +225,7 @@ def test_theorem_bound_values():
     assert tb.c_pl == pytest.approx(
         68.0 * 3**2.5 * norm_l * (1.0 + norm_m + norm_m**2)
     )
-    assert tb.ratio_bound(1e-8, norm_l) == pytest.approx(tb.c_pl * 1e-8 / norm_l)
+    assert tb.ratio_bound(1e-8) == pytest.approx(tb.c_pl * 1e-8 / norm_l)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +310,102 @@ def test_certification_checks_the_gap_independently_of_the_formula(monkeypatch):
     got = certify()
     assert all(err is None and row["ratio_le_bound"] for err, row in got)
     assert got == want
+
+
+def _clear_shape_caches():
+    """Empty every lru_cache of the library, so the next trial builds each
+    per-shape constant afresh."""
+    for module in (polycore, minbases, linearize, sylvester, backward, spectra):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_a_repeated_certification_rebuilds_no_shape_constant(monkeypatch):
+    """Mobius weight tables and selector matrices depend only on (k, n, kind):
+    once a trial at a shape has run, a second certification at that shape
+    builds neither again."""
+    calls = {"binom": 0, "selector eye": 0}
+    binom_poly, eye = polycore._binom_poly, np.eye
+
+    def counting_binom_poly(*args):
+        calls["binom"] += 1
+        return binom_poly(*args)
+
+    def counting_eye(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "selector_matrices":
+            calls["selector eye"] += 1
+        return eye(*args, **kwargs)
+
+    monkeypatch.setattr(polycore, "_binom_poly", counting_binom_poly)
+    monkeypatch.setattr(np, "eye", counting_eye)
+    kind = StructureKind.palindromic
+    p = random_structured(2, 5, kind, 1.0, seed=8)
+
+    def certify():
+        [rep] = run_certification(p, kind, "tridiagonal", [1e-6], trials=1, seed=9)
+        assert rep.error is None and rep.ratio_le_bound and rep.structure_ok
+
+    _clear_shape_caches()
+    certify()
+    assert calls["binom"] > 0 and calls["selector eye"] > 0
+    calls.update(dict.fromkeys(calls, 0))
+    certify()
+    assert calls == {"binom": 0, "selector eye": 0}
+
+
+_FRESH_PROCESS_ROWS = """
+import sys
+from strukt import StructureKind, random_structured, run_certification
+kind = StructureKind(sys.argv[1])
+p = random_structured(2, 5, kind, 1.0, seed=8)
+reports = run_certification(p, kind, "tridiagonal", [1e-8, 1e-6], trials=2, seed=9)
+print(repr([(r.error, dict(r.row(), wall_ms=0.0)) for r in reports]))
+"""
+
+
+def test_shared_constants_give_the_rows_of_fresh_processes():
+    """Kinds share the (k, n) constants and differ in the Mobius ones: with
+    every cache emptied, symmetric and palindromic certifications at the same
+    (k, n), interleaved in either order, give the rows that each kind gives
+    alone in a fresh process."""
+    kinds = (StructureKind.symmetric, StructureKind.palindromic)
+    env = dict(os.environ, PYTHONPATH=str(Path(polycore.__file__).parents[1]))
+    fresh = {
+        kind: subprocess.run(
+            [sys.executable, "-c", _FRESH_PROCESS_ROWS, kind.value],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout.strip()
+        for kind in kinds
+    }
+    polys = {kind: random_structured(2, 5, kind, 1.0, seed=8) for kind in kinds}
+    for order in (kinds, kinds[::-1]):
+        _clear_shape_caches()
+        for kind in order + order:
+            reports = run_certification(
+                polys[kind], kind, "tridiagonal", [1e-8, 1e-6], trials=2, seed=9
+            )
+            assert repr([(r.error, dict(r.row(), wall_ms=0.0)) for r in reports]) == fresh[kind]
+
+
+def test_shared_constants_and_built_pencils_are_read_only():
+    kind = StructureKind.even
+    sel = minbases.selector_matrices(2, 2)
+    pencil = build_linearization(random_structured(2, 5, kind, 1.0, seed=1), kind)
+    shared = [
+        polycore.mobius_weights(kind.mobius, 5),
+        sel.e,
+        sel.f,
+        minbases.build_Lk(2, 2).coeffs,
+        minbases.build_Lambda(2, 2).coeffs,
+        pencil.l0,
+        pencil.l1,
+        pencil.m0,
+        pencil.m1,
+    ]
+    for arr in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 7.0
 
 
 @pytest.mark.parametrize("norm", [1e160, 1e300, 1.7e308])
@@ -416,9 +525,8 @@ def test_ratio_bound_monotone_in_perturbation_norm():
     kind = StructureKind.symmetric
     p, pencil, _ = make_case(kind, seed=37)
     tb = theorem_bound(p, pencil)
-    norm_l = frob_norm(pencil.as_polynomial())
     norms = [1e-6 / 2**i for i in range(8)]
-    bounds = [tb.ratio_bound(nrm, norm_l) for nrm in norms]
+    bounds = [tb.ratio_bound(nrm) for nrm in norms]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
 

@@ -152,6 +152,23 @@ def test_mobius_singular_matrix_raises(rng):
     p = random_poly(rng, 2, 2, 2)
     with pytest.raises(StruktError):
         mobius(p, MobiusMatrix(1, 2, 2, 4))
+    with pytest.raises(StruktError):
+        polycore.structure_residual(p, MobiusMatrix(1, 2, 2, 4))
+
+
+def test_mobius_weights_keep_the_type_of_the_entries(rng):
+    """Drivers that compare equal share no weight table when their entries
+    differ in type: a complex identity gives a complex image of a real P
+    whichever identity was substituted first."""
+    p = random_poly(rng, 2, 2, 2)
+    real_eye, complex_eye = MobiusMatrix(1, 0, 0, 1), MobiusMatrix(1 + 0j, 0, 0, 1)
+    assert real_eye == complex_eye
+    for first_real in (True, False):
+        polycore._mobius_weights.cache_clear()
+        if first_real:
+            assert mobius(p, real_eye).field == polycore.REAL
+        assert mobius(p, complex_eye).field == polycore.COMPLEX
+        assert mobius(p, real_eye).field == polycore.REAL
 
 
 def test_mobius_matches_rational_form(rng):
@@ -284,6 +301,29 @@ def test_structure_project_palindromic_residual(rng):
     p = random_poly(rng, 2, 2, 1)
     proj = structure_project(p, StructureKind.palindromic)
     assert polycore.structure_residual(proj, StructureKind.palindromic) < 1e-14
+
+
+# Coninvolutory drivers outside the six kinds: a real involution and a unit
+# phase times the identity.
+_OTHER_DRIVERS = [
+    MobiusMatrix(math.sqrt(0.7), 0.6, 0.5, -math.sqrt(0.7)),
+    MobiusMatrix(np.exp(0.3j), 0, 0, np.exp(0.3j)),
+]
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "kind", ALL_KINDS + _OTHER_DRIVERS, ids=[k.value for k in ALL_KINDS] + ["involution", "phase"]
+)
+def test_structure_residual_is_the_polynomial_defect_exactly(kind, complex_field, rng):
+    """The residual formed on coefficient arrays is, to the last bit, the
+    norm of the substituted polynomial minus its adjoint."""
+    a = polycore.driver_matrix(kind)
+    for grade in (1, 3, 4):
+        raw = random_poly(rng, 3, 3, grade, complex_field)
+        for p in (raw, structure_project(raw, kind)):
+            want = frob_norm(mobius(p, a) - star_adjoint(p))
+            assert polycore.structure_residual(p, kind) == want
 
 
 # ---------------------------------------------------------------------------

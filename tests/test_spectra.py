@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from strukt import (
     StructureKind,
@@ -30,6 +31,42 @@ def test_pencil_eigs_infinite():
     spec = pencil_eigs(-np.eye(2), np.diag([1.0, 0.0]))
     assert spec.n_infinite == 1
     assert spec.finite_values().real == pytest.approx([1.0])
+
+
+def _normalize_pairs_loop(alpha, beta):
+    """The per-eigenvalue phase loop `spectra._normalize_pairs` replaced."""
+    alpha = np.asarray(alpha, dtype=complex).copy()
+    beta = np.asarray(beta, dtype=complex).copy()
+    norms = np.hypot(np.abs(alpha), np.abs(beta))
+    alpha /= norms
+    beta /= norms
+    for i in range(alpha.size):
+        ref = beta[i] if np.abs(beta[i]) > spectra.INFINITE_BETA_TOL else alpha[i]
+        phase = ref / np.abs(ref)
+        alpha[i] /= phase
+        beta[i] /= phase
+    order = np.lexsort((alpha.imag, alpha.real, np.abs(beta) <= spectra.INFINITE_BETA_TOL))
+    return alpha[order], beta[order]
+
+
+@pytest.mark.parametrize("field_tag", [polycore.REAL, polycore.COMPLEX])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_normalize_pairs_matches_the_loop_bit_for_bit(kind, field_tag, rng):
+    """On pencil spectra, their involution images, and pairs at and near
+    infinity, the vectorized phase normalization returns the loop's bytes."""
+    p = random_structured(3, 5, kind, 1.0, seed=4, field=field_tag)
+    pencil = build_linearization(p, kind)
+    w = scipy.linalg.eig(pencil.l0, -pencil.l1, right=False, homogeneous_eigvals=True)
+    alpha = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    beta = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    beta[:3] = 0.0
+    beta[3:6] *= 1e-13
+    alpha[6:8] = 0.0
+    for a, b in [(w[0], w[1]), spectra._INVOLUTIONS[kind](w[0], w[1]), (alpha, beta)]:
+        got = spectra._normalize_pairs(a, b)
+        want_alpha, want_beta = _normalize_pairs_loop(a, b)
+        assert got.alpha.tobytes() == want_alpha.tobytes()
+        assert got.beta.tobytes() == want_beta.tobytes()
 
 
 def test_reference_polyeigs_cube_roots():

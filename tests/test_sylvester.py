@@ -148,7 +148,8 @@ _INVOLUTORY = MobiusMatrix(math.sqrt(1.0 - 0.6 * 0.5), 0.6, 0.5, -math.sqrt(1.0 
 def test_operator_matrix_matches_matrix_products(kind, field_tag, rng):
     """The vectorized matrix applied to [vec Y; vec Z^*] is the vec of
     (Y G0^* + ehat Z^*, Y G1^* + fhat Z^*), with G0 + l*G1 written out from
-    the driver's entries."""
+    the driver's entries. The operator's G0, G1 are the Mobius image of
+    ehat + l*fhat to the last bit."""
     k, n = 2, 2
     shape = (k * n, (k + 1) * n)
     da21 = _draw(rng, shape, field_tag, 0.1)
@@ -165,6 +166,8 @@ def test_operator_matrix_matches_matrix_products(kind, field_tag, rng):
     want1 = y @ g1.conj().T + fhat @ zs
     op = StarSylvesterOperator(da21, db21, kind)
     assert (op.k, op.ehat.shape) == (k, shape)
+    image = mobius(from_coeff_list([ehat, fhat]), a).coeffs
+    assert op.g0.tobytes() == image[0].tobytes() and op.g1.tobytes() == image[1].tobytes()
     got = op.matrix() @ np.concatenate([y.reshape(-1, order="F"), zs.reshape(-1, order="F")])
     want = np.concatenate([want0.reshape(-1, order="F"), want1.reshape(-1, order="F")])
     assert np.allclose(got, want, rtol=0, atol=1e-13)
