@@ -40,9 +40,9 @@ from .polycore import (
 class StructuredPerturbation:
     """A structured pencil perturbation dL of a (2k+1)n block Kronecker pencil.
 
-    Only the pencil is stored; the fixed point cuts its natural-partition
-    blocks from it. `from_pencil` admits dL only when it is structured to
-    within 1e-12 of its own norm.
+    Only the pencil is stored; the fixed point reads its natural-partition
+    blocks as views of it. `from_pencil` admits dL only when it is structured
+    to within 1e-12 of its own norm.
     """
 
     pencil: MatrixPolynomial
@@ -105,9 +105,13 @@ def x_norm_bound(k: int, norm_dl: float) -> float:
 
 @dataclass
 class CongruenceResult:
+    """The congruence factor X and the two blocks of the rezeroed pencil that
+    reconstruction reads: the (1,1) block, which the congruence leaves
+    alone, and the (2,1) block X A11 + A21."""
+
     x: np.ndarray
-    ltilde: MatrixPolynomial
-    dtilde21: MatrixPolynomial
+    m11: MatrixPolynomial
+    b21: MatrixPolynomial
     state: sylvester.FixedPointState
     residual22: float
     norm_dl: float
@@ -116,9 +120,11 @@ class CongruenceResult:
 def congruence_zero_block(
     pencil: BlockKroneckerPencil, pert: StructuredPerturbation
 ) -> CongruenceResult:
-    """Rezero the (2,2) block of the perturbed pencil by a structure-preserving
-    congruence [[I, 0], [X, I]] (L + dL) [[I, X^*], [0, I]].
+    """Rezero the (2,2) block of the perturbed pencil A = L + dL by a
+    structure-preserving congruence [[I, 0], [X, I]] A [[I, X^*], [0, I]].
 
+    Only blocks are formed: the (2,1) block b21 = X A11 + A21 and the (2,2)
+    block b21 X^* + X A12 + A22, which X leaves as a residual.
     `quadratic_fixed_point` refuses an inadmissible perturbation with
     `ThresholdError`. No norm threshold is checked here: certified runs refuse
     norms at or above `theorem_bound(...).threshold` before they get here.
@@ -129,32 +135,20 @@ def congruence_zero_block(
         raise StructureError("perturbation kind or block sizes differ from the pencil's")
     state = sylvester.quadratic_fixed_point(pert, pencil.m0, pencil.m1)
     x = state.x
-    size = pencil.size
-    top = (k + 1) * n
-    g_left = np.eye(size, dtype=np.result_type(x, pencil.l0))
-    g_left[top:, :top] = x
-    g_right = np.eye(size, dtype=g_left.dtype)
-    g_right[:top, top:] = star(x)
-
-    perturbed = pencil.as_polynomial() + pert.pencil
-    t0 = g_left @ perturbed.coefficient(0) @ g_right
-    t1 = g_left @ perturbed.coefficient(1) @ g_right
-    residual22 = pair_norm(t0[top:, top:], t1[top:, top:])
+    perturbed = pencil.poly.coeffs + pert.pencil.coeffs
+    field = polycore.COMPLEX if np.iscomplexobj(perturbed) else polycore.REAL
+    a11, a21, a12, a22 = linearize.natural_blocks(perturbed, k, n)
+    b21 = x @ a11 + a21
+    r22 = b21 @ star(x) + x @ a12 + a22
+    residual22 = pair_norm(r22[0], r22[1])
     if residual22 > max(1e-12, 4e-12 * state.theta):
         raise StruktError(
             f"(2,2) block residual {residual22:.3e} above tolerance after congruence"
         )
-    t0[top:, top:] = 0.0
-    t1[top:, top:] = 0.0
-    ltilde = polycore.from_coeff_list([t0, t1], perturbed.field)
-    base = minbases.build_Lk(k, n)
-    dtilde21 = polycore.from_coeff_list(
-        [t0[top:, :top], t1[top:, :top]], perturbed.field
-    ) - base
     return CongruenceResult(
         x=x,
-        ltilde=ltilde,
-        dtilde21=dtilde21,
+        m11=MatrixPolynomial(a11, field),
+        b21=MatrixPolynomial(b21, field),
         state=state,
         residual22=residual22,
         norm_dl=pert.norm(),
@@ -165,30 +159,28 @@ def congruence_zero_block(
 class ReconstructionResult:
     poly: MatrixPolynomial
     dual: minbases.DualBasisPair
-    norm_dtilde21: float
     norm_dr: float
 
 
 def reconstruct_perturbed_polynomial(
-    ltilde: MatrixPolynomial,
-    k: int,
-    n: int,
-    kind: StructureKind,
+    m11: MatrixPolynomial, b21: MatrixPolynomial, kind: StructureKind
 ) -> ReconstructionResult:
-    """Grade 2k+1 polynomial strongly linearized by the rezeroed pencil.
+    """Grade 2k+1 polynomial strongly linearized by the rezeroed pencil with
+    (1,1) block ``m11`` and (2,1) block ``b21``.
 
-    Completes the perturbed (2,1) block to a dual basis pair and sandwiches
-    the (1,1) block with `linearize.recover_from_m`, the completed basis
-    taking the place of the monomial row. The completion refuses a (2,1)
-    defect at or above `minbases.completion_threshold(k)` with
-    `ThresholdError`.
+    The kn x (k+1)n shape of ``b21`` fixes k and n. Completes ``b21`` to a
+    dual basis pair and sandwiches ``m11`` with `linearize.recover_from_m`,
+    the completed basis taking the place of the monomial row. The completion
+    refuses a (2,1) defect at or above `minbases.completion_threshold(k)`
+    with `ThresholdError`.
     """
-    m11, b21, _, _ = linearize.split_natural_partition(ltilde, k, n)
+    kn, width = b21.shape
+    n = width - kn
+    k = kn // n
     pair = minbases.dual_basis_complete(b21, k, n)
     return ReconstructionResult(
         poly=linearize.recover_from_m(m11, pair.N, kind),
         dual=pair,
-        norm_dtilde21=frob_norm(b21 - minbases.build_Lk(k, n)),
         norm_dr=frob_norm(pair.correction),
     )
 
@@ -216,7 +208,7 @@ def theorem_bound(p: MatrixPolynomial, pencil: BlockKroneckerPencil) -> TheoremB
     k = pencil.k
     norm_m = frob_norm(pencil.m_pencil)
     norm_p = frob_norm(p)
-    norm_l = frob_norm(pencil.as_polynomial())
+    norm_l = frob_norm(pencil.poly)
     threshold = (math.pi / 16.0) ** 2 / ((k + 1) ** 2.5 * (1.0 + norm_m))
     c_pl = 68.0 * (k + 1) ** 2.5 * (norm_l / norm_p) * (1.0 + norm_m + norm_m**2)
     return TheoremBound(threshold, c_pl, norm_p, norm_l, norm_m)
@@ -322,7 +314,7 @@ def _run_single_trial(
                 pencil.k, pencil.n, kind, norm_dl_target, trial_seed, field_tag=p.field
             )
             cong = congruence_zero_block(pencil, pert)
-            recon = reconstruct_perturbed_polynomial(cong.ltilde, pencil.k, pencil.n, kind)
+            recon = reconstruct_perturbed_polynomial(cong.m11, cong.b21, kind)
             dp = recon.poly - p
             report.norm_X = float(np.linalg.norm(cong.x))
             report.norm_dR = recon.norm_dr
@@ -335,7 +327,7 @@ def _run_single_trial(
             )
             report.iters = cong.state.iterations
             if compute_eigs:
-                lpert = pencil.as_polynomial() + pert.pencil
+                lpert = pencil.poly + pert.pencil
                 got = spectra.pencil_eigs(lpert.coefficient(0), lpert.coefficient(1))
                 want = spectra.reference_polyeigs(recon.poly)
                 report.eig_chordal_max = spectra.compare_spectra(got, want).max_distance

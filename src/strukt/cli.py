@@ -113,7 +113,7 @@ def cmd_linearize(args) -> int:
     pencil = linearize.build_linearization(p, kind, args.placement, tol=args.tol)
     out = args.output or (str(Path(args.input).with_suffix("")) + ".pencil.json")
     linearize.save_pencil(pencil, out)
-    residual = polycore.structure_residual(pencil.as_polynomial(), kind)
+    residual = polycore.structure_residual(pencil.poly, kind)
     print(f"norm_P={polycore.frob_norm(p)!r}")
     print(f"norm_M={polycore.frob_norm(pencil.m_pencil)!r}")
     print(f"k={pencil.k} n={pencil.n} kind={kind.value} sign={pencil.sign}")
@@ -125,7 +125,7 @@ def cmd_linearize(args) -> int:
 def cmd_recover(args) -> int:
     poly, record = linearize.load_pencil_file(args.pencil)
     k, n, kind = record["k"], record["n"], record["kind"]
-    m11, _, _, _ = linearize.split_natural_partition(poly, k, n)
+    m11 = polycore.MatrixPolynomial(linearize.natural_blocks(poly.coeffs, k, n)[0], poly.field)
     row = minbases.build_Lambda(k, n)
     recovered = linearize.recover_from_m(m11, row, kind, sign=record["sign"])
     out = args.output or (str(Path(args.pencil).with_suffix("")) + ".recovered.json")

@@ -35,26 +35,50 @@ from .polycore import (
 )
 
 
+def natural_blocks(coeffs: np.ndarray, k: int, n: int):
+    """Views (11, 21, 12, 22) of the natural partition of a (grade+1, (2k+1)n,
+    (2k+1)n) coefficient stack; the (1,1) block is (k+1)n square."""
+    top = (k + 1) * n
+    return (
+        coeffs[:, :top, :top],
+        coeffs[:, top:, :top],
+        coeffs[:, :top, top:],
+        coeffs[:, top:, top:],
+    )
+
+
 @dataclass(frozen=True)
 class BlockKroneckerPencil:
     """Assembled pencil l*L1 + L0 with its natural-partition metadata.
 
-    The four coefficient arrays are read-only, so the pencil and its (1,1)
-    block are built as polynomials once and shared.
+    ``poly`` holds the one coefficient stack; L0, L1 and the (1,1) block's
+    M0, M1 are read-only views of it.
     """
 
-    l0: np.ndarray
-    l1: np.ndarray
+    poly: MatrixPolynomial
     k: int
     n: int
     kind: StructureKind
-    m0: np.ndarray
-    m1: np.ndarray
-    sign: int
 
-    def __post_init__(self):
-        for a in (self.l0, self.l1, self.m0, self.m1):
-            a.setflags(write=False)
+    @property
+    def l0(self) -> np.ndarray:
+        return self.poly.coeffs[0]
+
+    @property
+    def l1(self) -> np.ndarray:
+        return self.poly.coeffs[1]
+
+    @property
+    def m0(self) -> np.ndarray:
+        return natural_blocks(self.poly.coeffs, self.k, self.n)[0][0]
+
+    @property
+    def m1(self) -> np.ndarray:
+        return natural_blocks(self.poly.coeffs, self.k, self.n)[0][1]
+
+    @property
+    def sign(self) -> int:
+        return self.kind.recovery_sign(self.k)
 
     @property
     def size(self) -> int:
@@ -63,14 +87,8 @@ class BlockKroneckerPencil:
     @functools.cached_property
     def m_pencil(self) -> MatrixPolynomial:
         """The (1,1) natural-partition block as a pencil."""
-        return polycore.from_coeff_list([self.m0, self.m1])
-
-    def as_polynomial(self) -> MatrixPolynomial:
-        return self._polynomial
-
-    @functools.cached_property
-    def _polynomial(self) -> MatrixPolynomial:
-        return polycore.from_coeff_list([self.l0, self.l1])
+        m11 = natural_blocks(self.poly.coeffs, self.k, self.n)[0]
+        return MatrixPolynomial(m11, self.poly.field)
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +272,14 @@ def assemble(
         raise StructureError(f"the (1,1) block is not {kind.value}")
 
     size = (2 * k + 1) * n
-    top = (k + 1) * n
-    l0 = np.zeros((size, size), dtype=mp.coeffs.dtype)
-    l1 = np.zeros_like(l0)
-    l0[:top, :top] = mp.coefficient(0)
-    l1[:top, :top] = mp.coefficient(1)
+    coeffs = np.zeros((2, size, size), dtype=mp.coeffs.dtype)
+    c11, c21, c12, _ = natural_blocks(coeffs, k, n)
+    c11[...] = mp.coeffs
     if k >= 1:
         lk = minbases.build_Lk(k, n)
-        b12 = star_adjoint(mobius(lk, kind.mobius))
-        l0[:top, top:] = b12.coefficient(0)
-        l1[:top, top:] = b12.coefficient(1)
-        l0[top:, :top] = lk.coefficient(0)
-        l1[top:, :top] = lk.coefficient(1)
-    return BlockKroneckerPencil(
-        l0=l0,
-        l1=l1,
-        k=k,
-        n=n,
-        kind=kind,
-        m0=mp.coefficient(0),
-        m1=mp.coefficient(1),
-        sign=kind.recovery_sign(k),
-    )
+        c12[...] = star_adjoint(mobius(lk, kind.mobius)).coeffs
+        c21[...] = lk.coeffs
+    return BlockKroneckerPencil(MatrixPolynomial(coeffs, mp.field), k, n, kind)
 
 
 def build_linearization(
@@ -368,7 +372,7 @@ def sidecar_path(path) -> Path:
 
 def save_pencil(pencil: BlockKroneckerPencil, path) -> None:
     record = {"k": pencil.k, "n": pencil.n, "kind": pencil.kind, "sign": pencil.sign}
-    save_pencil_file(pencil.as_polynomial(), record, path)
+    save_pencil_file(pencil.poly, record, path)
 
 
 def save_pencil_file(poly: MatrixPolynomial, record: dict, path) -> None:
@@ -408,26 +412,3 @@ def load_pencil_file(path):
             f"recovery sign {record['kind'].recovery_sign(k)} at k = {k}"
         )
     return poly, record
-
-
-def split_natural_partition(poly: MatrixPolynomial, k: int, n: int):
-    """Slice a (2k+1)n pencil into its natural-partition blocks.
-
-    Returns ((m or 11-block pencil), (21-block pencil), (12-block pencil),
-    (22-block pencil)); the 11 block of an exact block Kronecker pencil is M.
-    """
-    top = (k + 1) * n
-    c0, c1 = poly.coefficient(0), poly.coefficient(1)
-
-    def cut(r0, r1, s0, s1):
-        return polycore.from_coeff_list(
-            [c0[r0:r1, s0:s1], c1[r0:r1, s0:s1]], poly.field
-        )
-
-    size = poly.rows
-    return (
-        cut(0, top, 0, top),
-        cut(top, size, 0, top),
-        cut(0, top, top, size),
-        cut(top, size, top, size),
-    )

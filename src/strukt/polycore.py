@@ -482,12 +482,6 @@ def _encode_matrix(m: np.ndarray, field: str):
     return [[float(v) for v in row] for row in m]
 
 
-def _decode_matrix(rows, field: str) -> np.ndarray:
-    if field == COMPLEX:
-        return np.array([[complex(v[0], v[1]) for v in row] for row in rows])
-    return np.array(rows, dtype=np.float64)
-
-
 def to_json_dict(p: MatrixPolynomial) -> dict:
     return {
         "rows": p.rows,
@@ -516,18 +510,31 @@ def require_ints(doc: dict, keys, what: str) -> None:
 
 
 def from_json_dict(doc: dict) -> MatrixPolynomial:
+    """The polynomial a `to_json_dict` record describes; complex entries are
+    [re, im] pairs. A record of another layout, or with a coefficient that is
+    not a finite number, is refused with `StruktError`."""
     require_keys(doc, ("rows", "cols", "grade", "field", "coeffs"), "polynomial record")
     require_ints(doc, ("rows", "cols", "grade"), "polynomial record")
     field = doc["field"]
-    if field not in _FIELD_DTYPES:
+    if not isinstance(field, str) or field not in _FIELD_DTYPES:
         raise StruktError(f"unknown field tag {field!r}")
-    coeffs = [_decode_matrix(c, field) for c in doc["coeffs"]]
-    if len(coeffs) != doc["grade"] + 1:
+    try:
+        arr = np.array(doc["coeffs"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise StruktError("coefficients must be equally sized nested lists of numbers") from None
+    if arr.ndim < 1 or len(arr) != doc["grade"] + 1:
         raise StruktError("coefficient count does not match the declared grade")
-    p = from_coeff_list(coeffs, field)
-    if p.shape != (doc["rows"], doc["cols"]):
-        raise StruktError("coefficient shapes do not match the declared size")
-    return p
+    entry = (2,) if field == COMPLEX else ()
+    if arr.shape[1:] != (doc["rows"], doc["cols"]) + entry:
+        raise StruktError(
+            "coefficient shapes do not match the declared size"
+            + (" of [re, im] entries" if entry else "")
+        )
+    if not np.isfinite(arr).all():
+        raise StruktError("coefficients must be finite")
+    if field == COMPLEX:
+        arr = arr.view(np.complex128)[..., 0]
+    return MatrixPolynomial(arr, field)
 
 
 def save_polynomial(p: MatrixPolynomial, path) -> None:

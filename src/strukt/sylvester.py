@@ -24,7 +24,7 @@ import numpy as np
 
 from . import minbases
 from .errors import ConvergenceError, NumericalError, ThresholdError
-from .linearize import split_natural_partition
+from .linearize import natural_blocks
 from .polycore import driver_matrix, pair_norm, pcg, star
 
 
@@ -306,7 +306,7 @@ def quadratic_fixed_point(pert, m0: np.ndarray, m1: np.ndarray) -> FixedPointSta
     """Solve the quadratic star-Sylvester system that rezeroes the (2,2) block.
 
     ``pert`` is a `backward.StructuredPerturbation`; its natural-partition
-    blocks are cut once from its pencil, and its kind fixes the operator.
+    blocks are read as views of its pencil, and its kind fixes the operator.
     Each sweep solves the linearized coupled system at minimum norm and
     averages; admissibility requires delta > 0 and theta*omega/delta^2 < 1/4.
     Averaging is exact because every sweep's right-hand pencil carries the
@@ -315,8 +315,9 @@ def quadratic_fixed_point(pert, m0: np.ndarray, m1: np.ndarray) -> FixedPointSta
     most 1e-12*theta (at theta = 0 the first sweep's residual is exactly 0)
     and raises `ConvergenceError` after 100 sweeps.
     """
-    d11, d21, _, d22 = split_natural_partition(pert.pencil, pert.k, pert.n)
-    (da11, db11), (da21, db21), (da22, db22) = d11.coeffs, d21.coeffs, d22.coeffs
+    (da11, db11), (da21, db21), _, (da22, db22) = natural_blocks(
+        pert.pencil.coeffs, pert.k, pert.n
+    )
     op = StarSylvesterOperator(da21, db21, pert.kind)
     w0 = m0 + da11
     w1 = m1 + db11

@@ -3,7 +3,7 @@ import pytest
 
 from strukt import StructureKind, from_coeff_list, is_structured
 from strukt.backward import StructuredPerturbation
-from strukt.linearize import split_natural_partition
+from strukt.linearize import natural_blocks
 from strukt.polycore import MatrixPolynomial
 
 ALL_KINDS = list(StructureKind)
@@ -53,17 +53,17 @@ def integer_structured_poly(kind, g, n, rng):
 
 
 def perturbation_blocks(pert):
-    """(dA11, dB11, dA21, dB21, dA22, dB22), cut from the perturbation's pencil."""
-    d11, d21, _, d22 = split_natural_partition(pert.pencil, pert.k, pert.n)
-    return (*d11.coeffs, *d21.coeffs, *d22.coeffs)
+    """(dA11, dB11, dA21, dB21, dA22, dB22), views of the perturbation's pencil."""
+    d11, d21, _, d22 = natural_blocks(pert.pencil.coeffs, pert.k, pert.n)
+    return (*d11, *d21, *d22)
 
 
 def with_scaled_22_block(pert, scale):
     """The perturbation with its (2,2) block times ``scale``; still structured,
     because the kind's involution maps the (2,2) block to itself."""
     coeffs = pert.pencil.coeffs.copy()
-    top = (pert.k + 1) * pert.n
-    coeffs[:, top:, top:] *= scale
+    *_, d22 = natural_blocks(coeffs, pert.k, pert.n)
+    d22 *= scale
     return StructuredPerturbation.from_pencil(
         MatrixPolynomial(coeffs, pert.pencil.field), pert.k, pert.n, pert.kind
     )

@@ -17,6 +17,7 @@ from strukt import (
     congruence_zero_block,
     frob_norm,
     is_structured,
+    pair_norm,
     random_structured,
     random_structured_perturbation,
     reconstruct_perturbed_polynomial,
@@ -102,14 +103,25 @@ def test_from_pencil_refuses_a_pencil_of_the_wrong_size_or_grade(size, grade):
 # congruence
 # ---------------------------------------------------------------------------
 
+def dense_congruence(pencil, pert, x):
+    """Oracle: [[I, 0], [X, I]] (L + dL) [[I, X^*], [0, I]], formed densely."""
+    top = (pencil.k + 1) * pencil.n
+    g = np.eye(pencil.size, dtype=np.result_type(x, pencil.l0))
+    g[top:, :top] = x
+    perturbed = pencil.poly + pert.pencil
+    return polycore.MatrixPolynomial(g @ perturbed.coeffs @ polycore.star(g), perturbed.field)
+
+
 def test_congruence_zero_perturbation_is_identity():
     kind = StructureKind.symmetric
     p, pencil, _ = make_case(kind, seed=3)
     zero = StructuredPerturbation.from_pencil(polycore.zeros(10, 10, 1), 2, 2, kind)
     res = congruence_zero_block(pencil, zero)
     assert not res.x.any()
-    assert np.array_equal(res.ltilde.coeffs, pencil.as_polynomial().coeffs)
-    assert frob_norm(res.dtilde21) == 0.0
+    assert res.m11.coeffs.tobytes() == pencil.m_pencil.coeffs.tobytes()
+    # Bit for bit but for the sign of zeros: adding dL = 0 turns the -0.0
+    # entries of L_k's -I blocks into +0.0.
+    assert np.array_equal(res.b21.coeffs, minbases.build_Lk(2, 2).coeffs)
 
 
 def test_congruence_refuses_a_perturbation_of_another_kind():
@@ -120,11 +132,30 @@ def test_congruence_refuses_a_perturbation_of_another_kind():
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("field", [polycore.REAL, polycore.COMPLEX])
+@pytest.mark.parametrize("placement", ["tridiagonal", "stacked"])
+def test_congruence_blocks_match_the_dense_congruence(kind, field, placement):
+    """The blocks the congruence forms are those of the dense product, which
+    is structured and whose (2,2) block has the reported residual."""
+    p = random_structured(2, 5, kind, 1.0, seed=17, field=field)
+    pencil = build_linearization(p, kind, placement)
+    pert = random_structured_perturbation(2, 2, kind, 1e-6, seed=18, field_tag=field)
+    res = congruence_zero_block(pencil, pert)
+    dense = dense_congruence(pencil, pert, res.x)
+    assert is_structured(dense, kind, tol=1e-12)
+    d11, d21, _, d22 = linearize.natural_blocks(dense.coeffs, 2, 2)
+    for got, want in ((res.m11.coeffs, d11), (res.b21.coeffs, d21)):
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    # Both are the rounding residue of one block summed in different orders,
+    # so they agree in size, not in bits.
+    assert pair_norm(*d22) == pytest.approx(res.residual22, rel=0.1)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_congruence_pipeline_small_perturbation(kind):
     p, pencil, pert = make_case(kind, seed=17, norm=1e-8)
     res = congruence_zero_block(pencil, pert)
     assert res.residual22 <= 1e-14
-    assert is_structured(res.ltilde, kind, tol=1e-12)
     assert np.linalg.norm(res.x) <= x_norm_bound(2, res.norm_dl)
     # growth of the (2,1) defect obeys the stated amplification factor
     grow = res.norm_dl * (
@@ -132,7 +163,7 @@ def test_congruence_pipeline_small_perturbation(kind):
         + 3.0 * 2 / (1.0 - 3.0 * 2 * res.norm_dl)
         * (frob_norm(pencil.m_pencil) + res.norm_dl)
     )
-    assert frob_norm(res.dtilde21) <= grow + 1e-15
+    assert frob_norm(res.b21 - minbases.build_Lk(2, 2)) <= grow + 1e-15
 
 
 def test_congruence_threshold_certified_mode():
@@ -153,7 +184,7 @@ def test_congruence_threshold_certified_mode():
 def test_reconstruct_zero_perturbation_exact():
     kind = StructureKind.odd
     p, pencil, _ = make_case(kind, seed=29)
-    recon = reconstruct_perturbed_polynomial(pencil.as_polynomial(), 2, 2, kind)
+    recon = reconstruct_perturbed_polynomial(pencil.m_pencil, minbases.build_Lk(2, 2), kind)
     assert frob_norm(recon.poly - p) <= 1e-14
     assert recon.norm_dr == 0.0
 
@@ -163,11 +194,11 @@ def test_reconstruct_refuses_defect_at_the_completion_bound(rng):
     defect and `completion_threshold(k)`."""
     kind = StructureKind.palindromic
     _, pencil, _ = make_case(kind, seed=31)
-    coeffs = pencil.as_polynomial().coeffs.copy()
+    coeffs = minbases.build_Lk(2, 2).coeffs.copy()
     bump = rng.standard_normal((4, 6))
-    coeffs[0, 6:, :6] += 0.98 * bump / np.linalg.norm(bump)
+    coeffs[0] += 0.98 * bump / np.linalg.norm(bump)
     with pytest.raises(ThresholdError) as err:
-        reconstruct_perturbed_polynomial(polycore.MatrixPolynomial(coeffs), 2, 2, kind)
+        reconstruct_perturbed_polynomial(pencil.m_pencil, polycore.MatrixPolynomial(coeffs), kind)
     assert err.value.bound == minbases.completion_threshold(2)
     assert err.value.value == pytest.approx(0.98, rel=1e-14)
 
@@ -179,7 +210,7 @@ def test_reconstruct_structure_and_norm_bound(kind, g):
     for trial in range(10):
         p, pencil, pert = make_case(kind, seed=trial * 7, g=g, norm=1e-6)
         cong = congruence_zero_block(pencil, pert)
-        recon = reconstruct_perturbed_polynomial(cong.ltilde, k, 2, kind)
+        recon = reconstruct_perturbed_polynomial(cong.m11, cong.b21, kind)
         assert is_structured(recon.poly, kind, tol=1e-11)
         dp = recon.poly - p
         assert polycore.structure_residual(dp, kind) <= 1e-11
@@ -205,7 +236,7 @@ def test_pencil_norm_identities(kind, placement):
         pencil = build_linearization(p, kind, placement)
         norm_p = frob_norm(p)
         norm_m = frob_norm(pencil.m_pencil)
-        norm_l = frob_norm(pencil.as_polynomial())
+        norm_l = frob_norm(pencil.poly)
         assert norm_l == pytest.approx(
             math.sqrt(norm_m**2 + 4.0 * n * k), rel=1e-13
         )
@@ -221,7 +252,7 @@ def test_theorem_bound_values():
     assert tb.threshold == pytest.approx(
         (math.pi / 16.0) ** 2 / (3**2.5 * (1.0 + norm_m))
     )
-    norm_l = frob_norm(pencil.as_polynomial())
+    norm_l = frob_norm(pencil.poly)
     assert tb.c_pl == pytest.approx(
         68.0 * 3**2.5 * norm_l * (1.0 + norm_m + norm_m**2)
     )
@@ -352,6 +383,25 @@ def test_a_repeated_certification_rebuilds_no_shape_constant(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     certify()
     assert calls == {"binom": 0, "selector eye": 0}
+
+
+def test_a_repeated_certification_forms_no_full_size_identity(monkeypatch):
+    """The congruence forms blocks only: once a trial at a shape has run, a
+    second certification calls np.eye at no size of (2k+1)n or more."""
+    kind = StructureKind.palindromic
+    p = random_structured(2, 5, kind, 1.0, seed=8)
+    run_certification(p, kind, "tridiagonal", [1e-6], trials=1, seed=9)
+    sizes = []
+    eye = np.eye
+
+    def counting_eye(n, m=None, *args, **kwargs):
+        sizes.append(max(n, m or n))
+        return eye(n, m, *args, **kwargs)
+
+    monkeypatch.setattr(np, "eye", counting_eye)
+    [rep] = run_certification(p, kind, "tridiagonal", [1e-6], trials=1, seed=9)
+    assert rep.error is None and rep.ratio_le_bound
+    assert [size for size in sizes if size >= 5 * 2] == []
 
 
 _FRESH_PROCESS_ROWS = """
@@ -497,8 +547,8 @@ def test_minimal_index_shift_under_perturbation():
     pencil = build_linearization(p, kind, "tridiagonal")
     pert = random_structured_perturbation(k, n, kind, 1e-8, seed=9)
     cong = congruence_zero_block(pencil, pert)
-    recon = reconstruct_perturbed_polynomial(cong.ltilde, k, n, kind)
-    lpert = pencil.as_polynomial() + pert.pencil
+    recon = reconstruct_perturbed_polynomial(cong.m11, cong.b21, kind)
+    lpert = pencil.poly + pert.pencil
     rep_poly = minimal_indices(recon.poly)
     rep_pencil = minimal_indices(lpert, tol=1e-7)
     assert rep_poly.right == rep_poly.left
@@ -514,7 +564,7 @@ def test_complex_field_pipeline():
         2, 2, kind, 1e-8, seed=5, field_tag=polycore.COMPLEX
     )
     cong = congruence_zero_block(pencil, pert)
-    recon = reconstruct_perturbed_polynomial(cong.ltilde, 2, 2, kind)
+    recon = reconstruct_perturbed_polynomial(cong.m11, cong.b21, kind)
     dp = recon.poly - p
     assert cong.residual22 <= 1e-14
     assert polycore.structure_residual(dp, kind) <= 1e-11

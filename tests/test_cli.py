@@ -68,7 +68,23 @@ def _assert_one_error_line(capsys):
     return err
 
 
-@pytest.mark.parametrize("doc", ["{}", "[1, 2]", '{"rows": 2, "cols": 2, "grade": 1}'])
+_HEAD = '"rows": 1, "cols": 1, "grade": 1, '
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "{}",
+        "[1, 2]",
+        '{"rows": 2, "cols": 2, "grade": 1}',
+        "{" + _HEAD + '"field": "complex", "coeffs": [[[1.0]], [[1.0]]]}',
+        "{" + _HEAD + '"field": "complex", "coeffs": [[[[1.0]]], [[[1.0]]]]}',
+        "{" + _HEAD + '"field": "real", "coeffs": 5}',
+        "{" + _HEAD + '"field": ["real"], "coeffs": [[[1.0]], [[1.0]]]}',
+        "{" + _HEAD + '"field": "real", "coeffs": [[[1e999]], [[1.0]]]}',
+        "{" + _HEAD + '"field": "real", "coeffs": [[[null]], [[1.0]]]}',
+    ],
+)
 def test_linearize_malformed_polynomial_file_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(doc)

@@ -71,7 +71,7 @@ def test_assemble_rejects_unstructured_block(rng):
 def test_assemble_structure_and_offdiagonal_blocks(kind, rng):
     p = integer_structured_poly(kind, 5, 2, rng)
     pencil = build_linearization(p, kind, "stacked")
-    assert is_structured(pencil.as_polynomial(), kind, tol=1e-13)
+    assert is_structured(pencil.poly, kind, tol=1e-13)
     # cross-module consistency of the (1,2) block
     b12 = star_adjoint(mobius(build_Lk(2, 2), kind.mobius))
     top, size = 6, 10
@@ -125,7 +125,7 @@ def test_congruence_preserves_structure(rng):
     pencil = build_linearization(p, kind, "tridiagonal")
     x = rng.standard_normal((10, 10))
     x += 10.0 * np.eye(10)  # keep it nonsingular
-    poly = pencil.as_polynomial()
+    poly = pencil.poly
     transformed = polycore.from_coeff_list(
         [x.T @ poly.coefficient(0) @ x, x.T @ poly.coefficient(1) @ x]
     )
@@ -266,9 +266,22 @@ def test_pencil_file_roundtrip(tmp_path):
     assert record["kind"] is StructureKind.odd
     assert record["sign"] == kind.recovery_sign(2)
     assert np.array_equal(poly.coefficient(0), pencil.l0)
-    m11, b21, b12, b22 = linearize.split_natural_partition(poly, 2, 2)
-    assert np.array_equal(m11.coefficient(0), pencil.m0)
-    assert frob_norm(b22) == 0.0
+    m11, _, _, b22 = linearize.natural_blocks(poly.coeffs, 2, 2)
+    assert np.array_equal(m11[0], pencil.m0)
+    assert not b22.any()
+
+
+def test_natural_blocks_are_views_that_tile_the_stack():
+    k, n = 2, 3
+    stack = np.arange(2 * 15 * 15, dtype=float).reshape(2, 15, 15)
+    blocks = linearize.natural_blocks(stack, k, n)
+    b11, b21, b12, b22 = blocks
+    assert [b.shape for b in blocks] == [(2, 9, 9), (2, 6, 9), (2, 9, 6), (2, 6, 6)]
+    assert all(np.shares_memory(b, stack) for b in blocks)
+    assert np.array_equal(np.block([[b11, b12], [b21, b22]]), stack)
+    stack.setflags(write=False)
+    for b in linearize.natural_blocks(stack, k, n):
+        assert not b.flags.writeable
 
 
 def test_complex_field_roundtrip():
@@ -276,5 +289,5 @@ def test_complex_field_roundtrip():
         p = random_structured(2, 5, kind, 1.0, seed=3, field=polycore.COMPLEX)
         assert is_structured(p, kind, tol=1e-13)
         pencil = build_linearization(p, kind, "tridiagonal")
-        assert is_structured(pencil.as_polynomial(), kind, tol=1e-13)
+        assert is_structured(pencil.poly, kind, tol=1e-13)
         assert frob_norm(recover(pencil) - p) <= 1e-13

@@ -384,6 +384,15 @@ def test_json_roundtrip_bit_exact_complex(rng, tmp_path):
     assert np.array_equal(q.coeffs, p.coeffs)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, None])
+def test_json_refuses_non_finite_coefficients(bad):
+    """JSON reads 1e999 as inf and null would become NaN: both are refused at
+    load time, before any solver sees them."""
+    doc = {"rows": 1, "cols": 1, "grade": 1, "field": "real", "coeffs": [[[bad]], [[1.0]]]}
+    with pytest.raises(StruktError, match="finite"):
+        polycore.from_json_dict(doc)
+
+
 def test_json_schema_fields(rng, tmp_path):
     p = random_poly(rng, 2, 3, 1)
     path = tmp_path / "p.json"

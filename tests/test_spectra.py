@@ -173,7 +173,7 @@ def test_minimal_index_shift_of_linearization(g):
     coeffs[g, 1, 1] = 2.0
     p = polycore.MatrixPolynomial(coeffs)
     pencil = build_linearization(p, StructureKind.symmetric, "tridiagonal")
-    rep = minimal_indices(pencil.as_polynomial())
+    rep = minimal_indices(pencil.poly)
     assert rep.right == (k,) and rep.left == (k,)
 
 

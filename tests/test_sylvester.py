@@ -429,7 +429,7 @@ def test_fixed_point_congruence_zeroes_block(rng):
     g[6:, :6] = x
     h = np.eye(10)
     h[:6, 6:] = x.T
-    perturbed = pencil.as_polynomial() + pert.pencil
+    perturbed = pencil.poly + pert.pencil
     t0 = g @ perturbed.coefficient(0) @ h
     t1 = g @ perturbed.coefficient(1) @ h
     assert pair_norm(t0[6:, 6:], t1[6:, 6:]) <= 1e-13
