@@ -42,16 +42,14 @@ class StructuredPerturbation:
 
     Only the pencil is stored; the fixed point reads its natural-partition
     blocks as views of it. `from_pencil` admits dL only when it is structured
-    to within 1e-12 of its own norm.
+    to within 1e-12 of its own norm, and stores that Frobenius ``norm``.
     """
 
     pencil: MatrixPolynomial
     kind: StructureKind
     k: int
     n: int
-
-    def norm(self) -> float:
-        return frob_norm(self.pencil)
+    norm: float
 
     @classmethod
     def from_pencil(
@@ -68,7 +66,7 @@ class StructuredPerturbation:
             raise StructureError(
                 f"perturbation is not structured (residual {residual:.3e} at norm {norm:.3e})"
             )
-        return cls(dl, kind, k, n)
+        return cls(dl, kind, k, n, norm)
 
 
 def random_structured_perturbation(
@@ -114,7 +112,6 @@ class CongruenceResult:
     b21: MatrixPolynomial
     state: sylvester.FixedPointState
     residual22: float
-    norm_dl: float
 
 
 def congruence_zero_block(
@@ -151,7 +148,6 @@ def congruence_zero_block(
         b21=MatrixPolynomial(b21, field),
         state=state,
         residual22=residual22,
-        norm_dl=pert.norm(),
     )
 
 
@@ -320,7 +316,7 @@ def _run_single_trial(
             report.norm_dR = recon.norm_dr
             report.norm_dP = frob_norm(dp)
             report.ratio = report.norm_dP / norm_p
-            report.bound = tb.ratio_bound(cong.norm_dl)
+            report.bound = tb.ratio_bound(pert.norm)
             report.ratio_le_bound = bool(report.ratio <= report.bound)
             report.structure_ok = bool(
                 structure_residual(dp, kind) <= 1e-11 * max(1.0, norm_p)
@@ -352,11 +348,12 @@ def run_certification(
     ``p`` is scaled to unit Frobenius norm first. Trials run one after
     another and are deterministic per (seed, norm index, trial index);
     per-trial failures are recorded in the report, never raised. A grade
-    below 3, fewer than one trial or a norm outside [0, inf) is refused with
-    a `StruktError` before any trial.
+    below 3, a non-finite coefficient, fewer than one trial or a norm outside
+    [0, inf) is refused with a `StruktError` before any trial.
     """
     if p.grade < 3:
         raise GradeError(f"certification needs grade >= 3 (k >= 1), got {p.grade}")
+    polycore.require_finite(p)
     if trials < 1:
         raise StruktError("trials must be >= 1")
     if not all(0 <= nrm < math.inf for nrm in pert_norms):

@@ -100,6 +100,7 @@ def _placement_preamble(p: MatrixPolynomial, kind: StructureKind):
         raise StructureError("placements require a square polynomial")
     if p.grade % 2 == 0:
         raise GradeError("odd grade required")
+    polycore.require_finite(p)
     if not is_structured(p, kind):
         raise StructureError(f"input polynomial is not {kind.value}")
     g = p.grade

@@ -4,11 +4,10 @@ The two protagonists are the bidiagonal pencil L_k (x) I_n (block pattern
 [-I, lI] per row) and the monomial row Lambda_k^T (x) I_n = [l^k I, ..., l I, I].
 They multiply to zero and stay minimal under the structure substitutions.
 When the pencil is perturbed, `dual_basis_complete` rebuilds a dual partner of
-degree k by a minimum-norm solve of the coefficient-convolution system: the
-system is applied as matrix products, and conjugate gradients run on its
-Gram matrix, preconditioned by the n = 1 Gram inverse of the unperturbed
-pencil. `convolution_matrix` forms the system densely for oracles and
-minimal-index estimation.
+degree k by `polycore.min_norm_solve` on the coefficient-convolution system,
+applied as matrix products and preconditioned by the n = 1 Gram inverse of
+the unperturbed pencil. `convolution_matrix` forms the system densely for
+oracles and minimal-index estimation.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polycore
-from .errors import GradeError, NumericalError, ThresholdError
+from .errors import GradeError, ThresholdError
 from .polycore import MatrixPolynomial
 
 #: A perturbed pencil within this bound of L_k (x) I_n is guaranteed to admit a
@@ -81,7 +80,7 @@ def build_Lambda(k: int, n: int) -> MatrixPolynomial:
 
 @dataclass(frozen=True)
 class DualBasisPair:
-    """A wide pencil K and a degree-k partner N with K N^T = 0.
+    """A degree-k partner N of a wide pencil K, with K N^T = 0.
 
     ``correction`` is N minus the canonical monomial row, as solved: taking
     N - Lambda instead would cancel the low bits of every entry next to a one
@@ -89,15 +88,9 @@ class DualBasisPair:
     built N.
     """
 
-    K: MatrixPolynomial
     N: MatrixPolynomial
     correction: MatrixPolynomial
-    k: int
-    n: int
     iterations: int
-
-    def duality_residual(self) -> float:
-        return polycore.frob_norm(polycore.poly_matmul(self.K, polycore.transpose_poly(self.N)))
 
 
 def convolution_matrix(K: MatrixPolynomial, target_degree: int) -> np.ndarray:
@@ -170,8 +163,7 @@ def _completion_preconditioner(k: int) -> np.ndarray:
     """Inverse of C C^T for C = `convolution_matrix(build_Lk(k, 1), k)`, the
     (k+2)k square Gram matrix of the n = 1 completion, built matrix-free."""
     lk = build_Lk(k, 1)
-    basis = np.eye((k + 2) * k).reshape(k + 2, k, -1)
-    gram = _times(lk, _times_adjoint(lk, basis)).reshape((k + 2) * k, -1)
+    gram = polycore.gram_matrix(lambda r: _times(lk, _times_adjoint(lk, r)), (k + 2, k, 1))
     pinv = np.linalg.inv(gram)
     pinv.setflags(write=False)
     return pinv
@@ -182,12 +174,11 @@ def dual_basis_complete(K: MatrixPolynomial, k: int, n: int) -> DualBasisPair:
 
     K must be a pencil L_k (x) I_n plus a perturbation below
     `completion_threshold(k)`. Let A map a degree-k factor D to the
-    coefficients of K D; it is applied as matrix products and never formed.
-    The correction of the monomial row is the minimum-norm D with
-    A (Lambda^T + D) = 0, namely D = A^* w with A A^* w = -A Lambda^T.
-    `polycore.pcg` solves for w, preconditioned by the inverse of the n = 1
-    Gram matrix of L_k: at zero perturbation A A^* is a permutation of that
-    matrix (x) I_{n^2}. The duality residual must be at most 1e-12.
+    coefficients of K D. The correction of the monomial row is the
+    minimum-norm D with A D = -A Lambda^T, which `polycore.min_norm_solve`
+    finds, preconditioned by the inverse of the n = 1 Gram matrix of L_k. Its
+    gate bounds the duality residual K D + K Lambda^T relative to
+    ||K Lambda^T||_F, before Lambda^T + D is rounded into N.
     """
     if K.shape != (k * n, (k + 1) * n) or K.grade != 1:
         raise ValueError(
@@ -202,21 +193,10 @@ def dual_basis_complete(K: MatrixPolynomial, k: int, n: int) -> DualBasisPair:
             value=dl_norm,
             bound=bound,
         )
-    pinv = _completion_preconditioner(k)
-    rows = (k + 2) * k
-
-    def precondition(r: np.ndarray) -> np.ndarray:
-        # (k+2, kn, n) -> ((k+2)k, n^2): the Kronecker blocks become channels.
-        return (pinv @ r.reshape(rows, n * n)).reshape(r.shape)
-
     lam = build_Lambda(k, n)
-    rhs = -_times(K, polycore.transpose_poly(lam).coeffs)
-    w, iterations = polycore.pcg(lambda v: _times(K, _times_adjoint(K, v)), precondition, rhs)
-    correction = polycore.transpose_poly(MatrixPolynomial(_times_adjoint(K, w), K.field))
-    pair = DualBasisPair(
-        K=K, N=lam + correction, correction=correction, k=k, n=n, iterations=iterations
+    d, iterations = polycore.min_norm_solve(
+        functools.partial(_times, K), functools.partial(_times_adjoint, K),
+        _completion_preconditioner(k), n, -_times(K, polycore.transpose_poly(lam).coeffs),
     )
-    residual = pair.duality_residual()
-    if residual > 1e-12:
-        raise NumericalError(f"dual completion residual {residual:.3e} above tolerance 1e-12")
-    return pair
+    correction = polycore.transpose_poly(MatrixPolynomial(d, K.field))
+    return DualBasisPair(N=lam + correction, correction=correction, iterations=iterations)

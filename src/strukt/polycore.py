@@ -7,9 +7,9 @@ grade, the Frobenius norm does not).  On top of that this module provides
 Horner evaluation, grade-aware reversal, Mobius transformations driven by a
 nonsingular 2x2 matrix, and the six classical structure classes (symmetric,
 skew-symmetric, palindromic, anti-palindromic, even, odd) together with a
-structure test, a structure projector, and a seeded random sampler. `pcg`
-is the matrix-free conjugate-gradient solve that both minimum-norm solves
-of the certification pipeline share.
+structure test, a structure projector, and a seeded random sampler.
+`min_norm_solve` is the gated matrix-free solve that both minimum-norm solves
+of the certification pipeline call.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GradeError, StructureError, StruktError
+from .errors import GradeError, NumericalError, StructureError, StruktError
 
 REAL = "real"
 COMPLEX = "complex"
@@ -314,6 +314,41 @@ def pcg(gram_apply, precondition, c: np.ndarray):
     return w, it
 
 
+def gram_matrix(gram_apply, shape) -> np.ndarray:
+    """Matrix of the linear map ``gram_apply`` on arrays of ``shape``, one
+    column per unit array, rows and columns in row-major order."""
+    size = math.prod(shape)
+    cols = [gram_apply(unit.reshape(shape)).reshape(size) for unit in np.eye(size)]
+    return np.stack(cols, axis=1)
+
+
+def kron_precondition(pinv: np.ndarray, n: int, r: np.ndarray) -> np.ndarray:
+    """``pinv`` applied to the n^2 channels of an (e, p*n, q*n) stack: channel
+    (i, j) is the (e, p, q) array of entry (i, j) of each n x n block."""
+    e, pn, qn = r.shape
+    p, q = pn // n, qn // n
+    channels = r.reshape(e, p, n, q, n).transpose(0, 1, 3, 2, 4).reshape(e * p * q, n * n)
+    out = (pinv @ channels).reshape(e, p, q, n, n)
+    return out.transpose(0, 1, 3, 2, 4).reshape(r.shape)
+
+
+def min_norm_solve(apply, adjoint, pinv: np.ndarray, n: int, c: np.ndarray):
+    """Minimum Frobenius norm x with apply(x) = c; return (x, iterations).
+
+    ``apply`` is a wide linear map A, never formed, and ``adjoint`` its A^*.
+    `pcg` solves A A^* w = c and x = A^* w. At zero perturbation A A^* is a
+    permutation of G (x) I_{n^2}, G the n = 1 Gram matrix on an (e, p*n, q*n)
+    ``c``, so ``pinv`` = G^{-1} preconditions by `kron_precondition`. Raises
+    `NumericalError` unless ||apply(x) - c||_F <= 1e-12 max(||c||_F, 1e-300).
+    """
+    w, iterations = pcg(lambda v: apply(adjoint(v)), lambda r: kron_precondition(pinv, n, r), c)
+    x = adjoint(w)
+    resid = _norm(apply(x) - c)
+    if resid > 1e-12 * max(_norm(c), 1e-300):
+        raise NumericalError(f"minimum-norm solve residual {resid:.3e} above 1e-12 relative")
+    return x, iterations
+
+
 # ---------------------------------------------------------------------------
 # Evaluation, reversal, adjoints, products
 # ---------------------------------------------------------------------------
@@ -342,18 +377,15 @@ def transpose_poly(p: MatrixPolynomial) -> MatrixPolynomial:
 
 
 def star(a: np.ndarray) -> np.ndarray:
-    """Transpose of a real matrix, conjugate transpose of a complex one."""
-    return np.conj(a.T) if np.iscomplexobj(a) else a.T
-
-
-def _adjoint_coeffs(p: MatrixPolynomial) -> np.ndarray:
-    out = np.swapaxes(p.coeffs, 1, 2)
-    return np.conj(out) if p.field == COMPLEX else out
+    """Transpose of the last two axes of a real array, conjugate transpose of
+    a complex one."""
+    t = a.swapaxes(-1, -2)
+    return np.conj(t) if np.iscomplexobj(a) else t
 
 
 def star_adjoint(p: MatrixPolynomial) -> MatrixPolynomial:
     """Coefficient-wise transpose (real field) or conjugate transpose (complex)."""
-    return MatrixPolynomial(_adjoint_coeffs(p), p.field)
+    return MatrixPolynomial(star(p.coeffs), p.field)
 
 
 def poly_matmul(p: MatrixPolynomial, q: MatrixPolynomial) -> MatrixPolynomial:
@@ -428,7 +460,7 @@ def structure_residual(p: MatrixPolynomial, kind) -> float:
     """
     if not p.is_square:
         raise StructureError("structure checks require a square polynomial")
-    return _norm(_substituted(p, driver_matrix(kind)) - _adjoint_coeffs(p))
+    return _norm(_substituted(p, driver_matrix(kind)) - star(p.coeffs))
 
 
 def is_structured(
@@ -509,6 +541,19 @@ def require_ints(doc: dict, keys, what: str) -> None:
         raise StruktError(f"{what} keys {bad} must be integers")
 
 
+def require_finite(p: MatrixPolynomial) -> None:
+    """Refuse a polynomial with an infinite or NaN coefficient with `StruktError`."""
+    if not np.isfinite(p.coeffs).all():
+        raise StruktError("polynomial coefficients must be finite")
+
+
+def _is_number_tree(x) -> bool:
+    """True for a JSON number (not a bool) or nested lists of them."""
+    if isinstance(x, list):
+        return all(map(_is_number_tree, x))
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def from_json_dict(doc: dict) -> MatrixPolynomial:
     """The polynomial a `to_json_dict` record describes; complex entries are
     [re, im] pairs. A record of another layout, or with a coefficient that is
@@ -518,10 +563,13 @@ def from_json_dict(doc: dict) -> MatrixPolynomial:
     field = doc["field"]
     if not isinstance(field, str) or field not in _FIELD_DTYPES:
         raise StruktError(f"unknown field tag {field!r}")
+    malformed = StruktError("coefficients must be equally sized nested lists of finite numbers")
+    if not _is_number_tree(doc["coeffs"]):
+        raise malformed
     try:
         arr = np.array(doc["coeffs"], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise StruktError("coefficients must be equally sized nested lists of numbers") from None
+    except (ValueError, OverflowError):
+        raise malformed from None
     if arr.ndim < 1 or len(arr) != doc["grade"] + 1:
         raise StruktError("coefficient count does not match the declared grade")
     entry = (2,) if field == COMPLEX else ()
@@ -530,11 +578,11 @@ def from_json_dict(doc: dict) -> MatrixPolynomial:
             "coefficient shapes do not match the declared size"
             + (" of [re, im] entries" if entry else "")
         )
-    if not np.isfinite(arr).all():
-        raise StruktError("coefficients must be finite")
     if field == COMPLEX:
         arr = arr.view(np.complex128)[..., 0]
-    return MatrixPolynomial(arr, field)
+    p = MatrixPolynomial(arr, field)
+    require_finite(p)
+    return p
 
 
 def save_polynomial(p: MatrixPolynomial, path) -> None:

@@ -115,6 +115,7 @@ def reference_polyeigs(p: MatrixPolynomial) -> SpectrumReport:
     """
     if not p.is_square:
         raise ValueError("polynomial eigenvalues require a square polynomial")
+    polycore.require_finite(p)
     if not is_regular(p):
         raise SingularPolynomialError(
             "polynomial is singular; use minimal_indices instead"

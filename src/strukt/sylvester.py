@@ -6,11 +6,10 @@ underdetermined system whose matrix has exact 0/+-1 entries and minimum
 singular value 2*sin(pi/(4k)) for every structure kind and every block size.
 Its minimum-norm solver never forms T or T T^*. It computes the certified
 gap delta once, by Weyl's inequality on the operator's own blocks, with
-sigma_min of the unperturbed system taken from its n = 1 Gram matrix. It
-then solves T T^* w = c by conjugate gradients preconditioned with the
-unperturbed Gram inverse, which is its n = 1 reduction applied to n^2
-channels, and returns T^* w. The quadratic step wraps the linear solve in a
-fixed-point iteration whose convergence is certified by delta > 0 and
+sigma_min of the unperturbed system taken from its n = 1 Gram matrix, and
+solves through `polycore.min_norm_solve` preconditioned with that matrix's
+inverse. The quadratic step wraps the linear solve in a fixed-point
+iteration whose convergence is certified by delta > 0 and
 theta*omega/delta^2 < 1/4.
 """
 
@@ -23,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import minbases
-from .errors import ConvergenceError, NumericalError, ThresholdError
+from .errors import ConvergenceError, ThresholdError
 from .linearize import natural_blocks
-from .polycore import driver_matrix, pair_norm, pcg, star
+from .polycore import driver_matrix, gram_matrix, min_norm_solve, pair_norm, star
 
 
 def sigma_min_formula(k: int) -> float:
@@ -166,8 +165,8 @@ class _Reference:
     column permutation of T_A(1) (x) I_{n^2}, so its Gram inverse and its
     sigma_min are those of the n = 1 reduction."""
 
-    #: Inverse of the n = 1 Gram matrix, rows and columns in the order
-    #: (equation, row block, column block) of `_MinNormSolver.precondition`.
+    #: Inverse of the n = 1 Gram matrix, rows and columns in the row-major
+    #: order (equation, row block, column block) of `polycore.kron_precondition`.
     pinv: np.ndarray
     #: A lower bound on sigma_min(T_A), from an eigvalsh of the same Gram
     #: matrix less its rounding allowance, not from the formula.
@@ -182,12 +181,8 @@ _EPS = float(np.finfo(float).eps)
 
 @functools.lru_cache(maxsize=None)
 def _reference(k: int, n: int, driver) -> _Reference:
-    # T T^* at n = 1 applied to each unit vector of the row-major
-    # (equation, row, column) basis, the order `precondition` uses.
     op1 = StarSylvesterOperator.unperturbed(k, 1, driver)
-    basis = np.eye(2 * k * k).reshape(-1, 2, k, k)
-    gram = np.stack(op1.apply(*op1.adjoint(basis[:, 0], basis[:, 1])), axis=1)
-    gram = gram.reshape(2 * k * k, -1)
+    gram = gram_matrix(lambda w: np.stack(op1.apply(*op1.adjoint(w[0], w[1]))), (2, k, k))
     op = StarSylvesterOperator.unperturbed(k, n, driver)
     # eigvalsh is backward stable: each computed eigenvalue is within a small
     # multiple of eps*||G||_2 of an exact one, so lambda_min less 2k^2*eps*||G||_F
@@ -205,8 +200,8 @@ def _reference(k: int, n: int, driver) -> _Reference:
 
 
 class _MinNormSolver:
-    """Minimum-norm solves with a wide operator T:
-    (Y, Z^*) = T^* w with T T^* w = (c0, c1).
+    """Minimum-norm solves with the wide operator T of a
+    `StarSylvesterOperator`, and the certified gap of T.
 
     ``delta`` is the certified lower bound on sigma_min(T) that Weyl's
     inequality gives on the operator's own blocks:
@@ -218,12 +213,6 @@ class _MinNormSolver:
     from the unperturbed ones, so ||dT||_2 is at most the hypot of their
     spectral norms: two SVDs of O(kn) size. A gap delta <= 0 is refused with `ThresholdError`.
     Nothing of size m x m, m = 2k^2n^2, is formed.
-
-    Each solve runs `polycore.pcg` on T T^* w = (c0, c1), applying T T^* as
-    `apply` after `adjoint`. The preconditioner is the inverse of the
-    unperturbed Gram matrix: at zero perturbation T is a row and column
-    permutation of its n = 1 reduction (x) I_{n^2}, so that inverse is one
-    2k^2 x 2k^2 matrix applied to n^2 channels.
     """
 
     def __init__(self, op: StarSylvesterOperator):
@@ -249,30 +238,16 @@ class _MinNormSolver:
         #: CG iterations of the latest `solve`.
         self.iterations = 0
 
-    def precondition(self, r: np.ndarray) -> np.ndarray:
-        """Inverse of the unperturbed Gram matrix applied to a (2, kn, kn)
-        stack, whose Kronecker blocks become n^2 channels of `pinv`."""
-        k, n = self.op.k, self.op.n
-        channels = r.reshape(2, k, n, k, n).transpose(0, 1, 3, 2, 4).reshape(2 * k * k, n * n)
-        out = (self.pinv @ channels).reshape(2, k, k, n, n)
-        return out.transpose(0, 1, 3, 2, 4).reshape(r.shape)
-
-    def _gram_apply(self, w: np.ndarray) -> np.ndarray:
-        return np.stack(self.op.apply(*self.op.adjoint(w[0], w[1])))
-
     def solve(self, c0: np.ndarray, c1: np.ndarray):
-        """Minimum Frobenius norm (Y, Z^*) with op.apply(Y, Z^*) = (c0, c1).
-
-        Raises `NumericalError` unless the residual is within 1e-12 of
-        ||(c0, c1)||_F; the solution obeys ||(Y, Z)||_F <= ||(c0, c1)||_F / `delta`.
-        """
-        w, self.iterations = pcg(self._gram_apply, self.precondition, np.stack([c0, c1]))
-        y, zs = self.op.adjoint(w[0], w[1])
-        r0, r1 = self.op.apply(y, zs)
-        resid = pair_norm(r0 - c0, r1 - c1)
-        if resid > 1e-12 * max(pair_norm(c0, c1), 1e-300):
-            raise NumericalError(f"Sylvester solve residual {resid:.3e} above 1e-12 relative")
-        return y, zs
+        """Minimum Frobenius norm (Y, Z^*) with op.apply(Y, Z^*) = (c0, c1),
+        by `polycore.min_norm_solve` and behind its gate; the solution obeys
+        ||(Y, Z)||_F <= ||(c0, c1)||_F / `delta`."""
+        op = self.op
+        x, self.iterations = min_norm_solve(
+            lambda x: np.stack(op.apply(*x)), lambda w: op.adjoint(w[0], w[1]), self.pinv, op.n,
+            np.stack([c0, c1]),
+        )
+        return x
 
 
 # ---------------------------------------------------------------------------

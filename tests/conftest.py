@@ -9,6 +9,13 @@ from strukt.polycore import MatrixPolynomial
 ALL_KINDS = list(StructureKind)
 
 
+def with_entry(p, value):
+    """``p`` with one coefficient entry set to ``value``."""
+    coeffs = p.coeffs.copy()
+    coeffs[1, 0, 0] = value
+    return MatrixPolynomial(coeffs, p.field)
+
+
 def integer_structured_coeffs(kind, g, n, rng):
     """Exact small-integer coefficient fill satisfying the kind's relations."""
 

@@ -261,7 +261,7 @@ def test_criterion_5_backward_certification():
                     cong = congruence_zero_block(pencil, pert)
                     theta = cong.state.theta
                     assert cong.state.residuals[-1] <= 1e-12 * theta
-                    assert np.linalg.norm(cong.x) <= x_norm_bound(k, cong.norm_dl)
+                    assert np.linalg.norm(cong.x) <= x_norm_bound(k, pert.norm)
                     recon = reconstruct_perturbed_polynomial(cong.m11, cong.b21, kind)
                     norm_dtilde21 = frob_norm(cong.b21 - build_Lk(k, n))
                     assert recon.norm_dr <= dr_factor * norm_dtilde21
@@ -269,7 +269,7 @@ def test_criterion_5_backward_certification():
                     dp = recon.poly - p
                     assert polycore.structure_residual(dp, kind) <= 1e-11
                     ratio = frob_norm(dp) / frob_norm(p)
-                    assert ratio <= tb.ratio_bound(cong.norm_dl)
+                    assert ratio <= tb.ratio_bound(pert.norm)
         assert time.perf_counter() - start <= 300.0
 
 

@@ -29,7 +29,7 @@ from strukt.backward import StructuredPerturbation, x_norm_bound
 from strukt.errors import GradeError, StruktError, ThresholdError
 from strukt.linearize import build_linearization
 
-from conftest import ALL_KINDS, perturbation_blocks
+from conftest import ALL_KINDS, perturbation_blocks, with_entry
 
 
 def make_case(kind, seed=0, g=5, n=2, norm=1e-8, placement="tridiagonal"):
@@ -156,12 +156,12 @@ def test_congruence_pipeline_small_perturbation(kind):
     p, pencil, pert = make_case(kind, seed=17, norm=1e-8)
     res = congruence_zero_block(pencil, pert)
     assert res.residual22 <= 1e-14
-    assert np.linalg.norm(res.x) <= x_norm_bound(2, res.norm_dl)
+    assert np.linalg.norm(res.x) <= x_norm_bound(2, pert.norm)
     # growth of the (2,1) defect obeys the stated amplification factor
-    grow = res.norm_dl * (
+    grow = pert.norm * (
         1.0
-        + 3.0 * 2 / (1.0 - 3.0 * 2 * res.norm_dl)
-        * (frob_norm(pencil.m_pencil) + res.norm_dl)
+        + 3.0 * 2 / (1.0 - 3.0 * 2 * pert.norm)
+        * (frob_norm(pencil.m_pencil) + pert.norm)
     )
     assert frob_norm(res.b21 - minbases.build_Lk(2, 2)) <= grow + 1e-15
 
@@ -297,6 +297,15 @@ def test_run_certification_rejects_grade_1():
     p = random_structured(2, 1, StructureKind.symmetric, 1.0, seed=2)
     with pytest.raises(GradeError):
         run_certification(p, StructureKind.symmetric, "tridiagonal", [1e-8], trials=1, seed=3)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_run_certification_refuses_non_finite_coefficients(bad):
+    """Refused before the polynomial is scaled to unit norm, where an inf
+    would turn every coefficient into NaN."""
+    p = with_entry(random_structured(2, 3, StructureKind.odd, 1.0, seed=2), bad)
+    with pytest.raises(StruktError, match="finite"):
+        run_certification(p, StructureKind.odd, "tridiagonal", [1e-8], trials=1, seed=3)
 
 
 def test_certification_never_forms_the_dense_system(monkeypatch):

@@ -83,6 +83,11 @@ _HEAD = '"rows": 1, "cols": 1, "grade": 1, '
         "{" + _HEAD + '"field": ["real"], "coeffs": [[[1.0]], [[1.0]]]}',
         "{" + _HEAD + '"field": "real", "coeffs": [[[1e999]], [[1.0]]]}',
         "{" + _HEAD + '"field": "real", "coeffs": [[[null]], [[1.0]]]}',
+        "{" + _HEAD + '"field": "real", "coeffs": [[["1.5"]], [[0.0]]]}',
+        "{" + _HEAD + '"field": "real", "coeffs": [[[true]], [[0.0]]]}',
+        '{"rows": 2, "cols": 2, "grade": 1, "field": "real", '
+        '"coeffs": [[[1.0, true], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]]}',
+        "{" + _HEAD + '"field": "real", "coeffs": [[["nan"]], [[0.0]]]}',
     ],
 )
 def test_linearize_malformed_polynomial_file_exits_2(tmp_path, capsys, doc):

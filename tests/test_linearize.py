@@ -18,10 +18,10 @@ from strukt import (
     structure_project,
 )
 from strukt import linearize, minbases, polycore
-from strukt.errors import GradeError, StructureError
+from strukt.errors import GradeError, StructureError, StruktError
 from strukt.linearize import build_linearization, tridiagonal_form
 
-from conftest import ALL_KINDS, expected_tridiagonal_grade5, integer_structured_poly
+from conftest import ALL_KINDS, expected_tridiagonal_grade5, integer_structured_poly, with_entry
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -291,3 +291,11 @@ def test_complex_field_roundtrip():
         pencil = build_linearization(p, kind, "tridiagonal")
         assert is_structured(pencil.poly, kind, tol=1e-13)
         assert frob_norm(recover(pencil) - p) <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("placement", sorted(linearize.PLACEMENTS))
+def test_build_linearization_refuses_non_finite_coefficients(bad, placement):
+    p = with_entry(random_structured(2, 3, StructureKind.symmetric, seed=1), bad)
+    with pytest.raises(StruktError, match="finite"):
+        build_linearization(p, StructureKind.symmetric, placement)

@@ -18,7 +18,7 @@ from strukt import (
     transpose_poly,
 )
 from strukt import minbases, polycore
-from strukt.errors import GradeError, ThresholdError
+from strukt.errors import GradeError, NumericalError, ThresholdError
 
 from conftest import ALL_KINDS
 
@@ -211,8 +211,43 @@ def test_completion_residual_many_trials(rng):
     for trial in range(100):
         raw = polycore.MatrixPolynomial(rng.standard_normal((2, k * n, (k + 1) * n)))
         dl = raw * (0.5 * bound * rng.uniform(0.01, 1.0) / frob_norm(raw))
-        pair = dual_basis_complete(build_Lk(k, n) + dl, k, n)
-        assert pair.duality_residual() <= 1e-12
+        kpoly = build_Lk(k, n) + dl
+        pair = dual_basis_complete(kpoly, k, n)
+        assert frob_norm(poly_matmul(kpoly, transpose_poly(pair.N))) <= 1e-12
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_completion_preconditioner_is_the_unperturbed_gram_inverse(complex_field, rng):
+    """The n = 1 Gram inverse on n^2 channels is (C C^T)^{-1} for the dense
+    convolution matrix C of L_k (x) I_n, column by column."""
+    for k in range(1, 5):
+        pinv = minbases._completion_preconditioner(k)
+        for n in range(1, 4):
+            conv = convolution_matrix(build_Lk(k, n), k)
+            c = rng.standard_normal((k + 2, k * n, n))
+            if complex_field:
+                c = c + 1j * rng.standard_normal(c.shape)
+            want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(conv @ conv.T), c.reshape(-1, n))
+            got = polycore.kron_precondition(pinv, n, c).reshape(-1, n)
+            for j in range(n):
+                assert np.linalg.norm(got[:, j] - want[:, j]) <= 1e-13 * np.linalg.norm(want[:, j])
+
+
+def test_completion_gates_its_solve(monkeypatch, rng):
+    """A solve that misses its right-hand side by 1e-9 relative is refused,
+    even where the duality residual K N^T it leaves is below 1e-12."""
+    k, n = 2, 3
+    exact = polycore.pcg
+
+    def slightly_wrong(gram_apply, precondition, c):
+        w, iterations = exact(gram_apply, precondition, c)
+        return w * (1.0 + 1e-9), iterations
+
+    monkeypatch.setattr(polycore, "pcg", slightly_wrong)
+    raw = polycore.MatrixPolynomial(rng.standard_normal((2, k * n, (k + 1) * n)))
+    for norm in (1e-10, 1e-6, 1e-3):
+        with pytest.raises(NumericalError, match="solve residual"):
+            dual_basis_complete(build_Lk(k, n) + raw * (norm / frob_norm(raw)), k, n)
 
 
 def test_completion_threshold_violation(rng):

@@ -231,6 +231,14 @@ def test_star_adjoint_real_transpose():
     assert np.array_equal(star_adjoint(p).coefficient(0), np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_star_transposes_the_last_two_axes(rng, complex_field):
+    p = random_poly(rng, 3, 2, 2, complex_field)
+    want = np.stack([c.conj().T for c in p.coeffs])
+    assert np.array_equal(polycore.star(p.coeffs), want)
+    assert np.array_equal(polycore.star(p.coefficient(1)), want[1])
+
+
 def test_star_adjoint_complex_conjugates():
     p = from_coeff_list([np.array([[1j]])])
     assert star_adjoint(p).coefficient(0)[0, 0] == -1j
@@ -384,10 +392,12 @@ def test_json_roundtrip_bit_exact_complex(rng, tmp_path):
     assert np.array_equal(q.coeffs, p.coeffs)
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, None])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, None, "1.5", True, "nan"])
 def test_json_refuses_non_finite_coefficients(bad):
     """JSON reads 1e999 as inf and null would become NaN: both are refused at
-    load time, before any solver sees them."""
+    load time, before any solver sees them. So are strings and booleans,
+    which are not JSON numbers, though numpy would read "1.5" as 1.5 and
+    true as 1.0."""
     doc = {"rows": 1, "cols": 1, "grade": 1, "field": "real", "coeffs": [[[bad]], [[1.0]]]}
     with pytest.raises(StruktError, match="finite"):
         polycore.from_json_dict(doc)
@@ -417,6 +427,22 @@ def test_pcg_solves_a_hermitian_system_on_any_shape(rng, complex_field):
     assert w.shape == c.shape and 1 <= iterations < 100  # stopped on the residual
     want = np.linalg.solve(g, c.reshape(-1)).reshape(c.shape)
     assert np.linalg.norm(w - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_min_norm_solve_matches_lstsq_on_a_wide_matrix(rng, complex_field):
+    a = random_poly(rng, 6, 10, 0, complex_field).coefficient(0)
+    c = random_poly(rng, 3, 2, 0, complex_field).coefficient(0)[None]  # (e, p, q) at n = 1
+    x, iterations = polycore.min_norm_solve(
+        lambda x: (a @ x).reshape(c.shape),
+        lambda w: a.conj().T @ w.reshape(-1),
+        np.eye(6) / np.linalg.norm(a, 2) ** 2,
+        1,
+        c,
+    )
+    assert 1 <= iterations < 100
+    want = np.linalg.lstsq(a, c.reshape(-1), rcond=None)[0]
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_pcg_zero_rhs_returns_exact_zeros():

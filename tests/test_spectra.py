@@ -13,10 +13,10 @@ from strukt import (
     symmetry_check,
 )
 from strukt import polycore, spectra
-from strukt.errors import SingularPolynomialError, SpectrumMismatchError
+from strukt.errors import SingularPolynomialError, SpectrumMismatchError, StruktError
 from strukt.linearize import build_linearization
 
-from conftest import ALL_KINDS
+from conftest import ALL_KINDS, with_entry
 
 
 def test_pencil_eigs_diagonal():
@@ -194,3 +194,10 @@ def test_normal_rank():
     p = polycore.from_coeff_list([np.diag([1.0, 0.0]), np.zeros((2, 2))])
     assert spectra.normal_rank(p) == 1
     assert spectra.normal_rank(polycore.zeros(2, 2, 1)) == 0
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_reference_polyeigs_refuses_non_finite_coefficients(bad):
+    p = with_entry(random_structured(2, 3, StructureKind.even, seed=2), bad)
+    with pytest.raises(StruktError, match="finite"):
+        reference_polyeigs(p)
