@@ -57,7 +57,6 @@ from .sylvester import (
     FixedPointState,
     build_TA,
     build_TA_reduced,
-    delta_lower_bound,
     quadratic_fixed_point,
     sigma_min_formula,
 )

@@ -194,8 +194,9 @@ def dual_basis_complete(K: MatrixPolynomial, k: int, n: int) -> DualBasisPair:
             bound=bound,
         )
     lam = build_Lambda(k, n)
-    d, iterations = polycore.min_norm_solve(
+    d, _, iterations = polycore.min_norm_solve(
         functools.partial(_times, K), functools.partial(_times_adjoint, K),
+        lambda r: _times(K, _times_adjoint(K, r)),
         _completion_preconditioner(k), n, -_times(K, polycore.transpose_poly(lam).coeffs),
     )
     correction = polycore.transpose_poly(MatrixPolynomial(d, K.field))

@@ -257,7 +257,7 @@ def pad_to_grade(p: MatrixPolynomial, grade: int) -> MatrixPolynomial:
 # ---------------------------------------------------------------------------
 
 @np.errstate(over="ignore")
-def _norm(a: np.ndarray) -> float:
+def array_norm(a: np.ndarray) -> float:
     """Frobenius norm of an array whose squares may overflow.
 
     Only when the plain norm is inf is it recomputed on the entries scaled by
@@ -272,33 +272,40 @@ def _norm(a: np.ndarray) -> float:
 
 def frob_norm(p: MatrixPolynomial) -> float:
     """Frobenius norm sqrt(sum_i ||P_i||_F^2); padding-invariant by design."""
-    return _norm(p.coeffs)
+    return array_norm(p.coeffs)
 
 
 def pair_norm(c: np.ndarray, d: np.ndarray) -> float:
     """Frobenius norm of a pair of matrices of possibly different sizes."""
-    return math.hypot(_norm(c), _norm(d))
+    return math.hypot(array_norm(c), array_norm(d))
 
 
 # ---------------------------------------------------------------------------
 # Matrix-free minimum-norm solves
 # ---------------------------------------------------------------------------
 
-def pcg(gram_apply, precondition, c: np.ndarray):
+def pcg(gram_apply, precondition, c: np.ndarray, w: np.ndarray | None = None):
     """Solve G w = c by preconditioned conjugate gradients; return (w, iterations).
 
     G is Hermitian positive definite and given only through ``gram_apply``;
     ``precondition`` applies an approximation of G^{-1}. ``c`` is an ndarray
-    of any shape. Inner products are Re vdot, so the complex field works. A
-    zero ``c`` returns exact zeros after no iteration. The run stops once the
-    recurred residual is at most 1e-14 ||c||_F, or after 100 iterations; the
-    caller checks the true residual of what it builds from w.
+    of any shape, and ``w``, if given, the start: its true residual costs one
+    ``gram_apply``. Inner products are Re vdot, so the complex field works. A
+    zero ``c`` returns exact zeros after no iteration, and a start whose true
+    residual is at most 1e-14 ||c||_F is returned after no iteration.
+    Otherwise the run stops once the recurred residual is at most
+    1e-14 ||c||_F, or after 100 iterations; the caller checks the true
+    residual of what it builds from w.
     """
-    w = np.zeros_like(c)
     norm_c = np.linalg.norm(c)
     if norm_c == 0.0:
-        return w, 0
-    r = c
+        return np.zeros_like(c), 0
+    if w is None:
+        w, r = np.zeros_like(c), c
+    else:
+        r = c - gram_apply(w)
+        if np.linalg.norm(r) <= 1e-14 * norm_c:
+            return w, 0
     p = z = precondition(r)
     rz = np.vdot(r, z).real
     for it in range(1, 101):
@@ -332,21 +339,23 @@ def kron_precondition(pinv: np.ndarray, n: int, r: np.ndarray) -> np.ndarray:
     return out.transpose(0, 1, 3, 2, 4).reshape(r.shape)
 
 
-def min_norm_solve(apply, adjoint, pinv: np.ndarray, n: int, c: np.ndarray):
-    """Minimum Frobenius norm x with apply(x) = c; return (x, iterations).
+def min_norm_solve(apply, adjoint, gram, pinv: np.ndarray, n: int, c: np.ndarray, w=None):
+    """Minimum Frobenius norm x with apply(x) = c; return (x, w, iterations).
 
-    ``apply`` is a wide linear map A, never formed, and ``adjoint`` its A^*.
-    `pcg` solves A A^* w = c and x = A^* w. At zero perturbation A A^* is a
-    permutation of G (x) I_{n^2}, G the n = 1 Gram matrix on an (e, p*n, q*n)
-    ``c``, so ``pinv`` = G^{-1} preconditions by `kron_precondition`. Raises
+    ``apply`` is a wide linear map A, never formed, ``adjoint`` its A^* and
+    ``gram`` applies A A^*. `pcg` solves A A^* w = c, from the start ``w`` if
+    given, and x = A^* w: any w gives an x in the range of A^*, so x is the
+    minimum-norm solution. At zero perturbation A A^* is a permutation of
+    G (x) I_{n^2}, G the n = 1 Gram matrix on an (e, p*n, q*n) ``c``, so
+    ``pinv`` = G^{-1} preconditions by `kron_precondition`. Raises
     `NumericalError` unless ||apply(x) - c||_F <= 1e-12 max(||c||_F, 1e-300).
     """
-    w, iterations = pcg(lambda v: apply(adjoint(v)), lambda r: kron_precondition(pinv, n, r), c)
+    w, iterations = pcg(gram, lambda r: kron_precondition(pinv, n, r), c, w)
     x = adjoint(w)
-    resid = _norm(apply(x) - c)
-    if resid > 1e-12 * max(_norm(c), 1e-300):
+    resid = array_norm(apply(x) - c)
+    if resid > 1e-12 * max(array_norm(c), 1e-300):
         raise NumericalError(f"minimum-norm solve residual {resid:.3e} above 1e-12 relative")
-    return x, iterations
+    return x, w, iterations
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +469,7 @@ def structure_residual(p: MatrixPolynomial, kind) -> float:
     """
     if not p.is_square:
         raise StructureError("structure checks require a square polynomial")
-    return _norm(_substituted(p, driver_matrix(kind)) - star(p.coeffs))
+    return array_norm(_substituted(p, driver_matrix(kind)) - star(p.coeffs))
 
 
 def is_structured(

@@ -24,7 +24,7 @@ import numpy as np
 from . import minbases
 from .errors import ConvergenceError, ThresholdError
 from .linearize import natural_blocks
-from .polycore import driver_matrix, gram_matrix, min_norm_solve, pair_norm, star
+from .polycore import array_norm, driver_matrix, gram_matrix, min_norm_solve, star
 
 
 def sigma_min_formula(k: int) -> float:
@@ -43,6 +43,10 @@ class StarSylvesterOperator:
     ehat + l*fhat: the rule that fixes a structured pencil's (1,2) block from
     its (2,1) block. At grade 1 that image is G0 = d*ehat + b*fhat and
     G1 = c*ehat + a*fhat for the driver [[a, b], [c, d]].
+
+    The blocks are stored stacked, G = [G0; G1] and H = [ehat; fhat], each
+    2kn x (k+1)n, with their adjoints; g0, g1, ehat and fhat are row-block
+    views. An image (c0, c1) is a (2, kn, kn) stack.
     """
 
     def __init__(self, da21: np.ndarray, db21: np.ndarray, kind):
@@ -50,28 +54,34 @@ class StarSylvesterOperator:
         self.n = width - kn
         self.k = kn // self.n
         sel = minbases.selector_matrices(self.k, self.n)
-        self.ehat = -sel.e + da21
-        self.fhat = sel.f + db21
+        ehat = -sel.e + da21
+        fhat = sel.f + db21
         a = self.driver = driver_matrix(kind)
-        self.g0 = a.d * self.ehat + a.b * self.fhat
-        self.g1 = a.c * self.ehat + a.a * self.fhat
+        self.h = np.vstack([ehat, fhat])
+        self.g = np.vstack([a.d * ehat + a.b * fhat, a.c * ehat + a.a * fhat])
+        self.gs, self.hs = star(self.g), star(self.h)
+        self.ehat, self.fhat = self.h[:kn], self.h[kn:]
+        self.g0, self.g1 = self.g[:kn], self.g[kn:]
 
     @classmethod
     def unperturbed(cls, k: int, n: int, kind) -> "StarSylvesterOperator":
         zero = np.zeros((k * n, (k + 1) * n))
         return cls(zero, zero, kind)
 
-    def apply(self, y: np.ndarray, zs: np.ndarray):
-        """Matrix-free image of the pair (Y, Z), given Y and Z^*."""
-        return y @ star(self.g0) + self.ehat @ zs, y @ star(self.g1) + self.fhat @ zs
+    def apply(self, y: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """Matrix-free image of the pair (Y, Z), given Y and Z^*: two products,
+        Y G^* split into its two kn-column halves plus H Z^*."""
+        kn = len(y)
+        return (y @ self.gs).reshape(kn, 2, kn).swapaxes(0, 1) + (self.h @ zs).reshape(2, kn, kn)
 
-    def at(self, x: np.ndarray):
+    def at(self, x: np.ndarray) -> np.ndarray:
         """Matrix-free image of the pair (X, X)."""
         return self.apply(x, star(x))
 
-    def adjoint(self, c0: np.ndarray, c1: np.ndarray):
-        """Adjoint map (c0, c1) -> (Y, Z^*) = (c0 G0 + c1 G1, ehat^* c0 + fhat^* c1)."""
-        return c0 @ self.g0 + c1 @ self.g1, star(self.ehat) @ c0 + star(self.fhat) @ c1
+    def adjoint(self, c: np.ndarray):
+        """Adjoint map c -> (Y, Z^*) = ([c0 c1] G, H^* [c0; c1])."""
+        _, kn, _ = c.shape
+        return c.swapaxes(0, 1).reshape(kn, 2 * kn) @ self.g, self.hs @ c.reshape(2 * kn, kn)
 
     def matrix(self) -> np.ndarray:
         """Vectorized 2k^2n^2 x 2k(k+1)n^2 matrix acting on [vec Y; vec Z^*].
@@ -95,22 +105,6 @@ def build_TA(k: int, n: int, kind) -> np.ndarray:
     return StarSylvesterOperator.unperturbed(k, n, kind).matrix()
 
 
-def build_TA_mid(k: int, n: int, kind) -> np.ndarray:
-    """Intermediate reduction with one identity factor peeled off."""
-    a = driver_matrix(kind)
-    sel_n = minbases.selector_matrices(k, n)
-    sel_1 = minbases.selector_matrices(k, 1)
-    eye_k = np.eye(k)
-    eye_kn = np.eye(k * n)
-    top = np.hstack(
-        [np.kron(a.b * sel_n.f - a.d * sel_n.e, eye_k), -np.kron(eye_kn, sel_1.e)]
-    )
-    bot = np.hstack(
-        [np.kron(a.a * sel_n.f - a.c * sel_n.e, eye_k), np.kron(eye_kn, sel_1.f)]
-    )
-    return np.vstack([top, bot])
-
-
 def build_TA_reduced(k: int, kind) -> np.ndarray:
     """Fully reduced 2k^2 x 2k(k+1) matrix sharing every singular value of the
     full system matrix (each full singular value repeats n^2 times)."""
@@ -123,47 +117,16 @@ def build_TA_reduced(k: int, kind) -> np.ndarray:
     return np.vstack([top, bot])
 
 
-def reference_reduced(k: int) -> np.ndarray:
-    """The all-positive reduced reference matrix every kind is sign/permutation
-    equivalent to."""
-    sel = minbases.selector_matrices(k, 1)
-    e, f = sel.e, sel.f
-    eye = np.eye(k)
-    return np.vstack(
-        [
-            np.hstack([np.kron(eye, e), np.kron(e, eye)]),
-            np.hstack([np.kron(eye, f), np.kron(f, eye)]),
-        ]
-    )
-
-
-def sign_diagonals(k: int):
-    """Alternating-sign diagonal pair used in the alternating-kind reduction."""
-    s_k = np.diag([(-1.0) ** i for i in range(k)])
-    s_k1 = np.diag([(-1.0) ** i for i in range(k + 1)])
-    return s_k, s_k1
-
-
-def delta_lower_bound(k: int, norm_dl: float) -> float:
-    """Certified lower bound on the perturbed minimum singular value gap."""
-    if not 0 <= norm_dl < 1.0 / (3.0 * k):
-        raise ThresholdError(
-            f"perturbation norm {norm_dl:.3e} not below 1/(3k) = {1.0 / (3 * k):.3e}",
-            value=norm_dl,
-            bound=1.0 / (3.0 * k),
-        )
-    return (math.pi / (4.0 * k)) * (1.0 - 3.0 * k * norm_dl)
-
-
 # ---------------------------------------------------------------------------
 # Minimum-norm solves
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Reference:
-    """The unperturbed system T_A at one block size n. T_A(n) is a row and
-    column permutation of T_A(1) (x) I_{n^2}, so its Gram inverse and its
-    sigma_min are those of the n = 1 reduction."""
+    """What the solver needs of the unperturbed system T_A and the driver,
+    for every block size n. T_A(n) is a row and column permutation of
+    T_A(1) (x) I_{n^2}, so its Gram inverse and its sigma_min are those of
+    the n = 1 reduction."""
 
     #: Inverse of the n = 1 Gram matrix, rows and columns in the row-major
     #: order (equation, row block, column block) of `polycore.kron_precondition`.
@@ -171,32 +134,30 @@ class _Reference:
     #: A lower bound on sigma_min(T_A), from an eigvalsh of the same Gram
     #: matrix less its rounding allowance, not from the formula.
     sigma_min: float
-    #: The unperturbed blocks [G0; G1] and [H0; H1] at n.
-    g: np.ndarray
-    h: np.ndarray
+    #: hypot(||A||_2, 1), rounded up, for the driver A: ||dT||_2 is at most
+    #: this times ||[dH0; dH1]||_2.
+    dt_factor: float
 
 
 _EPS = float(np.finfo(float).eps)
 
 
 @functools.lru_cache(maxsize=None)
-def _reference(k: int, n: int, driver) -> _Reference:
+def _reference(k: int, driver) -> _Reference:
     op1 = StarSylvesterOperator.unperturbed(k, 1, driver)
-    gram = gram_matrix(lambda w: np.stack(op1.apply(*op1.adjoint(w[0], w[1]))), (2, k, k))
-    op = StarSylvesterOperator.unperturbed(k, n, driver)
+    gram = gram_matrix(lambda w: op1.apply(*op1.adjoint(w)), (2, k, k))
     # eigvalsh is backward stable: each computed eigenvalue is within a small
     # multiple of eps*||G||_2 of an exact one, so lambda_min less 2k^2*eps*||G||_F
     # bounds the exact one from below.
     lam = np.linalg.eigvalsh(gram)[0] - gram.shape[0] * _EPS * np.linalg.norm(gram)
-    ref = _Reference(
-        np.linalg.inv(gram),
-        math.sqrt(max(lam, 0.0)),
-        np.vstack([op.g0, op.g1]),
-        np.vstack([op.ehat, op.fhat]),
+    # [dG0; dG1] = ([[d, b], [c, a]] (x) I) [dH0; dH1], and that factor has
+    # the singular values of A; its computed largest one is rounded up.
+    norm_a = np.linalg.norm(driver.array, 2) * (1.0 + 4.0 * _EPS)
+    pinv = np.linalg.inv(gram)
+    pinv.setflags(write=False)
+    return _Reference(
+        pinv, math.sqrt(max(lam, 0.0)), math.nextafter(math.hypot(norm_a, 1.0), math.inf)
     )
-    for a in (ref.pinv, ref.g, ref.h):
-        a.setflags(write=False)
-    return ref
 
 
 class _MinNormSolver:
@@ -209,22 +170,28 @@ class _MinNormSolver:
     from an eigvalsh of the unperturbed n = 1 Gram matrix, less an allowance
     for its rounding, not from `sigma_min_formula`. The two block columns of
     dT = T - T_A are row permutations of [dG0; dG1] (x) I and I (x) [dH0; dH1],
-    the differences of the blocks [G0; G1] and [H0; H1] that `apply` uses
-    from the unperturbed ones, so ||dT||_2 is at most the hypot of their
-    spectral norms: two SVDs of O(kn) size. A gap delta <= 0 is refused with `ThresholdError`.
-    Nothing of size m x m, m = 2k^2n^2, is formed.
+    and [dG0; dG1] = ([[d, b], [c, a]] (x) I) [dH0; dH1] for the driver
+    [[a, b], [c, d]], so ||dT||_2 <= s*hypot(||A||_2, 1) with
+    s = ||[dH0; dH1]||_2: one SVD of O(kn) size, its result rounded up by
+    rows*eps*s. For the six kinds each row block of G is +-ehat or +-fhat,
+    so that identity holds exactly for the computed G; for another driver,
+    up to the rounding of G. A gap delta <= 0 is refused with `ThresholdError`.
+
+    The Gram matrices G G^* and H H^*, each 2kn square, are formed once, so
+    T T^* applies as two products; nothing of size m x m, m = 2k^2n^2, is
+    formed.
     """
 
     def __init__(self, op: StarSylvesterOperator):
-        ref = _reference(op.k, op.n, op.driver)
-        norm_dt = math.hypot(
-            np.linalg.svd(np.vstack([op.g0, op.g1]) - ref.g, compute_uv=False)[0],
-            np.linalg.svd(np.vstack([op.ehat, op.fhat]) - ref.h, compute_uv=False)[0],
-        )
+        ref = _reference(op.k, op.driver)
+        sel = minbases.selector_matrices(op.k, op.n)
+        # H - [-E; F] is exact by Sterbenz's lemma: dH is the operator's own.
+        dh = np.vstack([op.ehat + sel.e, op.fhat - sel.f])
+        s = np.linalg.svd(dh, compute_uv=False)[0] * (1.0 + len(dh) * _EPS)
         # ||dT||_2 rounds up and the difference down, so delta never exceeds
         # the exact sigma_min - ||dT||_2 of these inputs.
         self.delta = math.nextafter(
-            ref.sigma_min - math.nextafter(norm_dt, math.inf), -math.inf
+            ref.sigma_min - math.nextafter(s * ref.dt_factor, math.inf), -math.inf
         )
         if self.delta <= 0:
             raise ThresholdError(
@@ -235,17 +202,26 @@ class _MinNormSolver:
             )
         self.op = op
         self.pinv = ref.pinv
-        #: CG iterations of the latest `solve`.
+        self.gg = op.g @ op.gs
+        self.hh = op.h @ op.hs
+        #: CG iterations and Gram-space solution w of the latest `solve`.
         self.iterations = 0
+        self.w = None
 
-    def solve(self, c0: np.ndarray, c1: np.ndarray):
-        """Minimum Frobenius norm (Y, Z^*) with op.apply(Y, Z^*) = (c0, c1),
-        by `polycore.min_norm_solve` and behind its gate; the solution obeys
-        ||(Y, Z)||_F <= ||(c0, c1)||_F / `delta`."""
+    def gram(self, c: np.ndarray) -> np.ndarray:
+        """T T^* on a (2, kn, kn) stack: [c0 c1] G G^* split into its two
+        halves, plus H H^* [c0; c1]."""
+        _, kn, _ = c.shape
+        rows = c.swapaxes(0, 1).reshape(kn, 2 * kn) @ self.gg
+        return rows.reshape(kn, 2, kn).swapaxes(0, 1) + (self.hh @ c.reshape(2 * kn, kn)).reshape(2, kn, kn)
+
+    def solve(self, c: np.ndarray, w: np.ndarray | None = None):
+        """Minimum Frobenius norm (Y, Z^*) with op.apply(Y, Z^*) = c, a
+        (2, kn, kn) stack, by `polycore.min_norm_solve` from the start ``w``
+        and behind its gate; the solution obeys ||(Y, Z)||_F <= ||c||_F / `delta`."""
         op = self.op
-        x, self.iterations = min_norm_solve(
-            lambda x: np.stack(op.apply(*x)), lambda w: op.adjoint(w[0], w[1]), self.pinv, op.n,
-            np.stack([c0, c1]),
+        x, self.w, self.iterations = min_norm_solve(
+            lambda x: op.apply(*x), op.adjoint, self.gram, self.pinv, op.n, c, w
         )
         return x
 
@@ -290,14 +266,13 @@ def quadratic_fixed_point(pert, m0: np.ndarray, m1: np.ndarray) -> FixedPointSta
     most 1e-12*theta (at theta = 0 the first sweep's residual is exactly 0)
     and raises `ConvergenceError` after 100 sweeps.
     """
-    (da11, db11), (da21, db21), _, (da22, db22) = natural_blocks(
-        pert.pencil.coeffs, pert.k, pert.n
-    )
+    d11, (da21, db21), _, d22 = natural_blocks(pert.pencil.coeffs, pert.k, pert.n)
     op = StarSylvesterOperator(da21, db21, pert.kind)
-    w0 = m0 + da11
-    w1 = m1 + db11
-    theta = pair_norm(da22, db22)
-    omega = pair_norm(w0, w1)
+    kn, width = da21.shape
+    # W = [W0 W1], so X W is (X W0, X W1) side by side.
+    w = np.hstack([m0 + d11[0], m1 + d11[1]])
+    theta = array_norm(d22)
+    omega = array_norm(w)
 
     solver = _MinNormSolver(op)
     delta = solver.delta
@@ -323,15 +298,16 @@ def quadratic_fixed_point(pert, m0: np.ndarray, m1: np.ndarray) -> FixedPointSta
         rho0=theta / delta,
     )
 
-    # q = (X w0 X^*, X w1 X^*) at the current iterate, shared by its residual
-    # and the next right-hand side.
-    q0 = q1 = np.zeros_like(da22)
+    # q = (X W0 X^*, X W1 X^*) at the current iterate, shared by its residual
+    # and the next right-hand side. Each sweep's CG starts from the previous
+    # sweep's solution, whose right-hand side differs by the change in q.
+    q = np.zeros_like(d22)
     for it in range(1, 101):
-        y, zs = solver.solve(-da22 - q0, -db22 - q1)
+        y, zs = solver.solve(-d22 - q, solver.w)
         x = (y + star(zs)) / 2.0
-        q0, q1 = x @ w0 @ star(x), x @ w1 @ star(x)
-        r0, r1 = op.at(x)
-        resid = pair_norm(r0 + da22 + q0, r1 + db22 + q1)
+        xs = star(x)
+        q = (x @ w).reshape(kn, 2, width).swapaxes(0, 1) @ xs
+        resid = array_norm(op.apply(x, xs) + d22 + q)
         state.x = x
         state.residuals.append(resid)
         state.x_norms.append(float(np.linalg.norm(x)))

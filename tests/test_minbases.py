@@ -239,8 +239,8 @@ def test_completion_gates_its_solve(monkeypatch, rng):
     k, n = 2, 3
     exact = polycore.pcg
 
-    def slightly_wrong(gram_apply, precondition, c):
-        w, iterations = exact(gram_apply, precondition, c)
+    def slightly_wrong(gram_apply, precondition, c, w=None):
+        w, iterations = exact(gram_apply, precondition, c, w)
         return w * (1.0 + 1e-9), iterations
 
     monkeypatch.setattr(polycore, "pcg", slightly_wrong)

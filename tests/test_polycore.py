@@ -24,7 +24,7 @@ from strukt import (
     structure_project,
 )
 from strukt import polycore
-from strukt.errors import GradeError, StructureError, StruktError
+from strukt.errors import GradeError, NumericalError, StructureError, StruktError
 
 from conftest import ALL_KINDS, integer_structured_poly
 
@@ -433,9 +433,10 @@ def test_pcg_solves_a_hermitian_system_on_any_shape(rng, complex_field):
 def test_min_norm_solve_matches_lstsq_on_a_wide_matrix(rng, complex_field):
     a = random_poly(rng, 6, 10, 0, complex_field).coefficient(0)
     c = random_poly(rng, 3, 2, 0, complex_field).coefficient(0)[None]  # (e, p, q) at n = 1
-    x, iterations = polycore.min_norm_solve(
+    x, _, iterations = polycore.min_norm_solve(
         lambda x: (a @ x).reshape(c.shape),
         lambda w: a.conj().T @ w.reshape(-1),
+        lambda w: (a @ (a.conj().T @ w.reshape(-1))).reshape(c.shape),
         np.eye(6) / np.linalg.norm(a, 2) ** 2,
         1,
         c,
@@ -443,6 +444,53 @@ def test_min_norm_solve_matches_lstsq_on_a_wide_matrix(rng, complex_field):
     assert 1 <= iterations < 100
     want = np.linalg.lstsq(a, c.reshape(-1), rcond=None)[0]
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_pcg_starts_from_w(rng, complex_field):
+    """A start costs one Gram apply for its true residual: an exact start
+    returns after no iteration, and any other start still reaches the
+    solution."""
+    a = random_poly(rng, 12, 12, 0, complex_field).coefficient(0)
+    g = a @ a.conj().T + 12.0 * np.eye(12)
+    c = random_poly(rng, 3, 4, 0, complex_field).coefficient(0)
+    want = np.linalg.solve(g, c.reshape(-1)).reshape(c.shape)
+    calls = []
+
+    def gram_apply(v):
+        calls.append(v)
+        return (g @ v.reshape(-1)).reshape(v.shape)
+
+    w, iterations = polycore.pcg(gram_apply, lambda r: r / 12.0, c, want)
+    assert iterations == 0 and len(calls) == 1 and w is want
+    start = want + 1e-3 * random_poly(rng, 3, 4, 0, complex_field).coefficient(0)
+    w, iterations = polycore.pcg(gram_apply, lambda r: r / 12.0, c, start)
+    assert 1 <= iterations < 100
+    assert np.linalg.norm(w - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_cg_cap_stops_an_ill_conditioned_solve_and_the_gate_refuses_it(rng):
+    """A wide matrix whose Gram matrix has 150 distinct eigenvalues from 1 to
+    1e-12, unpreconditioned: `pcg` stops at its cap of 100 iterations, short
+    of its residual target, and `min_norm_solve` refuses what it returns."""
+    m, width = 150, 200
+    u = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    v = np.linalg.qr(rng.standard_normal((width, m)))[0]
+    a = (u * np.logspace(0, -6, m)) @ v.T
+    gram = a @ a.T
+    assert 1e11 <= np.linalg.cond(gram) <= 1e13
+    c = rng.standard_normal((1, m, 1))
+
+    def gram_apply(w):
+        return (gram @ w.reshape(-1)).reshape(w.shape)
+
+    _, iterations = polycore.pcg(gram_apply, lambda r: r, c)
+    assert iterations == 100
+    with pytest.raises(NumericalError, match="solve residual"):
+        polycore.min_norm_solve(
+            lambda x: (a @ x).reshape(c.shape), lambda w: a.T @ w.reshape(-1), gram_apply,
+            np.eye(m), 1, c,
+        )
 
 
 def test_pcg_zero_rhs_returns_exact_zeros():

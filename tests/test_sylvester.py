@@ -8,7 +8,6 @@ from strukt import (
     StructureKind,
     build_TA,
     build_TA_reduced,
-    delta_lower_bound,
     frob_norm,
     pair_norm,
     quadratic_fixed_point,
@@ -27,9 +26,10 @@ from strukt.polycore import (
     star,
     zeros,
 )
-from strukt.sylvester import StarSylvesterOperator, _MinNormSolver, build_TA_mid
+from strukt.sylvester import StarSylvesterOperator, _MinNormSolver
 
 from conftest import ALL_KINDS, perturbation_blocks, with_scaled_22_block
+from oracles import build_TA_mid, delta_lower_bound, reference_reduced, sign_diagonals
 
 
 def test_sigma_min_formula_values():
@@ -88,7 +88,7 @@ def test_reduced_sigma_min_closed_form():
 def test_exact_sign_reduction_identities(k):
     """Each kind's reduced matrix is sign/permutation equivalent to the
     all-positive reference, as an exact integer identity."""
-    ref = sylvester.reference_reduced(k)
+    ref = reference_reduced(k)
     kk, kk1 = k * k, k * (k + 1)
     fl = np.diag([-1.0] * kk + [1.0] * kk)
     dr = np.diag([-1.0] * kk1 + [1.0] * kk1)
@@ -106,7 +106,7 @@ def test_exact_sign_reduction_identities(k):
     assert np.array_equal(t_odd @ dr, build_TA_reduced(k, StructureKind.even))
 
     # alternating kinds reduce through the alternating-sign diagonals
-    sk, sk1 = sylvester.sign_diagonals(k)
+    sk, sk1 = sign_diagonals(k)
     t_even = fl @ build_TA_reduced(k, StructureKind.even)
     left = np.kron(np.eye(2), np.kron(np.eye(k), sk))
     right = np.block(
@@ -199,13 +199,13 @@ def test_operator_gram_apply_adjoint_and_solve_match_dense_oracles(kind, field_t
     c1 = _draw(rng, (kn, kn), field_tag)
     r0, r1 = op.apply(y, zs)
     assert np.allclose(_vec_pair(r0, r1), t @ _vec_pair(y, zs), rtol=0, atol=1e-13)
-    a0, a1 = op.adjoint(c0, c1)
+    a0, a1 = op.adjoint(np.stack([c0, c1]))
     lhs = np.vdot(_vec_pair(c0, c1), _vec_pair(r0, r1))
     rhs = np.vdot(_vec_pair(a0, a1), _vec_pair(y, zs))
     assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
     want = np.linalg.lstsq(t, _vec_pair(c0, c1), rcond=None)[0]
-    got = _vec_pair(*_MinNormSolver(op).solve(c0, c1))
+    got = _vec_pair(*_MinNormSolver(op).solve(np.stack([c0, c1])))
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -235,6 +235,73 @@ def test_weyl_bound_is_below_sigma_min_and_agrees_with_the_gap(kind, field_tag):
                 )
                 assert delta <= sigma + 1e-12
                 assert abs(delta - paper) <= 1e-12
+
+
+# Two drivers whose 2x2 matrix is not unitary, so ||A||_2 > 1.
+_NON_UNITARY = [_INVOLUTORY, MobiusMatrix(2, 1, 0, 1)]
+
+
+def _two_svd_delta(op):
+    """The gap from the SVDs of both block differences, [dG0; dG1] and
+    [dH0; dH1], each rounded up by one ulp."""
+    ref = sylvester._reference(op.k, op.driver)
+    base = StarSylvesterOperator.unperturbed(op.k, op.n, op.driver)
+    norm_dt = math.hypot(np.linalg.norm(op.g - base.g, 2), np.linalg.norm(op.h - base.h, 2))
+    return math.nextafter(ref.sigma_min - math.nextafter(norm_dt, math.inf), -math.inf)
+
+
+@pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
+def test_one_svd_gap_against_two_svds(field_tag, rng):
+    """||[dG0; dG1]||_2 <= ||A||_2 ||[dH0; dH1]||_2, so one SVD bounds both
+    blocks: for a non-unitary driver the gap is at most the two-SVD one, and
+    for the six kinds, where ||A||_2 = 1, it equals it to rounding."""
+    for k in range(1, 4):
+        for n in range(1, 4):
+            for seed, kind in enumerate(ALL_KINDS):
+                nrm = (1e-8, 0.3, 0.9)[seed % 3] / (3.0 * k)
+                pert = backward.random_structured_perturbation(
+                    k, n, kind, nrm, seed=seed, field_tag=field_tag
+                )
+                _, _, da21, db21, _, _ = perturbation_blocks(pert)
+                op = StarSylvesterOperator(da21, db21, kind)
+                assert abs(_MinNormSolver(op).delta - _two_svd_delta(op)) <= 1e-15
+            shape = (k * n, (k + 1) * n)
+            for drv in _NON_UNITARY:
+                op = StarSylvesterOperator(
+                    _draw(rng, shape, field_tag, 0.03 / k), _draw(rng, shape, field_tag, 0.03 / k), drv
+                )
+                assert _MinNormSolver(op).delta <= _two_svd_delta(op)
+
+
+@pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_gap_is_never_optimistic(kind, field_tag):
+    """delta is at most sigma_min(T_A) less the exact hypot of the spectral
+    norms of the operator's two block differences, with those norms from a
+    40-digit SVD of the exact differences, so it covers the error of the
+    computed largest singular value; and it is at most the dense sigma_min of
+    matrix() with no slack."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def exact_norm(a, b):
+        diff = mpmath.matrix(a.tolist()) - mpmath.matrix(b.tolist())
+        return max(mpmath.svd(diff, compute_uv=False))
+
+    driver = driver_matrix(kind)
+    for k, n in ((1, 3), (2, 2), (3, 1)):
+        for seed, frac in enumerate((1e-8, 0.3, 0.9)):
+            pert = backward.random_structured_perturbation(
+                k, n, kind, frac / (3.0 * k), seed=seed, field_tag=field_tag
+            )
+            _, _, da21, db21, _, _ = perturbation_blocks(pert)
+            op = StarSylvesterOperator(da21, db21, kind)
+            base = StarSylvesterOperator.unperturbed(k, n, kind)
+            delta = _MinNormSolver(op).delta
+            sigma = sylvester._reference(k, driver).sigma_min
+            with mpmath.workdps(40):
+                norm_dt = mpmath.hypot(exact_norm(op.g, base.g), exact_norm(op.h, base.h))
+                assert mpmath.mpf(delta) <= mpmath.mpf(sigma) - norm_dt
+            assert delta <= np.linalg.svd(op.matrix(), compute_uv=False)[-1]
 
 
 def test_delta_lower_bound_values():
@@ -285,9 +352,53 @@ def _star_residual(op, x, c0, c1):
 
 def test_min_norm_solve_zero_rhs():
     _, solver = _solver(StructureKind.symmetric, 2, 2)
-    y, zs = solver.solve(np.zeros((4, 4)), np.zeros((4, 4)))
+    y, zs = solver.solve(np.zeros((2, 4, 4)))
     assert not y.any() and not zs.any()
     assert solver.iterations == 0
+
+
+@pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
+@pytest.mark.parametrize("kind", ALL_KINDS + [pytest.param(_INVOLUTORY, id="involutory")])
+def test_fused_gram_is_apply_after_adjoint(kind, field_tag, rng):
+    """The solver's T T^*, two products with G G^* and H H^* formed once,
+    is apply after adjoint to 1e-14 relative."""
+    for k in range(1, 4):
+        for n in range(1, 4):
+            kn = k * n
+            shape = (kn, (k + 1) * n)
+            op = StarSylvesterOperator(
+                _draw(rng, shape, field_tag, 0.05 / k), _draw(rng, shape, field_tag, 0.05 / k), kind
+            )
+            c = _draw(rng, (2, kn, kn), field_tag)
+            want = op.apply(*op.adjoint(c))
+            got = _MinNormSolver(op).gram(c)
+            assert got.shape == (2, kn, kn)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_warm_started_solve_matches_lstsq(kind, field_tag, rng):
+    """A solve started from an earlier solve's w is still the minimum-norm
+    solution, for a nearby right-hand side (which then needs fewer CG
+    iterations) and for an unrelated one."""
+    k, n = 2, 2
+    kn = k * n
+    pert = backward.random_structured_perturbation(k, n, kind, 0.05, seed=7, field_tag=field_tag)
+    _, _, da21, db21, _, _ = perturbation_blocks(pert)
+    op = StarSylvesterOperator(da21, db21, kind)
+    solver = _MinNormSolver(op)
+    t = op.matrix()
+    c = _draw(rng, (2, kn, kn), field_tag)
+    solver.solve(c)
+    start, cold = solver.w, solver.iterations
+    nearby = c + _draw(rng, c.shape, field_tag, 1e-6)
+    for new in (nearby, _draw(rng, c.shape, field_tag)):
+        got = _vec_pair(*solver.solve(new, start))
+        want = np.linalg.lstsq(t, _vec_pair(*new), rcond=None)[0]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        if new is nearby:
+            assert solver.iterations < cold
 
 
 @pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
@@ -304,7 +415,7 @@ def test_preconditioner_is_the_unperturbed_gram_inverse(kind, field_tag, rng):
             want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), _vec_pair(*c))
             got = _vec_pair(*polycore.kron_precondition(solver.pinv, n, c))
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-            solver.solve(c[0], c[1])
+            solver.solve(c)
             assert solver.iterations == 1
 
 
@@ -315,7 +426,7 @@ def test_min_norm_solve_bound_and_consistency(kind, rng):
     a = kind.mobius
     c0 = rng.standard_normal((k * n, k * n))
     c1 = rng.standard_normal((k * n, k * n))
-    y, zs = solver.solve(c0, c1)
+    y, zs = solver.solve(np.stack([c0, c1]))
     assert pair_norm(y, zs) <= pair_norm(c0, c1) / sigma_min_formula(k) + 1e-12
     r0 = y @ (a.b * op.fhat + a.d * op.ehat).T + op.ehat @ zs - c0
     r1 = y @ (a.a * op.fhat + a.c * op.ehat).T + op.fhat @ zs - c1
@@ -340,7 +451,7 @@ def test_star_from_sylvester_structured_rhs(kind, rng):
     op, solver = _solver(kind, k, n)
     rhs = random_structured(k * n, 1, kind, 0.7, seed=13)
     c0, c1 = rhs.coefficient(0), rhs.coefficient(1)
-    y, zs = solver.solve(c0, c1)
+    y, zs = solver.solve(np.stack([c0, c1]))
     x = (y + star(zs)) / 2.0
     assert x.shape == (k * n, (k + 1) * n)
     assert _star_residual(op, x, c0, c1) <= 1e-12
@@ -349,7 +460,7 @@ def test_star_from_sylvester_structured_rhs(kind, rng):
 def test_star_from_sylvester_trivial_cases():
     op, solver = _solver(StructureKind.even, 2, 2)
     z4 = np.zeros((4, 4))
-    y, zs = solver.solve(z4, z4)
+    y, zs = solver.solve(np.stack([z4, z4]))
     x = (y + star(zs)) / 2.0
     assert not x.any()
     assert _star_residual(op, x, z4, z4) == 0.0
@@ -361,7 +472,7 @@ def test_averaging_needs_a_structured_rhs(rng):
     op, solver = _solver(StructureKind.symmetric, 2, 2)
     c0 = rng.standard_normal((4, 4))
     c1 = rng.standard_normal((4, 4))
-    y, zs = solver.solve(c0, c1)
+    y, zs = solver.solve(np.stack([c0, c1]))
     assert _star_residual(op, (y + star(zs)) / 2.0, c0, c1) > 1e-3
 
 
@@ -378,7 +489,7 @@ def test_star_from_sylvester_random_involutory(rng):
     raw = MatrixPolynomial(rng.standard_normal((2, k * n, k * n)))
     rhs = structure_project(raw, drv)
     c0, c1 = rhs.coefficient(0), rhs.coefficient(1)
-    y, zs = _MinNormSolver(op).solve(c0, c1)
+    y, zs = _MinNormSolver(op).solve(np.stack([c0, c1]))
     x = (y + star(zs)) / 2.0
     assert _star_residual(op, x, c0, c1) <= 1e-12
     assert np.linalg.norm(x) <= pair_norm(c0, c1) / sigma + 1e-12
@@ -443,6 +554,18 @@ def test_fixed_point_iterate_norms_bounded():
         assert max(state.x_norms) <= cap
 
 
+@pytest.mark.parametrize("norm", [1e-10, 1e-6])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_later_sweeps_start_from_the_previous_solve(kind, norm):
+    """The second sweep's right-hand side differs from the first's by the
+    change in q, so CG started from the first sweep's w needs fewer
+    iterations."""
+    pencil, pert = _pencil_blocks(kind, 31, norm=norm)
+    state = quadratic_fixed_point(pert, pencil.m0, pencil.m1)
+    assert state.converged and state.iterations >= 2
+    assert state.solve_iterations[1] < state.solve_iterations[0]
+
+
 def test_fixed_point_inadmissible_raises():
     kind = StructureKind.even
     pencil, pert = _pencil_blocks(kind, 51, norm=1e-3)
@@ -460,9 +583,9 @@ def test_fixed_point_gates_every_solve(monkeypatch):
     exact = polycore.pcg
     calls = []
 
-    def slightly_wrong(gram_apply, precondition, c):
+    def slightly_wrong(gram_apply, precondition, c, w=None):
         calls.append(c)
-        w, iterations = exact(gram_apply, precondition, c)
+        w, iterations = exact(gram_apply, precondition, c, w)
         return w * (1.0 + 1e-9), iterations
 
     monkeypatch.setattr(polycore, "pcg", slightly_wrong)
