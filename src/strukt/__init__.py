@@ -40,14 +40,12 @@ from .minbases import (
     build_Lk,
     convolution_matrix,
     dual_basis_complete,
-    is_minimal_basis,
     selector_matrices,
 )
 from .linearize import (
     BlockKroneckerPencil,
     assemble,
     build_linearization,
-    check_placement,
     permutation_to_tridiagonal,
     placement_stacked,
     placement_tridiagonal,

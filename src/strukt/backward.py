@@ -95,19 +95,12 @@ def random_structured_perturbation(
 # Congruence and reconstruction
 # ---------------------------------------------------------------------------
 
-def x_norm_bound(k: int, norm_dl: float) -> float:
-    """Guaranteed bound 3k||dL|| / (1 - 3k||dL||) on the congruence factor."""
-    denom = 1.0 - 3.0 * k * norm_dl
-    return 3.0 * k * norm_dl / denom if denom > 0 else math.inf
-
-
 @dataclass
 class CongruenceResult:
-    """The congruence factor X and the two blocks of the rezeroed pencil that
-    reconstruction reads: the (1,1) block, which the congruence leaves
-    alone, and the (2,1) block X A11 + A21."""
+    """The two blocks of the rezeroed pencil that reconstruction reads: the
+    (1,1) block, which the congruence leaves alone, and the (2,1) block
+    X A11 + A21, with the fixed point's state, whose ``x`` is X."""
 
-    x: np.ndarray
     m11: MatrixPolynomial
     b21: MatrixPolynomial
     state: sylvester.FixedPointState
@@ -133,7 +126,6 @@ def congruence_zero_block(
     state = sylvester.quadratic_fixed_point(pert, pencil.m0, pencil.m1)
     x = state.x
     perturbed = pencil.poly.coeffs + pert.pencil.coeffs
-    field = polycore.COMPLEX if np.iscomplexobj(perturbed) else polycore.REAL
     a11, a21, a12, a22 = linearize.natural_blocks(perturbed, k, n)
     b21 = x @ a11 + a21
     r22 = b21 @ star(x) + x @ a12 + a22
@@ -143,9 +135,8 @@ def congruence_zero_block(
             f"(2,2) block residual {residual22:.3e} above tolerance after congruence"
         )
     return CongruenceResult(
-        x=x,
-        m11=MatrixPolynomial(a11, field),
-        b21=MatrixPolynomial(b21, field),
+        m11=MatrixPolynomial(a11),
+        b21=MatrixPolynomial(b21),
         state=state,
         residual22=residual22,
     )
@@ -312,7 +303,7 @@ def _run_single_trial(
             cong = congruence_zero_block(pencil, pert)
             recon = reconstruct_perturbed_polynomial(cong.m11, cong.b21, kind)
             dp = recon.poly - p
-            report.norm_X = float(np.linalg.norm(cong.x))
+            report.norm_X = float(np.linalg.norm(cong.state.x))
             report.norm_dR = recon.norm_dr
             report.norm_dP = frob_norm(dp)
             report.ratio = report.norm_dP / norm_p

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import backward, linearize, minbases, polycore, spectra, sylvester
+from . import backward, linearize, polycore, spectra, sylvester
 from .errors import StruktError
 from .polycore import StructureKind
 
@@ -123,26 +123,22 @@ def cmd_linearize(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    poly, record = linearize.load_pencil_file(args.pencil)
-    k, n, kind = record["k"], record["n"], record["kind"]
-    m11 = polycore.MatrixPolynomial(linearize.natural_blocks(poly.coeffs, k, n)[0], poly.field)
-    row = minbases.build_Lambda(k, n)
-    recovered = linearize.recover_from_m(m11, row, kind, sign=record["sign"])
+    pencil = linearize.load_pencil(args.pencil)
+    recovered = linearize.recover(pencil)
     out = args.output or (str(Path(args.pencil).with_suffix("")) + ".recovered.json")
     polycore.save_polynomial(recovered, out)
-    print(f"sign={record['sign']} grade={recovered.grade}")
+    print(f"sign={pencil.sign} grade={recovered.grade}")
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def cmd_perturb(args) -> int:
-    poly, record = linearize.load_pencil_file(args.pencil)
-    k, n, kind = record["k"], record["n"], record["kind"]
+    pencil = linearize.load_pencil(args.pencil)
     pert = backward.random_structured_perturbation(
-        k, n, kind, args.norm, args.seed, field_tag=poly.field
+        pencil.k, pencil.n, pencil.kind, args.norm, args.seed, field_tag=pencil.poly.field
     )
     out = args.output or (str(Path(args.pencil).with_suffix("")) + ".perturbed.json")
-    linearize.save_pencil_file(poly + pert.pencil, record, out)
+    linearize.save_pencil(dataclasses.replace(pencil, poly=pencil.poly + pert.pencil), out)
     print(f"norm_dL={pert.norm!r}")
     print(f"wrote {out} and {linearize.sidecar_path(out)}")
     return EXIT_OK
@@ -189,9 +185,9 @@ def cmd_eigs(args) -> int:
     path = Path(args.input)
     kind = _parse_kind(args.kind) if args.kind else None
     if linearize.sidecar_path(path).exists():
-        poly, record = linearize.load_pencil_file(path)
-        spec = spectra.pencil_eigs(poly.coefficient(0), poly.coefficient(1))
-        kind = kind or record["kind"]
+        pencil = linearize.load_pencil(path)
+        spec = spectra.pencil_eigs(pencil.l0, pencil.l1)
+        kind = kind or pencil.kind
     else:
         spec = spectra.reference_polyeigs(polycore.load_polynomial(path))
     rows = [
@@ -204,8 +200,8 @@ def cmd_eigs(args) -> int:
     ]
     doc = {"count": len(spec), "pairs": rows}
     if kind is not None:
-        doc["kind"] = StructureKind(kind).value
-        doc["symmetry_score"] = spectra.symmetry_check(spec, StructureKind(kind))
+        doc["kind"] = kind.value
+        doc["symmetry_score"] = spectra.symmetry_check(spec, kind)
     text = json.dumps(doc)
     if args.output:
         Path(args.output).write_text(text)

@@ -25,7 +25,6 @@ from .polycore import (
     DEFAULT_STRUCTURE_TOL,
     MatrixPolynomial,
     StructureKind,
-    frob_norm,
     is_structured,
     mobius,
     poly_matmul,
@@ -49,10 +48,13 @@ def natural_blocks(coeffs: np.ndarray, k: int, n: int):
 
 @dataclass(frozen=True)
 class BlockKroneckerPencil:
-    """Assembled pencil l*L1 + L0 with its natural-partition metadata.
+    """A (2k+1)n pencil l*L1 + L0 of a structure kind, with its natural
+    partition: the (1,1) block is (k+1)n square.
 
-    ``poly`` holds the one coefficient stack; L0, L1 and the (1,1) block's
-    M0, M1 are read-only views of it.
+    The pencil `assemble` builds, or one read back by `load_pencil`, which
+    may also be a perturbed pencil that `strukt perturb` wrote. ``poly``
+    holds the one coefficient stack; L0, L1 and the (1,1) block's M0, M1 are
+    read-only views of it.
     """
 
     poly: MatrixPolynomial
@@ -87,8 +89,7 @@ class BlockKroneckerPencil:
     @functools.cached_property
     def m_pencil(self) -> MatrixPolynomial:
         """The (1,1) natural-partition block as a pencil."""
-        m11 = natural_blocks(self.poly.coeffs, self.k, self.n)[0]
-        return MatrixPolynomial(m11, self.poly.field)
+        return MatrixPolynomial(natural_blocks(self.poly.coeffs, self.k, self.n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +127,8 @@ class _PencilBuilder:
     def lam(self, i, j, block):
         self.put(self.m1, i, j, block)
 
-    def pencil(self, field) -> MatrixPolynomial:
-        return MatrixPolynomial(np.stack([self.m0, self.m1]), field)
+    def pencil(self) -> MatrixPolynomial:
+        return MatrixPolynomial(np.stack([self.m0, self.m1]))
 
 
 def placement_tridiagonal(p: MatrixPolynomial, kind: StructureKind) -> MatrixPolynomial:
@@ -152,7 +153,7 @@ def placement_tridiagonal(p: MatrixPolynomial, kind: StructureKind) -> MatrixPol
             s = (-1) ** (k + 1 - j)
             b.lam(j, j, s * p.coefficient(g + 2 - 2 * j))
             b.const(j, j, s * p.coefficient(g + 1 - 2 * j))
-    return b.pencil(p.field)
+    return b.pencil()
 
 
 def placement_stacked(p: MatrixPolynomial, kind: StructureKind) -> MatrixPolynomial:
@@ -199,57 +200,13 @@ def placement_stacked(p: MatrixPolynomial, kind: StructureKind) -> MatrixPolynom
                 b.const(i, k, (-1) ** (k - i + 1) * p.coefficient(g + 1 - i - k))
             b.lam(k + 1, k + 1, p.coefficient(1))
             b.const(k + 1, k + 1, p.coefficient(0))
-    return b.pencil(p.field)
+    return b.pencil()
 
 
 PLACEMENTS = {
     "tridiagonal": placement_tridiagonal,
     "stacked": placement_stacked,
 }
-
-
-def _blocks(mat: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    return mat[(i - 1) * n:i * n, (j - 1) * n:j * n]
-
-
-def condition_residuals(
-    m: MatrixPolynomial, p: MatrixPolynomial, kind: StructureKind
-) -> np.ndarray:
-    """Per-coefficient residual of the kind's block placement condition."""
-    g = p.grade
-    if g % 2 == 0:
-        raise GradeError("odd grade required")
-    k = (g - 1) // 2
-    n = p.rows
-    if m.shape != ((k + 1) * n, (k + 1) * n) or m.grade != 1:
-        raise ValueError("pencil size does not match the polynomial grade")
-    family = kind.condition_family
-    m0, m1 = m.coefficient(0), m.coefficient(1)
-    res = np.zeros(g + 1)
-    for ell in range(g + 1):
-        acc = np.zeros((n, n), dtype=m.coeffs.dtype)
-        for i in range(1, k + 2):
-            for j in range(1, k + 2):
-                if family == "diff":
-                    w1 = 1.0 if i - j == ell - k - 1 else 0.0
-                    w0 = 1.0 if i - j == ell - k else 0.0
-                else:
-                    sgn = (-1) ** (k - i + 1) if family == "alt" else 1.0
-                    w1 = sgn if i + j == g + 2 - ell else 0.0
-                    w0 = sgn if i + j == g + 1 - ell else 0.0
-                if w1:
-                    acc += w1 * _blocks(m1, n, i, j)
-                if w0:
-                    acc += w0 * _blocks(m0, n, i, j)
-        res[ell] = np.linalg.norm(acc - p.coefficient(ell))
-    return res
-
-
-def check_placement(
-    m: MatrixPolynomial, p: MatrixPolynomial, kind: StructureKind, tol: float = 1e-12
-) -> bool:
-    res = condition_residuals(m, p, kind)
-    return bool(np.all(res <= tol * max(1.0, frob_norm(p))))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +237,7 @@ def assemble(
         lk = minbases.build_Lk(k, n)
         c12[...] = star_adjoint(mobius(lk, kind.mobius)).coeffs
         c21[...] = lk.coeffs
-    return BlockKroneckerPencil(MatrixPolynomial(coeffs, mp.field), k, n, kind)
+    return BlockKroneckerPencil(MatrixPolynomial(coeffs), k, n, kind)
 
 
 def build_linearization(
@@ -302,26 +259,24 @@ def build_linearization(
 
 
 def recover_from_m(
-    m: MatrixPolynomial, row: MatrixPolynomial, kind: StructureKind, sign: int | None = None
+    m: MatrixPolynomial, row: MatrixPolynomial, kind: StructureKind
 ) -> MatrixPolynomial:
     """Exact convolution of the dual-row sandwich around the (1,1) block.
 
     ``row`` is an n x (k+1)n dual row of grade k: the monomial row
     Lambda_k^T (x) I_n for a built pencil, or the completed dual basis of a
-    perturbed one.  The sign defaults to the kind's normalization at k.
+    perturbed one.  The result carries the kind's recovery sign at k.
     """
     col = transpose_poly(row)
     left = star_adjoint(mobius(col, kind.mobius))
     raw = poly_matmul(poly_matmul(left, polycore.pad_to_grade(m, 1)), col)
-    if sign is None:
-        sign = kind.recovery_sign(row.grade)
-    return sign * raw
+    return kind.recovery_sign(row.grade) * raw
 
 
 def recover(pencil: BlockKroneckerPencil) -> MatrixPolynomial:
     """Grade 2k+1 polynomial linearized by the pencil; inverse of the builder."""
     row = minbases.build_Lambda(pencil.k, pencil.n)
-    return recover_from_m(pencil.m_pencil, row, pencil.kind, pencil.sign)
+    return recover_from_m(pencil.m_pencil, row, pencil.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +306,6 @@ def permutation_to_tridiagonal(k: int, n: int, kind: StructureKind) -> np.ndarra
     return perm
 
 
-def tridiagonal_form(pencil: BlockKroneckerPencil):
-    """Apply the interleave congruence; returns (Pi, permuted pencil)."""
-    perm = permutation_to_tridiagonal(pencil.k, pencil.n, pencil.kind)
-    l0 = perm @ pencil.l0 @ perm.T
-    l1 = perm @ pencil.l1 @ perm.T
-    return perm, polycore.from_coeff_list([l0, l1])
-
-
 # ---------------------------------------------------------------------------
 # Pencil file format (polynomial JSON of grade 1 plus a sidecar record)
 # ---------------------------------------------------------------------------
@@ -372,33 +319,25 @@ def sidecar_path(path) -> Path:
 
 
 def save_pencil(pencil: BlockKroneckerPencil, path) -> None:
-    record = {"k": pencil.k, "n": pencil.n, "kind": pencil.kind, "sign": pencil.sign}
-    save_pencil_file(pencil.poly, record, path)
-
-
-def save_pencil_file(poly: MatrixPolynomial, record: dict, path) -> None:
-    """Write a pencil polynomial and its sidecar record; `load_pencil_file`
+    """Write the pencil's polynomial and its sidecar record; `load_pencil`
     reads both back."""
-    polycore.save_polynomial(poly, path)
-    sidecar = {key: record[key] for key in _SIDECAR_KEYS}
-    sidecar["kind"] = record["kind"].value
+    polycore.save_polynomial(pencil.poly, path)
+    sidecar = {"k": pencil.k, "n": pencil.n, "kind": pencil.kind.value, "sign": pencil.sign}
     with open(sidecar_path(path), "w") as fh:
         json.dump(sidecar, fh)
 
 
-def load_pencil_file(path):
-    """Load a pencil polynomial together with its sidecar record.
+def load_pencil(path) -> BlockKroneckerPencil:
+    """The pencil a `save_pencil` file pair describes.
 
-    The record must describe the pencil: k, n >= 1, a square grade-1 pencil
-    of size (2k+1)n, and the kind's recovery sign at k, as `save_pencil`
-    writes it.
+    The sidecar record must describe the polynomial: k, n >= 1, a square
+    grade-1 pencil of size (2k+1)n, and the kind's recovery sign at k.
     """
     poly = polycore.load_polynomial(path)
     with open(sidecar_path(path)) as fh:
         record = polycore.require_keys(json.load(fh), _SIDECAR_KEYS, "sidecar record")
     polycore.require_ints(record, ("k", "n", "sign"), "sidecar record")
-    record["kind"] = StructureKind(record["kind"])
-    k, n = record["k"], record["n"]
+    k, n, kind, sign = record["k"], record["n"], StructureKind(record["kind"]), record["sign"]
     if k < 1 or n < 1:
         raise StruktError(f"sidecar k = {k} and n = {n} must both be at least 1")
     size = (2 * k + 1) * n
@@ -407,9 +346,9 @@ def load_pencil_file(path):
             f"sidecar k = {k}, n = {n} needs a {size} x {size} pencil of grade 1, "
             f"got {poly.rows} x {poly.cols} of grade {poly.grade}"
         )
-    if record["sign"] != record["kind"].recovery_sign(k):
+    pencil = BlockKroneckerPencil(poly, k, n, kind)
+    if sign != pencil.sign:
         raise StruktError(
-            f"sidecar sign {record['sign']} is not the {record['kind'].value} "
-            f"recovery sign {record['kind'].recovery_sign(k)} at k = {k}"
+            f"sidecar sign {sign} is not the {kind.value} recovery sign {pencil.sign} at k = {k}"
         )
-    return poly, record
+    return pencil

@@ -111,39 +111,6 @@ def convolution_matrix(K: MatrixPolynomial, target_degree: int) -> np.ndarray:
     return out
 
 
-def is_minimal_basis(Q: MatrixPolynomial, tol: float = 1e-10) -> bool:
-    """Deterministic minimality test for constant-row-degree candidates.
-
-    Checks that the leading coefficient has full row rank and that Q keeps
-    full row rank on a fixed sweep of sample points: the origin, two circles
-    of radius 1 and 3, and the generic point 0.37 + 1.91i, which lies on
-    neither circle.  A rank drop off the sweep goes unseen, so a "true"
-    answer holds for generic inputs but is not a certificate.
-    """
-    m, ncols = Q.rows, Q.cols
-    if m >= ncols:
-        raise ValueError("minimal basis candidates must have more columns than rows")
-    deg = Q.degree
-    if deg < 0:
-        return False
-
-    def full_row_rank(mat: np.ndarray) -> bool:
-        s = np.linalg.svd(mat, compute_uv=False)
-        return s[0] > 0 and s[m - 1] > tol * s[0]
-
-    if not full_row_rank(Q.coeffs[deg]):
-        return False
-    nsweep = 2 * deg + 5
-    points = [0j]
-    points += [
-        r * np.exp(2j * np.pi * t / nsweep)
-        for r in (1.0, 3.0)
-        for t in range(nsweep)
-    ]
-    points.append(0.37 + 1.91j)
-    return all(full_row_rank(polycore.evaluate(Q, pt)) for pt in points)
-
-
 def _times(K: MatrixPolynomial, d: np.ndarray) -> np.ndarray:
     """Coefficients of K times the factor with coefficient stack ``d``."""
     out = np.zeros((K.grade + len(d), K.rows, d.shape[2]), dtype=np.result_type(K.coeffs, d))
@@ -199,5 +166,5 @@ def dual_basis_complete(K: MatrixPolynomial, k: int, n: int) -> DualBasisPair:
         lambda r: _times(K, _times_adjoint(K, r)),
         _completion_preconditioner(k), n, -_times(K, polycore.transpose_poly(lam).coeffs),
     )
-    correction = polycore.transpose_poly(MatrixPolynomial(d, K.field))
+    correction = polycore.transpose_poly(MatrixPolynomial(d))
     return DualBasisPair(N=lam + correction, correction=correction, iterations=iterations)

@@ -1,9 +1,10 @@
 """Matrix polynomials over the real or complex field.
 
 The central object is a dense coefficient stack P(l) = sum_i P_i * l**i with
-an explicit grade; the grade may exceed the degree, and trailing zero
-coefficients are meaningful (reversal and Mobius substitution depend on the
-grade, the Frobenius norm does not).  On top of that this module provides
+an explicit grade; its field is its dtype, complex128 or float64. The grade
+may exceed the degree, and trailing zero coefficients are meaningful
+(reversal and Mobius substitution depend on the grade, the Frobenius norm
+does not).  On top of that this module provides
 Horner evaluation, grade-aware reversal, Mobius transformations driven by a
 nonsingular 2x2 matrix, and the six classical structure classes (symmetric,
 skew-symmetric, palindromic, anti-palindromic, even, odd) together with a
@@ -26,8 +27,6 @@ from .errors import GradeError, NumericalError, StructureError, StruktError
 
 REAL = "real"
 COMPLEX = "complex"
-
-_FIELD_DTYPES = {REAL: np.float64, COMPLEX: np.complex128}
 
 DEFAULT_STRUCTURE_TOL = 1e-12
 
@@ -53,19 +52,9 @@ class MobiusMatrix:
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    def is_coninvolutory(self, tol: float = 1e-14) -> bool:
-        """True when A @ conj(A) equals the identity within tol."""
-        a = self.array
-        return bool(np.linalg.norm(a @ np.conj(a) - np.eye(2)) <= tol)
-
     def __matmul__(self, other: "MobiusMatrix") -> "MobiusMatrix":
         m = self.array @ other.array
         return MobiusMatrix(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-
-MOBIUS_IDENTITY = MobiusMatrix(1, 0, 0, 1)
-#: Swap matrix: substituting with it reverses the coefficient order at fixed grade.
-MOBIUS_REVERSAL = MobiusMatrix(0, 1, 1, 0)
 
 
 class StructureKind(str, Enum):
@@ -108,11 +97,6 @@ class StructureKind(str, Enum):
         """Sign relating a built pencil's recovered polynomial to the original."""
         return -1 if (self.flips_sign and k % 2 == 1) else 1
 
-    @property
-    def sigma(self) -> int:
-        """Canonical sign of the (anti)tridiagonal permuted form for this kind."""
-        return -1 if self.flips_sign else 1
-
 
 _STRUCTURE_MOBIUS = {
     StructureKind.symmetric: MobiusMatrix(1, 0, 0, 1),
@@ -147,24 +131,27 @@ class MatrixPolynomial:
     """Dense matrix polynomial with an explicit grade.
 
     ``coeffs`` has shape (grade + 1, rows, cols) in ascending powers.  The
-    coefficient stack is copied and frozen on construction, so instances are
-    safe to share between workers.
+    coefficient stack is copied in row-major order, to complex128 when it is
+    complex and to float64 otherwise, and frozen, so instances are safe to
+    share between workers.
     """
 
     coeffs: np.ndarray
-    field: str = REAL
 
     def __post_init__(self):
-        if self.field not in _FIELD_DTYPES:
-            raise ValueError(f"unknown field tag {self.field!r}")
-        arr = np.asarray(self.coeffs, dtype=_FIELD_DTYPES[self.field])
+        arr = np.asarray(self.coeffs)
         if arr.ndim != 3:
             raise ValueError("coeffs must have shape (grade+1, rows, cols)")
         if arr.shape[0] < 1:
             raise ValueError("need at least the constant coefficient")
-        arr = arr.copy()
+        arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
+
+    @property
+    def field(self) -> str:
+        """`COMPLEX` for a complex128 coefficient stack, `REAL` for float64."""
+        return COMPLEX if self.coeffs.dtype.kind == "c" else REAL
 
     @property
     def grade(self) -> int:
@@ -204,42 +191,33 @@ class MatrixPolynomial:
             return NotImplemented
         g = max(self.grade, other.grade)
         a, b = pad_to_grade(self, g), pad_to_grade(other, g)
-        return MatrixPolynomial(a.coeffs + b.coeffs, _join_fields(a, b))
+        return MatrixPolynomial(a.coeffs + b.coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, MatrixPolynomial):
             return NotImplemented
         g = max(self.grade, other.grade)
         a, b = pad_to_grade(self, g), pad_to_grade(other, g)
-        return MatrixPolynomial(a.coeffs - b.coeffs, _join_fields(a, b))
+        return MatrixPolynomial(a.coeffs - b.coeffs)
 
     def __neg__(self):
-        return MatrixPolynomial(-self.coeffs, self.field)
+        return MatrixPolynomial(-self.coeffs)
 
     def __mul__(self, scalar):
         if isinstance(scalar, MatrixPolynomial):
             return NotImplemented
-        out = self.coeffs * scalar
-        field = COMPLEX if np.iscomplexobj(out) else self.field
-        return MatrixPolynomial(out, field)
+        return MatrixPolynomial(self.coeffs * scalar)
 
     __rmul__ = __mul__
 
 
-def _join_fields(a: MatrixPolynomial, b: MatrixPolynomial) -> str:
-    return COMPLEX if COMPLEX in (a.field, b.field) else REAL
+def zeros(rows: int, cols: int, grade: int) -> MatrixPolynomial:
+    return MatrixPolynomial(np.zeros((grade + 1, rows, cols)))
 
 
-def zeros(rows: int, cols: int, grade: int, field: str = REAL) -> MatrixPolynomial:
-    return MatrixPolynomial(np.zeros((grade + 1, rows, cols)), field)
-
-
-def from_coeff_list(mats, field: str | None = None) -> MatrixPolynomial:
+def from_coeff_list(mats) -> MatrixPolynomial:
     """Stack a list of equally sized coefficient matrices, ascending powers."""
-    arr = np.stack([np.asarray(m) for m in mats])
-    if field is None:
-        field = COMPLEX if np.iscomplexobj(arr) else REAL
-    return MatrixPolynomial(arr, field)
+    return MatrixPolynomial(np.stack(mats))
 
 
 def pad_to_grade(p: MatrixPolynomial, grade: int) -> MatrixPolynomial:
@@ -249,7 +227,7 @@ def pad_to_grade(p: MatrixPolynomial, grade: int) -> MatrixPolynomial:
     if grade == p.grade:
         return p
     extra = np.zeros((grade - p.grade, p.rows, p.cols), dtype=p.coeffs.dtype)
-    return MatrixPolynomial(np.concatenate([p.coeffs, extra]), p.field)
+    return MatrixPolynomial(np.concatenate([p.coeffs, extra]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +355,12 @@ def reversal(p: MatrixPolynomial, grade: int | None = None) -> MatrixPolynomial:
     if g < p.degree:
         raise GradeError(f"reversal grade {g} below degree {p.degree}")
     padded = pad_to_grade(p, g)
-    return MatrixPolynomial(padded.coeffs[::-1], p.field)
+    return MatrixPolynomial(padded.coeffs[::-1])
 
 
 def transpose_poly(p: MatrixPolynomial) -> MatrixPolynomial:
     """Coefficient-wise plain transpose (no conjugation)."""
-    return MatrixPolynomial(np.swapaxes(p.coeffs, 1, 2), p.field)
+    return MatrixPolynomial(np.swapaxes(p.coeffs, 1, 2))
 
 
 def star(a: np.ndarray) -> np.ndarray:
@@ -394,7 +372,7 @@ def star(a: np.ndarray) -> np.ndarray:
 
 def star_adjoint(p: MatrixPolynomial) -> MatrixPolynomial:
     """Coefficient-wise transpose (real field) or conjugate transpose (complex)."""
-    return MatrixPolynomial(star(p.coeffs), p.field)
+    return MatrixPolynomial(star(p.coeffs))
 
 
 def poly_matmul(p: MatrixPolynomial, q: MatrixPolynomial) -> MatrixPolynomial:
@@ -407,8 +385,7 @@ def poly_matmul(p: MatrixPolynomial, q: MatrixPolynomial) -> MatrixPolynomial:
     for i in range(p.grade + 1):
         for j in range(q.grade + 1):
             out[i + j] += p.coeffs[i] @ q.coeffs[j]
-    field = COMPLEX if np.iscomplexobj(out) else REAL
-    return MatrixPolynomial(out, field)
+    return MatrixPolynomial(out)
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +428,7 @@ def _substituted(p: MatrixPolynomial, a: MobiusMatrix) -> np.ndarray:
 
 def mobius(p: MatrixPolynomial, a: MobiusMatrix) -> MatrixPolynomial:
     """Substitution P(l) -> sum_i P_i (al+b)^i (cl+d)^(g-i) at P's grade."""
-    out = _substituted(p, a)
-    field = COMPLEX if np.iscomplexobj(out) else p.field
-    return MatrixPolynomial(out, field)
+    return MatrixPolynomial(_substituted(p, a))
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +474,16 @@ def random_structured(
     Deterministic per seed: coefficients are i.i.d. standard normal draws from
     a counter-based generator, projected onto the structure class and rescaled.
     """
-    if target_norm <= 0:
-        raise ValueError("target_norm must be positive")
+    if not 0 < target_norm < math.inf:
+        raise ValueError(f"target_norm must be positive and finite, got {target_norm!r}")
+    if field not in (REAL, COMPLEX):
+        raise ValueError(f"unknown field tag {field!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     for _ in range(8):
         raw = rng.standard_normal((g + 1, n, n))
         if field == COMPLEX:
             raw = raw + 1j * rng.standard_normal((g + 1, n, n))
-        proj = structure_project(MatrixPolynomial(raw, field), kind)
+        proj = structure_project(MatrixPolynomial(raw), kind)
         nrm = frob_norm(proj)
         if nrm > 1e-8:
             return proj * (target_norm / nrm)
@@ -570,7 +547,7 @@ def from_json_dict(doc: dict) -> MatrixPolynomial:
     require_keys(doc, ("rows", "cols", "grade", "field", "coeffs"), "polynomial record")
     require_ints(doc, ("rows", "cols", "grade"), "polynomial record")
     field = doc["field"]
-    if not isinstance(field, str) or field not in _FIELD_DTYPES:
+    if not isinstance(field, str) or field not in (REAL, COMPLEX):
         raise StruktError(f"unknown field tag {field!r}")
     malformed = StruktError("coefficients must be equally sized nested lists of finite numbers")
     if not _is_number_tree(doc["coeffs"]):
@@ -589,7 +566,7 @@ def from_json_dict(doc: dict) -> MatrixPolynomial:
         )
     if field == COMPLEX:
         arr = arr.view(np.complex128)[..., 0]
-    p = MatrixPolynomial(arr, field)
+    p = MatrixPolynomial(arr)
     require_finite(p)
     return p
 

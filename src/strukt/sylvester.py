@@ -74,10 +74,6 @@ class StarSylvesterOperator:
         kn = len(y)
         return (y @ self.gs).reshape(kn, 2, kn).swapaxes(0, 1) + (self.h @ zs).reshape(2, kn, kn)
 
-    def at(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-free image of the pair (X, X)."""
-        return self.apply(x, star(x))
-
     def adjoint(self, c: np.ndarray):
         """Adjoint map c -> (Y, Z^*) = ([c0 c1] G, H^* [c0; c1])."""
         _, kn, _ = c.shape

@@ -13,7 +13,7 @@ def with_entry(p, value):
     """``p`` with one coefficient entry set to ``value``."""
     coeffs = p.coeffs.copy()
     coeffs[1, 0, 0] = value
-    return MatrixPolynomial(coeffs, p.field)
+    return MatrixPolynomial(coeffs)
 
 
 def integer_structured_coeffs(kind, g, n, rng):
@@ -72,7 +72,7 @@ def with_scaled_22_block(pert, scale):
     *_, d22 = natural_blocks(coeffs, pert.k, pert.n)
     d22 *= scale
     return StructuredPerturbation.from_pencil(
-        MatrixPolynomial(coeffs, pert.pencil.field), pert.k, pert.n, pert.kind
+        MatrixPolynomial(coeffs), pert.k, pert.n, pert.kind
     )
 
 
@@ -80,7 +80,7 @@ def expected_tridiagonal_grade5(c, kind, n):
     """Hand-coded permuted block-(anti)tridiagonal layout for grade 5."""
     z = np.zeros((n, n))
     eye = np.eye(n)
-    sig = kind.sigma
+    sig = -1 if kind.flips_sign else 1
     fam = kind.condition_family
     if fam == "sum":
         const = np.block(

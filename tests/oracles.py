@@ -1,14 +1,26 @@
-"""Dense reductions and a-priori bounds of the star-Sylvester system that
-only the tests read: the paper's proof objects, checked against the library's
-operator and solver."""
+"""Oracles that only the tests read: dense reductions and a-priori bounds of
+the star-Sylvester system (the paper's proof objects, checked against the
+library's operator and solver), the placement condition, the permuted
+tridiagonal form, a minimality test and two fixed Mobius matrices."""
 
 import math
 
 import numpy as np
 
-from strukt import minbases
-from strukt.errors import ThresholdError
-from strukt.polycore import driver_matrix
+from strukt import minbases, polycore
+from strukt.errors import GradeError, ThresholdError
+from strukt.linearize import BlockKroneckerPencil, permutation_to_tridiagonal
+from strukt.polycore import MatrixPolynomial, MobiusMatrix, StructureKind, driver_matrix, frob_norm
+
+MOBIUS_IDENTITY = MobiusMatrix(1, 0, 0, 1)
+#: Swap matrix: substituting with it reverses the coefficient order at fixed grade.
+MOBIUS_REVERSAL = MobiusMatrix(0, 1, 1, 0)
+
+
+def is_coninvolutory(a: MobiusMatrix, tol: float = 1e-14) -> bool:
+    """True when A @ conj(A) equals the identity within tol."""
+    arr = a.array
+    return bool(np.linalg.norm(arr @ np.conj(arr) - np.eye(2)) <= tol)
 
 
 def build_TA_mid(k: int, n: int, kind) -> np.ndarray:
@@ -57,3 +69,94 @@ def delta_lower_bound(k: int, norm_dl: float) -> float:
             bound=1.0 / (3.0 * k),
         )
     return (math.pi / (4.0 * k)) * (1.0 - 3.0 * k * norm_dl)
+
+
+def x_norm_bound(k: int, norm_dl: float) -> float:
+    """Guaranteed bound 3k||dL|| / (1 - 3k||dL||) on the congruence factor."""
+    denom = 1.0 - 3.0 * k * norm_dl
+    return 3.0 * k * norm_dl / denom if denom > 0 else math.inf
+
+
+def _blocks(mat: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
+    return mat[(i - 1) * n:i * n, (j - 1) * n:j * n]
+
+
+def condition_residuals(
+    m: MatrixPolynomial, p: MatrixPolynomial, kind: StructureKind
+) -> np.ndarray:
+    """Per-coefficient residual of the kind's block placement condition."""
+    g = p.grade
+    if g % 2 == 0:
+        raise GradeError("odd grade required")
+    k = (g - 1) // 2
+    n = p.rows
+    if m.shape != ((k + 1) * n, (k + 1) * n) or m.grade != 1:
+        raise ValueError("pencil size does not match the polynomial grade")
+    family = kind.condition_family
+    m0, m1 = m.coefficient(0), m.coefficient(1)
+    res = np.zeros(g + 1)
+    for ell in range(g + 1):
+        acc = np.zeros((n, n), dtype=m.coeffs.dtype)
+        for i in range(1, k + 2):
+            for j in range(1, k + 2):
+                if family == "diff":
+                    w1 = 1.0 if i - j == ell - k - 1 else 0.0
+                    w0 = 1.0 if i - j == ell - k else 0.0
+                else:
+                    sgn = (-1) ** (k - i + 1) if family == "alt" else 1.0
+                    w1 = sgn if i + j == g + 2 - ell else 0.0
+                    w0 = sgn if i + j == g + 1 - ell else 0.0
+                if w1:
+                    acc += w1 * _blocks(m1, n, i, j)
+                if w0:
+                    acc += w0 * _blocks(m0, n, i, j)
+        res[ell] = np.linalg.norm(acc - p.coefficient(ell))
+    return res
+
+
+def check_placement(
+    m: MatrixPolynomial, p: MatrixPolynomial, kind: StructureKind, tol: float = 1e-12
+) -> bool:
+    res = condition_residuals(m, p, kind)
+    return bool(np.all(res <= tol * max(1.0, frob_norm(p))))
+
+
+def tridiagonal_form(pencil: BlockKroneckerPencil):
+    """Apply the interleave congruence; returns (Pi, permuted pencil)."""
+    perm = permutation_to_tridiagonal(pencil.k, pencil.n, pencil.kind)
+    l0 = perm @ pencil.l0 @ perm.T
+    l1 = perm @ pencil.l1 @ perm.T
+    return perm, polycore.from_coeff_list([l0, l1])
+
+
+def is_minimal_basis(Q: MatrixPolynomial, tol: float = 1e-10) -> bool:
+    """Deterministic minimality test for constant-row-degree candidates.
+
+    Checks that the leading coefficient has full row rank and that Q keeps
+    full row rank on a fixed sweep of sample points: the origin, two circles
+    of radius 1 and 3, and the generic point 0.37 + 1.91i, which lies on
+    neither circle.  A rank drop off the sweep goes unseen, so a "true"
+    answer holds for generic inputs but is not a certificate.
+    """
+    m, ncols = Q.rows, Q.cols
+    if m >= ncols:
+        raise ValueError("minimal basis candidates must have more columns than rows")
+    deg = Q.degree
+    if deg < 0:
+        return False
+
+    def full_row_rank(mat: np.ndarray) -> bool:
+        s = np.linalg.svd(mat, compute_uv=False)
+        return s[0] > 0 and s[m - 1] > tol * s[0]
+
+    if not full_row_rank(Q.coeffs[deg]):
+        return False
+    nsweep = 2 * deg + 5
+    points = [0j]
+    points += [
+        r * np.exp(2j * np.pi * t / nsweep)
+        for r in (1.0, 3.0)
+        for t in range(nsweep)
+    ]
+    points.append(0.37 + 1.91j)
+    return all(full_row_rank(polycore.evaluate(Q, pt)) for pt in points)

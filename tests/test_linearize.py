@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from strukt import (
     StructureKind,
     assemble,
     build_Lk,
-    check_placement,
     frob_norm,
     is_structured,
     mobius,
@@ -19,9 +20,10 @@ from strukt import (
 )
 from strukt import linearize, minbases, polycore
 from strukt.errors import GradeError, StructureError, StruktError
-from strukt.linearize import build_linearization, tridiagonal_form
+from strukt.linearize import build_linearization
 
 from conftest import ALL_KINDS, expected_tridiagonal_grade5, integer_structured_poly, with_entry
+from oracles import check_placement, tridiagonal_form
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -261,14 +263,32 @@ def test_pencil_file_roundtrip(tmp_path):
     pencil = build_linearization(p, kind, "tridiagonal")
     path = tmp_path / "pencil.json"
     linearize.save_pencil(pencil, path)
-    poly, record = linearize.load_pencil_file(path)
-    assert record["k"] == 2 and record["n"] == 2
-    assert record["kind"] is StructureKind.odd
-    assert record["sign"] == kind.recovery_sign(2)
-    assert np.array_equal(poly.coefficient(0), pencil.l0)
-    m11, _, _, b22 = linearize.natural_blocks(poly.coeffs, 2, 2)
+    loaded = linearize.load_pencil(path)
+    assert loaded.k == 2 and loaded.n == 2
+    assert loaded.kind is StructureKind.odd
+    assert json.loads(linearize.sidecar_path(path).read_text())["sign"] == kind.recovery_sign(2)
+    assert np.array_equal(loaded.l0, pencil.l0)
+    m11, _, _, b22 = linearize.natural_blocks(loaded.poly.coeffs, 2, 2)
     assert np.array_equal(m11[0], pencil.m0)
     assert not b22.any()
+
+
+@pytest.mark.parametrize("field", [polycore.REAL, polycore.COMPLEX])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("grade", [3, 5])
+def test_load_pencil_gives_back_the_saved_pencil_bit_for_bit(grade, kind, field, tmp_path):
+    """`load_pencil` of a `save_pencil` file is the same pencil: equal k, n
+    and kind, the same coefficient bytes, and the same recovered polynomial.
+    At grade 3 (k = 1) the negated kinds store recovery sign -1."""
+    p = random_structured(2, grade, kind, 1.0, seed=11, field=field)
+    pencil = build_linearization(p, kind, "stacked")
+    path = tmp_path / "pencil.json"
+    linearize.save_pencil(pencil, path)
+    loaded = linearize.load_pencil(path)
+    assert (loaded.k, loaded.n, loaded.kind) == (pencil.k, pencil.n, pencil.kind)
+    assert loaded.poly.field == field
+    assert loaded.poly.coeffs.tobytes() == pencil.poly.coeffs.tobytes()
+    assert recover(loaded).coeffs.tobytes() == recover(pencil).coeffs.tobytes()
 
 
 def test_natural_blocks_are_views_that_tile_the_stack():

@@ -11,7 +11,6 @@ from strukt import (
     convolution_matrix,
     dual_basis_complete,
     frob_norm,
-    is_minimal_basis,
     mobius,
     poly_matmul,
     selector_matrices,
@@ -21,6 +20,7 @@ from strukt import minbases, polycore
 from strukt.errors import GradeError, NumericalError, ThresholdError
 
 from conftest import ALL_KINDS
+from oracles import is_minimal_basis
 
 
 def test_build_Lk_scalar_cases():

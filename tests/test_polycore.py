@@ -27,13 +27,14 @@ from strukt import polycore
 from strukt.errors import GradeError, NumericalError, StructureError, StruktError
 
 from conftest import ALL_KINDS, integer_structured_poly
+from oracles import MOBIUS_IDENTITY, MOBIUS_REVERSAL, is_coninvolutory
 
 
 def random_poly(rng, rows, cols, grade, complex_field=False):
     raw = rng.standard_normal((grade + 1, rows, cols))
     if complex_field:
         raw = raw + 1j * rng.standard_normal((grade + 1, rows, cols))
-    return MatrixPolynomial(raw, polycore.COMPLEX if complex_field else polycore.REAL)
+    return MatrixPolynomial(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +130,7 @@ def test_reversal_involution(seed, grade, pad):
 
 def test_mobius_identity_fixes(rng):
     p = random_poly(rng, 2, 3, 3)
-    q = mobius(p, polycore.MOBIUS_IDENTITY)
+    q = mobius(p, MOBIUS_IDENTITY)
     assert np.allclose(q.coeffs, p.coeffs)
 
 
@@ -218,7 +219,7 @@ def test_mobius_acts_blockwise(rng):
 def test_reversal_is_mobius_by_swap(rng):
     p = random_poly(rng, 2, 3, 4)
     assert np.allclose(
-        reversal(p, 4).coeffs, mobius(p, polycore.MOBIUS_REVERSAL).coeffs
+        reversal(p, 4).coeffs, mobius(p, MOBIUS_REVERSAL).coeffs
     )
 
 
@@ -257,7 +258,7 @@ def test_structure_matrices_are_real_involutory():
         a = kind.mobius.array
         assert np.array_equal(a, np.real(a).astype(float))
         assert np.array_equal(a @ a, np.eye(2))
-        assert kind.mobius.is_coninvolutory()
+        assert is_coninvolutory(kind.mobius)
 
 
 def test_is_structured_skew_pencil():
@@ -352,8 +353,50 @@ def test_random_structured_deterministic():
 
 
 def test_random_structured_rejects_bad_norm():
-    with pytest.raises(ValueError):
-        random_structured(2, 3, StructureKind.symmetric, target_norm=0.0, seed=1)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            random_structured(2, 3, StructureKind.symmetric, target_norm=bad, seed=1)
+
+
+def test_random_structured_rejects_an_unknown_field():
+    with pytest.raises(ValueError, match="field"):
+        random_structured(2, 3, StructureKind.symmetric, seed=1, field="quaternion")
+
+
+def test_field_follows_the_dtype():
+    """Integer input becomes float64 and real; complex input becomes
+    complex128 and keeps its imaginary part; there is no tag to pass."""
+    p = MatrixPolynomial(np.array([[[1, 2]]]))
+    assert p.coeffs.dtype == np.float64 and p.field == polycore.REAL
+    q = MatrixPolynomial(np.array([[[1 + 2j]]], dtype=np.complex64))
+    assert q.coeffs.dtype == np.complex128 and q.field == polycore.COMPLEX
+    assert q.coeffs[0, 0, 0] == 1 + 2j
+    assert (p * 1j).field == polycore.COMPLEX and (p + q).field == polycore.COMPLEX
+    with pytest.raises(TypeError):
+        MatrixPolynomial(np.array([[[1 + 2j]]]), polycore.REAL)
+    with pytest.raises(AttributeError):
+        p.field = polycore.COMPLEX
+
+
+def test_constructor_copies_to_a_c_contiguous_frozen_stack():
+    """A transposed view is copied in row-major order, as before the dtype
+    decided the field: norms sum in that order, so reports depend on it."""
+    raw = np.arange(12.0).reshape(2, 3, 2)
+    p = MatrixPolynomial(np.swapaxes(raw, 1, 2))
+    assert p.coeffs.flags.c_contiguous and not p.coeffs.flags.writeable
+    assert not np.shares_memory(p.coeffs, raw)
+    assert np.array_equal(p.coeffs, np.swapaxes(raw, 1, 2))
+
+
+def test_complex_record_with_zero_imaginary_parts_loads_as_complex(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(
+        '{"rows": 1, "cols": 1, "grade": 1, "field": "complex", '
+        '"coeffs": [[[[1.0, 0.0]]], [[[-2.0, 0.0]]]]}'
+    )
+    p = polycore.load_polynomial(path)
+    assert p.field == polycore.COMPLEX and p.coeffs.dtype == np.complex128
+    assert np.array_equal(p.coeffs, [[[1.0]], [[-2.0]]])
 
 
 # ---------------------------------------------------------------------------
