@@ -2,11 +2,12 @@
 structured polynomial perturbations within explicit bounds.
 
 Pipeline per trial: draw a structured perturbation of the assembled pencil,
-rezero its trailing block by a structure-preserving congruence (quadratic
-star-Sylvester fixed point), complete the perturbed bidiagonal block to a dual
-basis of degree k, reconstruct the perturbed polynomial by the monomial
-sandwich, and compare the achieved backward error against the certified
-multiplier.
+recover the polynomial the perturbed pencil linearizes (`recover_perturbed`:
+rezero its trailing block by a structure-preserving congruence, a quadratic
+star-Sylvester fixed point; complete the perturbed bidiagonal block to a dual
+basis of degree k; sandwich the (1,1) block with it), and compare the achieved
+backward error against the certified multiplier. `linearize.recover` runs the
+same recovery on a pencil read from a file.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .polycore import (
 # Structured perturbations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuredPerturbation:
     """A structured pencil perturbation dL of a (2k+1)n block Kronecker pencil.
 
@@ -172,6 +173,36 @@ def reconstruct_perturbed_polynomial(
     )
 
 
+@dataclass(frozen=True)
+class Recovery:
+    """The polynomial that L + dL linearizes, with what a report reads of its
+    recovery: ||X||_F, the completion's ||N - Lambda||_F and the fixed point's
+    sweeps."""
+
+    poly: MatrixPolynomial
+    norm_x: float
+    norm_dr: float
+    iterations: int
+
+
+def recover_perturbed(pencil: BlockKroneckerPencil, pert: StructuredPerturbation) -> Recovery:
+    """Grade 2k+1 polynomial strongly linearized by the perturbed pencil
+    L + dL: `congruence_zero_block`, then `reconstruct_perturbed_polynomial`.
+
+    At dL = 0 the congruence is X = 0 and the completion N = Lambda exactly,
+    so neither solve runs: the result is the monomial sandwich of the (1,1)
+    block, the inverse of the builder.
+    """
+    if pert.norm == 0.0:
+        row = minbases.build_Lambda(pencil.k, pencil.n)
+        return Recovery(linearize.recover_from_m(pencil.m_pencil, row, pencil.kind), 0.0, 0.0, 0)
+    cong = congruence_zero_block(pencil, pert)
+    recon = reconstruct_perturbed_polynomial(cong.m11, cong.b21, pencil.kind)
+    return Recovery(
+        recon.poly, float(np.linalg.norm(cong.state.x)), recon.norm_dr, cong.state.iterations
+    )
+
+
 # ---------------------------------------------------------------------------
 # Certified bound bookkeeping
 # ---------------------------------------------------------------------------
@@ -280,44 +311,32 @@ def _run_single_trial(
         C_PL=tb.c_pl,
     )
     try:
-        if norm_dl_target == 0.0:
-            report.norm_X = 0.0
-            report.norm_dR = 0.0
-            report.norm_dP = 0.0
-            report.ratio = 0.0
-            report.bound = 0.0
-            report.ratio_le_bound = True
-            report.structure_ok = True
-            report.iters = 0
-            pert = None
-        else:
-            if mode == "certified" and not report.threshold_ok:
-                raise ThresholdError(
-                    "perturbation above the certified threshold",
-                    value=norm_dl_target,
-                    bound=tb.threshold,
-                )
-            pert = random_structured_perturbation(
-                pencil.k, pencil.n, kind, norm_dl_target, trial_seed, field_tag=p.field
+        if mode == "certified" and not report.threshold_ok:
+            raise ThresholdError(
+                "perturbation above the certified threshold",
+                value=norm_dl_target,
+                bound=tb.threshold,
             )
-            cong = congruence_zero_block(pencil, pert)
-            recon = reconstruct_perturbed_polynomial(cong.m11, cong.b21, kind)
-            dp = recon.poly - p
-            report.norm_X = float(np.linalg.norm(cong.state.x))
-            report.norm_dR = recon.norm_dr
-            report.norm_dP = frob_norm(dp)
-            report.ratio = report.norm_dP / norm_p
-            report.bound = tb.ratio_bound(pert.norm)
-            report.ratio_le_bound = bool(report.ratio <= report.bound)
-            report.structure_ok = bool(
-                structure_residual(dp, kind) <= 1e-11 * max(1.0, norm_p)
-            )
-            report.iters = cong.state.iterations
-            if compute_eigs:
-                lpert = pencil.poly + pert.pencil
-                got = spectra.pencil_eigs(lpert.coefficient(0), lpert.coefficient(1))
-                want = spectra.reference_polyeigs(recon.poly)
-                report.eig_chordal_max = spectra.compare_spectra(got, want).max_distance
+        pert = random_structured_perturbation(
+            pencil.k, pencil.n, kind, norm_dl_target, trial_seed, field_tag=p.field
+        )
+        rec = recover_perturbed(pencil, pert)
+        dp = rec.poly - p
+        report.norm_X = rec.norm_x
+        report.norm_dR = rec.norm_dr
+        report.norm_dP = frob_norm(dp)
+        report.ratio = report.norm_dP / norm_p
+        report.bound = tb.ratio_bound(pert.norm)
+        report.ratio_le_bound = bool(report.ratio <= report.bound)
+        report.structure_ok = bool(
+            structure_residual(dp, kind) <= 1e-11 * max(1.0, norm_p)
+        )
+        report.iters = rec.iterations
+        if compute_eigs:
+            lpert = pencil.poly + pert.pencil
+            got = spectra.pencil_eigs(lpert.coefficient(0), lpert.coefficient(1))
+            want = spectra.reference_polyeigs(rec.poly)
+            report.eig_chordal_max = spectra.compare_spectra(got, want).max_distance
     except StruktError as exc:
         report.error = f"{type(exc).__name__}: {exc}"
     report.wall_ms = (time.perf_counter() - start) * 1000.0

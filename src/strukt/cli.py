@@ -110,7 +110,7 @@ def _parse_kind(name: str) -> StructureKind:
 def cmd_linearize(args) -> int:
     p = polycore.load_polynomial(args.input)
     kind = _parse_kind(args.kind)
-    pencil = linearize.build_linearization(p, kind, args.placement, tol=args.tol)
+    pencil = linearize.build_linearization(p, kind, args.placement)
     out = args.output or (str(Path(args.input).with_suffix("")) + ".pencil.json")
     linearize.save_pencil(pencil, out)
     residual = polycore.structure_residual(pencil.poly, kind)
@@ -302,11 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     lin.add_argument("input")
     lin.add_argument("--kind", required=True, choices=ALL_KINDS)
     lin.add_argument("--placement", default="tridiagonal", choices=sorted(linearize.PLACEMENTS))
-    lin.add_argument("--tol", type=float, default=1e-12, help="structure tolerance")
     lin.add_argument("--output")
     lin.set_defaults(func=cmd_linearize)
 
-    rec = sub.add_parser("recover", help="recover the polynomial from a pencil file")
+    rec = sub.add_parser(
+        "recover", help="recover the polynomial a built or perturbed pencil file linearizes"
+    )
     rec.add_argument("pencil")
     rec.add_argument("--output")
     rec.set_defaults(func=cmd_recover)

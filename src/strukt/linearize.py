@@ -5,9 +5,10 @@ assembled in three steps: place the coefficients of P into a (k+1)n square
 pencil M satisfying the kind's block-coefficient condition, average M with its
 substituted adjoint so it carries the structure itself, and embed it into the
 2x2 block pencil [[M, B12], [L_k (x) I_n, 0]] whose off-diagonal blocks are
-the canonical bidiagonal basis and its substituted adjoint.  `recover` inverts
-the construction by an exact coefficient convolution, normalizing the sign
-that the negated structure kinds introduce at odd k.
+the canonical bidiagonal basis and its substituted adjoint.  `recover` maps a
+built or perturbed pencil back to the polynomial it linearizes; on a built
+pencil that is an exact coefficient convolution, the inverse of the builder,
+normalizing the sign that the negated structure kinds introduce at odd k.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 from . import minbases, polycore
 from .errors import GradeError, StructureError, StruktError
 from .polycore import (
-    DEFAULT_STRUCTURE_TOL,
     MatrixPolynomial,
     StructureKind,
     is_structured,
@@ -46,15 +46,16 @@ def natural_blocks(coeffs: np.ndarray, k: int, n: int):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockKroneckerPencil:
     """A (2k+1)n pencil l*L1 + L0 of a structure kind, with its natural
     partition: the (1,1) block is (k+1)n square.
 
     The pencil `assemble` builds, or one read back by `load_pencil`, which
-    may also be a perturbed pencil that `strukt perturb` wrote. ``poly``
-    holds the one coefficient stack; L0, L1 and the (1,1) block's M0, M1 are
-    read-only views of it.
+    may also be a perturbed pencil that `strukt perturb` wrote; `recover`
+    maps either kind back to its polynomial. ``poly`` holds the one
+    coefficient stack; L0, L1 and the (1,1) block's M0, M1 are read-only
+    views of it.
     """
 
     poly: MatrixPolynomial
@@ -218,7 +219,6 @@ def assemble(
     k: int,
     n: int,
     kind: StructureKind,
-    tol: float = DEFAULT_STRUCTURE_TOL,
 ) -> BlockKroneckerPencil:
     """Embed a structured (k+1)n pencil into the full block Kronecker pencil."""
     if m.shape != ((k + 1) * n, (k + 1) * n):
@@ -226,7 +226,7 @@ def assemble(
     mp = polycore.pad_to_grade(m, 1)
     if mp.grade != 1:
         raise GradeError("the (1,1) block must be a pencil")
-    if not is_structured(mp, kind, tol):
+    if not is_structured(mp, kind):
         raise StructureError(f"the (1,1) block is not {kind.value}")
 
     size = (2 * k + 1) * n
@@ -244,7 +244,6 @@ def build_linearization(
     p: MatrixPolynomial,
     kind: StructureKind,
     placement: str = "tridiagonal",
-    tol: float = DEFAULT_STRUCTURE_TOL,
 ) -> BlockKroneckerPencil:
     """placement -> symmetrize -> assemble, the standard forward pipeline."""
     try:
@@ -255,7 +254,7 @@ def build_linearization(
     # satisfies it, and now carries the structure.
     m = structure_project(place(p, kind), kind)
     k = (p.grade - 1) // 2
-    return assemble(m, k, p.rows, kind, tol=tol)
+    return assemble(m, k, p.rows, kind)
 
 
 def recover_from_m(
@@ -274,9 +273,23 @@ def recover_from_m(
 
 
 def recover(pencil: BlockKroneckerPencil) -> MatrixPolynomial:
-    """Grade 2k+1 polynomial linearized by the pencil; inverse of the builder."""
-    row = minbases.build_Lambda(pencil.k, pencil.n)
-    return recover_from_m(pencil.m_pencil, row, pencil.kind)
+    """Grade 2k+1 polynomial linearized by the pencil A, built or perturbed.
+
+    A splits into its skeleton, `assemble` of its own (1,1) block, and
+    dL = A - skeleton, which `backward.StructuredPerturbation.from_pencil`
+    admits and `backward.recover_perturbed` maps back, as a certification
+    trial does. A built pencil has dL = 0 and recovers by the monomial
+    sandwich alone, the inverse of the builder. A (1,1) block or dL that is
+    not structured, or a dL outside the solves' thresholds, is refused with
+    a `StruktError`.
+    """
+    from . import backward  # backward imports this module
+
+    skeleton = assemble(pencil.m_pencil, pencil.k, pencil.n, pencil.kind)
+    pert = backward.StructuredPerturbation.from_pencil(
+        pencil.poly - skeleton.poly, pencil.k, pencil.n, pencil.kind
+    )
+    return backward.recover_perturbed(skeleton, pert).poly
 
 
 # ---------------------------------------------------------------------------

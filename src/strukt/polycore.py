@@ -52,10 +52,6 @@ class MobiusMatrix:
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    def __matmul__(self, other: "MobiusMatrix") -> "MobiusMatrix":
-        m = self.array @ other.array
-        return MobiusMatrix(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
 
 class StructureKind(str, Enum):
     """The six classical structure classes, each tied to a fixed 2x2 matrix.
@@ -126,7 +122,7 @@ def driver_matrix(kind) -> MobiusMatrix:
 # Matrix polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixPolynomial:
     """Dense matrix polynomial with an explicit grade.
 

@@ -161,10 +161,10 @@ def compare_spectra(
 
 
 _INVOLUTIONS = {
-    StructureKind.palindromic: lambda a, b: (b, a),
-    StructureKind.anti_palindromic: lambda a, b: (b, a),
-    StructureKind.even: lambda a, b: (-a, b),
-    StructureKind.odd: lambda a, b: (-a, b),
+    StructureKind.palindromic: lambda a, b: (np.conj(b), np.conj(a)),
+    StructureKind.anti_palindromic: lambda a, b: (np.conj(b), np.conj(a)),
+    StructureKind.even: lambda a, b: (-np.conj(a), np.conj(b)),
+    StructureKind.odd: lambda a, b: (-np.conj(a), np.conj(b)),
     StructureKind.symmetric: lambda a, b: (np.conj(a), np.conj(b)),
     StructureKind.skew_symmetric: lambda a, b: (np.conj(a), np.conj(b)),
 }
@@ -173,11 +173,12 @@ _INVOLUTIONS = {
 def symmetry_check(spec: SpectrumReport, kind: StructureKind) -> float:
     """Max chordal mismatch of the spectrum against its structural involution.
 
-    Palindromic kinds pair l with 1/l (zero with infinity), alternating kinds
-    pair l with -l, and the symmetric kinds demand closure under conjugation.
-    A perfectly symmetric spectrum scores zero; fixed points match themselves.
-    These are the pairing rules of the real transpose structures; spectra of
-    complex conjugate-transpose problems obey different rules not scored here.
+    Palindromic kinds pair l with 1/conj(l) (zero with infinity), alternating
+    kinds pair l with -conj(l), and the symmetric kinds demand closure under
+    conjugation. These are the pairings of the conjugate-transpose structures
+    on complex coefficients; on real ones the spectrum is also closed under
+    conjugation, so they hold there too. A perfectly symmetric spectrum
+    scores zero; fixed points match themselves.
     """
     alpha, beta = _INVOLUTIONS[kind](spec.alpha, spec.beta)
     image = _normalize_pairs(alpha, beta)

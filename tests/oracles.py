@@ -1,7 +1,8 @@
 """Oracles that only the tests read: dense reductions and a-priori bounds of
 the star-Sylvester system (the paper's proof objects, checked against the
 library's operator and solver), the placement condition, the permuted
-tridiagonal form, a minimality test and two fixed Mobius matrices."""
+tridiagonal form, a minimality test, two fixed Mobius matrices and their
+product."""
 
 import math
 
@@ -15,6 +16,12 @@ from strukt.polycore import MatrixPolynomial, MobiusMatrix, StructureKind, drive
 MOBIUS_IDENTITY = MobiusMatrix(1, 0, 0, 1)
 #: Swap matrix: substituting with it reverses the coefficient order at fixed grade.
 MOBIUS_REVERSAL = MobiusMatrix(0, 1, 1, 0)
+
+
+def compose(a: MobiusMatrix, b: MobiusMatrix) -> MobiusMatrix:
+    """The Mobius matrix A B: substituting by it is substituting by A, then B."""
+    m = a.array @ b.array
+    return MobiusMatrix(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
 def is_coninvolutory(a: MobiusMatrix, tol: float = 1e-14) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -60,6 +61,17 @@ def test_perturbation_blocks_roundtrip_bit_exact():
     again = StructuredPerturbation.from_pencil(pert.pencil, 2, 2, kind)
     assert (again.kind, again.k, again.n) == (kind, 2, 2)
     assert np.array_equal(again.pencil.coeffs, pert.pencil.coeffs)
+
+
+def test_array_values_compare_by_identity_and_hash():
+    """A polynomial, a pencil and a perturbation each equal themselves only:
+    an equal-coefficient copy compares unequal, and each value hashes."""
+    p, pencil, pert = make_case(StructureKind.even, seed=2)
+    copies = (polycore.MatrixPolynomial(p.coeffs.copy()), dataclasses.replace(pencil),
+              dataclasses.replace(pert))
+    for value, copy in zip((p, pencil, pert), copies):
+        assert value == value and value != copy
+        assert len({value, value, copy}) == 2
 
 
 @pytest.mark.parametrize("field_tag", [polycore.REAL, polycore.COMPLEX])

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strukt import StructureKind, frob_norm, load_polynomial, random_structured, save_polynomial
-from strukt import linearize, polycore
+from strukt import backward, linearize, polycore, spectra
 from strukt.cli import (
     EXIT_CERTIFICATION,
     EXIT_OK,
@@ -170,7 +170,9 @@ def test_sidecar_of_a_polynomial_that_is_not_a_pencil_exits_2(tmp_path, poly_fil
     assert "grade 2" in _assert_one_error_line(capsys)
 
 
-def test_recover_zero_pencil_gives_zero(tmp_path):
+def test_recover_zero_pencil_exits_2(tmp_path, capsys):
+    """An all-zero pencil has a zero (2,1) block, not L_k (x) I_n, so it
+    linearizes nothing: its dL leaves the star-Sylvester system no gap."""
     size = 10
     zero = polycore.zeros(size, size, 1)
     path = tmp_path / "zero.json"
@@ -178,8 +180,36 @@ def test_recover_zero_pencil_gives_zero(tmp_path):
     with open(tmp_path / "zero.sidecar.json", "w") as fh:
         json.dump({"k": 2, "n": 2, "kind": "symmetric", "sign": 1}, fh)
     out = tmp_path / "rec.json"
-    assert main(["recover", str(path), "--output", str(out)]) == EXIT_OK
-    assert frob_norm(load_polynomial(out)) == 0.0
+    assert main(["recover", str(path), "--output", str(out)]) == EXIT_USAGE
+    assert "gap" in _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", [polycore.REAL, polycore.COMPLEX])
+@pytest.mark.parametrize("kind", list(StructureKind))
+def test_recover_replays_perturbed_pencil(tmp_path, kind, field):
+    """`recover` of a `perturb` file is the polynomial the perturbed pencil
+    linearizes: same spectrum, structured, and bit for bit what congruence
+    and reconstruction give on the same file's skeleton and dL."""
+    poly_path, pencil_path, pert_path, out = (
+        tmp_path / name for name in ("p.json", "l.json", "a.json", "r.json")
+    )
+    save_polynomial(random_structured(2, 5, kind, 1.0, seed=5, field=field), poly_path)
+    argv = ["linearize", str(poly_path), "--kind", kind.value, "--output", str(pencil_path)]
+    assert main(argv) == EXIT_OK
+    assert main(["perturb", str(pencil_path), "--norm", "1e-4", "--output", str(pert_path)]) == EXIT_OK
+    assert main(["recover", str(pert_path), "--output", str(out)]) == EXIT_OK
+    got = load_polynomial(out)
+
+    a = linearize.load_pencil(pert_path)
+    match = spectra.compare_spectra(spectra.pencil_eigs(a.l0, a.l1), spectra.reference_polyeigs(got))
+    assert match.max_distance <= 1e-10
+    assert polycore.structure_residual(got, kind) <= 1e-11
+    skeleton = linearize.assemble(a.m_pencil, a.k, a.n, kind)
+    pert = backward.StructuredPerturbation.from_pencil(a.poly - skeleton.poly, a.k, a.n, kind)
+    cong = backward.congruence_zero_block(skeleton, pert)
+    recon = backward.reconstruct_perturbed_polynomial(cong.m11, cong.b21, kind)
+    assert got.coeffs.tobytes() == recon.poly.coeffs.tobytes()
 
 
 def test_perturb_writes_pencil(tmp_path, poly_file):
@@ -338,7 +368,7 @@ def test_unknown_subcommand_exits_2():
 
 
 _OPTIONS = {
-    "linearize": {"--kind", "--placement", "--tol", "--output"},
+    "linearize": {"--kind", "--placement", "--output"},
     "recover": {"--output"},
     "perturb": {"--norm", "--seed", "--output"},
     "sigma-min": {"--kmax", "--kinds"},
@@ -364,7 +394,7 @@ def test_every_subcommand_option_is_read_by_its_command():
         ["recover", "p.json", "--mode", "empirical"],
         ["eigs", "p.json", "--seed", "3"],
         ["linearize", "p.json", "--kind", "even", "--format", "json"],
-        ["certify", "--tol", "1e-9"],
+        ["certify", "--placement", "stacked"],
     ],
 )
 def test_option_another_subcommand_reads_exits_2(argv, capsys):

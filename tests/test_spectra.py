@@ -96,11 +96,14 @@ def test_palindromic_spectrum_reciprocal_closure():
     assert symmetry_check(spec, kind) <= 1e-8
 
 
+@pytest.mark.parametrize("field", [polycore.REAL, polycore.COMPLEX])
 @pytest.mark.parametrize(
     "kind", [k for k in ALL_KINDS if k is not StructureKind.skew_symmetric]
 )
-def test_transport_pencil_vs_reference(kind):
-    p = random_structured(3, 5, kind, 1.0, seed=15)
+def test_transport_pencil_vs_reference(kind, field):
+    """Complex kinds are conjugate-transpose structures: palindromic spectra
+    pair l with 1/conj(l) and alternating ones l with -conj(l)."""
+    p = random_structured(3, 5, kind, 1.0, seed=15, field=field)
     pencil = build_linearization(p, kind, "stacked")
     got = pencil_eigs(pencil.l0, pencil.l1)
     want = reference_polyeigs(p)
