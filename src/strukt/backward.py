@@ -1,13 +1,14 @@
 """End-to-end certification that structured pencil perturbations map back to
 structured polynomial perturbations within explicit bounds.
 
-Pipeline per trial: draw a structured perturbation of the assembled pencil,
-recover the polynomial the perturbed pencil linearizes (`recover_perturbed`:
-rezero its trailing block by a structure-preserving congruence, a quadratic
-star-Sylvester fixed point; complete the perturbed bidiagonal block to a dual
-basis of degree k; sandwich the (1,1) block with it), and compare the achieved
-backward error against the certified multiplier. `linearize.recover` runs the
-same recovery on a pencil read from a file.
+Pipeline per trial: draw a structured perturbation dL of the assembled pencil
+L, form A = L + dL once (`StructuredPerturbation.perturbed`), recover the
+polynomial A linearizes from A alone (`recover_perturbed`: rezero its trailing
+block by a structure-preserving congruence, a quadratic star-Sylvester fixed
+point; complete its rezeroed (2,1) block to a dual basis of degree k; sandwich
+its (1,1) block with it), and compare the achieved backward error against the
+certified multiplier. `linearize.recover` runs the same recovery on a pencil
+read from a file.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from .polycore import (
 class StructuredPerturbation:
     """A structured pencil perturbation dL of a (2k+1)n block Kronecker pencil.
 
-    Only the pencil is stored; the fixed point reads its natural-partition
-    blocks as views of it. `from_pencil` admits dL only when it is structured
-    to within 1e-12 of its own norm, and stores that Frobenius ``norm``.
+    `from_pencil` admits dL only when it is finite and structured to within
+    1e-12 of its own norm, and stores that Frobenius ``norm``. `perturbed`
+    forms A = L + dL, the one pencil recovery reads.
     """
 
     pencil: MatrixPolynomial
@@ -62,12 +63,20 @@ class StructuredPerturbation:
                 f"expected a {size} x {size} pencil of grade 1, "
                 f"got {dl.rows} x {dl.cols} of grade {dl.grade}"
             )
+        polycore.require_finite(dl)
         residual, norm = structure_residual(dl, kind), frob_norm(dl)
         if residual > 1e-12 * norm:
             raise StructureError(
                 f"perturbation is not structured (residual {residual:.3e} at norm {norm:.3e})"
             )
         return cls(dl, kind, k, n, norm)
+
+    def perturbed(self, pencil: BlockKroneckerPencil) -> BlockKroneckerPencil:
+        """The perturbed pencil A = L + dL of the pencil L; a pencil of another
+        kind or other block sizes is refused with `StructureError`."""
+        if (self.kind, self.k, self.n) != (pencil.kind, pencil.k, pencil.n):
+            raise StructureError("perturbation kind or block sizes differ from the pencil's")
+        return BlockKroneckerPencil(pencil.poly + self.pencil, self.k, self.n, self.kind)
 
 
 def random_structured_perturbation(
@@ -98,20 +107,17 @@ def random_structured_perturbation(
 
 @dataclass
 class CongruenceResult:
-    """The two blocks of the rezeroed pencil that reconstruction reads: the
-    (1,1) block, which the congruence leaves alone, and the (2,1) block
-    X A11 + A21, with the fixed point's state, whose ``x`` is X."""
+    """The (2,1) block X A11 + A21 of the rezeroed pencil, which
+    reconstruction reads with A's untouched (1,1) block, and the fixed
+    point's state, whose ``x`` is X."""
 
-    m11: MatrixPolynomial
     b21: MatrixPolynomial
     state: sylvester.FixedPointState
     residual22: float
 
 
-def congruence_zero_block(
-    pencil: BlockKroneckerPencil, pert: StructuredPerturbation
-) -> CongruenceResult:
-    """Rezero the (2,2) block of the perturbed pencil A = L + dL by a
+def congruence_zero_block(a: BlockKroneckerPencil) -> CongruenceResult:
+    """Rezero the (2,2) block of the perturbed pencil A by a
     structure-preserving congruence [[I, 0], [X, I]] A [[I, X^*], [0, I]].
 
     Only blocks are formed: the (2,1) block b21 = X A11 + A21 and the (2,2)
@@ -119,34 +125,25 @@ def congruence_zero_block(
     `quadratic_fixed_point` refuses an inadmissible perturbation with
     `ThresholdError`. No norm threshold is checked here: certified runs refuse
     norms at or above `theorem_bound(...).threshold` before they get here.
-    The (2,2) block left by X is refused above max(1e-12, 4e-12*theta).
+    The (2,2) block left by X is refused unless it is at most
+    max(1e-12, 4e-12*theta).
     """
-    k, n = pencil.k, pencil.n
-    if (pert.kind, pert.k, pert.n) != (pencil.kind, k, n):
-        raise StructureError("perturbation kind or block sizes differ from the pencil's")
-    state = sylvester.quadratic_fixed_point(pert, pencil.m0, pencil.m1)
+    state = sylvester.quadratic_fixed_point(a)
     x = state.x
-    perturbed = pencil.poly.coeffs + pert.pencil.coeffs
-    a11, a21, a12, a22 = linearize.natural_blocks(perturbed, k, n)
+    a11, a21, a12, a22 = linearize.natural_blocks(a.poly.coeffs, a.k, a.n)
     b21 = x @ a11 + a21
     r22 = b21 @ star(x) + x @ a12 + a22
     residual22 = pair_norm(r22[0], r22[1])
-    if residual22 > max(1e-12, 4e-12 * state.theta):
+    if not residual22 <= max(1e-12, 4e-12 * state.theta):
         raise StruktError(
             f"(2,2) block residual {residual22:.3e} above tolerance after congruence"
         )
-    return CongruenceResult(
-        m11=MatrixPolynomial(a11),
-        b21=MatrixPolynomial(b21),
-        state=state,
-        residual22=residual22,
-    )
+    return CongruenceResult(b21=MatrixPolynomial(b21), state=state, residual22=residual22)
 
 
 @dataclass
 class ReconstructionResult:
     poly: MatrixPolynomial
-    dual: minbases.DualBasisPair
     norm_dr: float
 
 
@@ -168,14 +165,13 @@ def reconstruct_perturbed_polynomial(
     pair = minbases.dual_basis_complete(b21, k, n)
     return ReconstructionResult(
         poly=linearize.recover_from_m(m11, pair.N, kind),
-        dual=pair,
         norm_dr=frob_norm(pair.correction),
     )
 
 
 @dataclass(frozen=True)
 class Recovery:
-    """The polynomial that L + dL linearizes, with what a report reads of its
+    """The polynomial that A linearizes, with what a report reads of its
     recovery: ||X||_F, the completion's ||N - Lambda||_F and the fixed point's
     sweeps."""
 
@@ -185,19 +181,22 @@ class Recovery:
     iterations: int
 
 
-def recover_perturbed(pencil: BlockKroneckerPencil, pert: StructuredPerturbation) -> Recovery:
-    """Grade 2k+1 polynomial strongly linearized by the perturbed pencil
-    L + dL: `congruence_zero_block`, then `reconstruct_perturbed_polynomial`.
+def recover_perturbed(a: BlockKroneckerPencil) -> Recovery:
+    """Grade 2k+1 polynomial strongly linearized by the perturbed pencil A:
+    `congruence_zero_block`, then `reconstruct_perturbed_polynomial` of A's
+    (1,1) block and the rezeroed (2,1) block.
 
-    At dL = 0 the congruence is X = 0 and the completion N = Lambda exactly,
-    so neither solve runs: the result is the monomial sandwich of the (1,1)
-    block, the inverse of the builder.
+    When A22 is zero and A21 is exactly L_k (x) I_n, as in a built pencil,
+    the congruence is X = 0 and the completion N = Lambda exactly, so
+    neither solve runs: the result is the monomial sandwich of A11, the
+    inverse of the builder.
     """
-    if pert.norm == 0.0:
-        row = minbases.build_Lambda(pencil.k, pencil.n)
-        return Recovery(linearize.recover_from_m(pencil.m_pencil, row, pencil.kind), 0.0, 0.0, 0)
-    cong = congruence_zero_block(pencil, pert)
-    recon = reconstruct_perturbed_polynomial(cong.m11, cong.b21, pencil.kind)
+    _, a21, _, a22 = linearize.natural_blocks(a.poly.coeffs, a.k, a.n)
+    if not a22.any() and np.array_equal(a21, minbases.build_Lk(a.k, a.n).coeffs):
+        row = minbases.build_Lambda(a.k, a.n)
+        return Recovery(linearize.recover_from_m(a.m_pencil, row, a.kind), 0.0, 0.0, 0)
+    cong = congruence_zero_block(a)
+    recon = reconstruct_perturbed_polynomial(a.m_pencil, cong.b21, a.kind)
     return Recovery(
         recon.poly, float(np.linalg.norm(cong.state.x)), recon.norm_dr, cong.state.iterations
     )
@@ -285,7 +284,6 @@ def _run_single_trial(
     p,
     pencil,
     tb,
-    kind,
     placement_name,
     norm_dl_target,
     trial_seed,
@@ -297,7 +295,7 @@ def _run_single_trial(
     norm_p = tb.norm_p
     report = BackwardErrorReport(
         seed=seed_label,
-        kind=kind.value,
+        kind=pencil.kind.value,
         g=p.grade,
         n=p.rows,
         k=pencil.k,
@@ -318,9 +316,10 @@ def _run_single_trial(
                 bound=tb.threshold,
             )
         pert = random_structured_perturbation(
-            pencil.k, pencil.n, kind, norm_dl_target, trial_seed, field_tag=p.field
+            pencil.k, pencil.n, pencil.kind, norm_dl_target, trial_seed, field_tag=p.field
         )
-        rec = recover_perturbed(pencil, pert)
+        a = pert.perturbed(pencil)
+        rec = recover_perturbed(a)
         dp = rec.poly - p
         report.norm_X = rec.norm_x
         report.norm_dR = rec.norm_dr
@@ -329,12 +328,11 @@ def _run_single_trial(
         report.bound = tb.ratio_bound(pert.norm)
         report.ratio_le_bound = bool(report.ratio <= report.bound)
         report.structure_ok = bool(
-            structure_residual(dp, kind) <= 1e-11 * max(1.0, norm_p)
+            structure_residual(dp, pencil.kind) <= 1e-11 * max(1.0, norm_p)
         )
         report.iters = rec.iterations
         if compute_eigs:
-            lpert = pencil.poly + pert.pencil
-            got = spectra.pencil_eigs(lpert.coefficient(0), lpert.coefficient(1))
+            got = spectra.pencil_eigs(a.l0, a.l1)
             want = spectra.reference_polyeigs(rec.poly)
             report.eig_chordal_max = spectra.compare_spectra(got, want).max_distance
     except StruktError as exc:
@@ -376,7 +374,6 @@ def run_certification(
             p,
             pencil,
             tb,
-            kind,
             placement,
             nrm,
             np.random.SeedSequence(entropy=seed, spawn_key=(ni, ti)),

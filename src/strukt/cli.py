@@ -138,7 +138,7 @@ def cmd_perturb(args) -> int:
         pencil.k, pencil.n, pencil.kind, args.norm, args.seed, field_tag=pencil.poly.field
     )
     out = args.output or (str(Path(args.pencil).with_suffix("")) + ".perturbed.json")
-    linearize.save_pencil(dataclasses.replace(pencil, poly=pencil.poly + pert.pencil), out)
+    linearize.save_pencil(pert.perturbed(pencil), out)
     print(f"norm_dL={pert.norm!r}")
     print(f"wrote {out} and {linearize.sidecar_path(out)}")
     return EXIT_OK

@@ -275,21 +275,21 @@ def recover_from_m(
 def recover(pencil: BlockKroneckerPencil) -> MatrixPolynomial:
     """Grade 2k+1 polynomial linearized by the pencil A, built or perturbed.
 
-    A splits into its skeleton, `assemble` of its own (1,1) block, and
-    dL = A - skeleton, which `backward.StructuredPerturbation.from_pencil`
-    admits and `backward.recover_perturbed` maps back, as a certification
-    trial does. A built pencil has dL = 0 and recovers by the monomial
-    sandwich alone, the inverse of the builder. A (1,1) block or dL that is
-    not structured, or a dL outside the solves' thresholds, is refused with
-    a `StruktError`.
+    The gate: A less its skeleton, `assemble` of its own (1,1) block, is the
+    dL that `backward.StructuredPerturbation.from_pencil` must admit. Then
+    `backward.recover_perturbed` maps A itself back, as a certification
+    trial does. A built pencil recovers by the monomial sandwich alone, the
+    inverse of the builder. A (1,1) block or dL that is not finite and
+    structured, or a dL outside the solves' thresholds, is refused with a
+    `StruktError`.
     """
     from . import backward  # backward imports this module
 
     skeleton = assemble(pencil.m_pencil, pencil.k, pencil.n, pencil.kind)
-    pert = backward.StructuredPerturbation.from_pencil(
+    backward.StructuredPerturbation.from_pencil(
         pencil.poly - skeleton.poly, pencil.k, pencil.n, pencil.kind
     )
-    return backward.recover_perturbed(skeleton, pert).poly
+    return backward.recover_perturbed(pencil).poly
 
 
 # ---------------------------------------------------------------------------

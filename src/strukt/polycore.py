@@ -327,7 +327,7 @@ def min_norm_solve(apply, adjoint, gram, pinv: np.ndarray, n: int, c: np.ndarray
     w, iterations = pcg(gram, lambda r: kron_precondition(pinv, n, r), c, w)
     x = adjoint(w)
     resid = array_norm(apply(x) - c)
-    if resid > 1e-12 * max(array_norm(c), 1e-300):
+    if not resid <= 1e-12 * max(array_norm(c), 1e-300):
         raise NumericalError(f"minimum-norm solve residual {resid:.3e} above 1e-12 relative")
     return x, w, iterations
 

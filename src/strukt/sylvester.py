@@ -1,5 +1,5 @@
-"""Star-Sylvester machinery behind the congruence that rezeroes a perturbed
-pencil's trailing block.
+"""Star-Sylvester machinery behind the congruence that rezeroes the trailing
+block of a perturbed pencil A, read from A's own blocks.
 
 The linear step vectorizes a pair of coupled Sylvester equations into one
 underdetermined system whose matrix has exact 0/+-1 entries and minimum
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import minbases
 from .errors import ConvergenceError, ThresholdError
-from .linearize import natural_blocks
+from .linearize import BlockKroneckerPencil, natural_blocks
 from .polycore import array_norm, driver_matrix, gram_matrix, min_norm_solve, star
 
 
@@ -37,36 +37,35 @@ def sigma_min_formula(k: int) -> float:
 class StarSylvesterOperator:
     """The coupled map (Y, Z) -> (Y G0^* + ehat Z^*, Y G1^* + fhat Z^*).
 
-    ehat = -E + da21 and fhat = F + db21 are the bidiagonal selectors shifted
-    by the (2,1) perturbation blocks, whose shape kn x (k+1)n fixes k and n.
-    G0 + l*G1 is the kind's Mobius image of the perturbed bidiagonal pencil
-    ehat + l*fhat: the rule that fixes a structured pencil's (1,2) block from
-    its (2,1) block. At grade 1 that image is G0 = d*ehat + b*fhat and
-    G1 = c*ehat + a*fhat for the driver [[a, b], [c, d]].
+    ehat + l*fhat is the (2,1) block of a perturbed pencil A, given as its
+    (2, kn, (k+1)n) coefficient stack ``a21``, whose shape fixes k and n; at
+    zero perturbation it is L_k (x) I_n = -E + l*F. G0 + l*G1 is the kind's
+    Mobius image of ehat + l*fhat: the rule that fixes a structured pencil's
+    (1,2) block from its (2,1) block. At grade 1 that image is
+    G0 = d*ehat + b*fhat and G1 = c*ehat + a*fhat for the driver [[a, b], [c, d]].
 
     The blocks are stored stacked, G = [G0; G1] and H = [ehat; fhat], each
     2kn x (k+1)n, with their adjoints; g0, g1, ehat and fhat are row-block
     views. An image (c0, c1) is a (2, kn, kn) stack.
     """
 
-    def __init__(self, da21: np.ndarray, db21: np.ndarray, kind):
-        kn, width = da21.shape
+    def __init__(self, a21: np.ndarray, kind):
+        _, kn, width = a21.shape
         self.n = width - kn
         self.k = kn // self.n
-        sel = minbases.selector_matrices(self.k, self.n)
-        ehat = -sel.e + da21
-        fhat = sel.f + db21
         a = self.driver = driver_matrix(kind)
-        self.h = np.vstack([ehat, fhat])
+        self.h = np.vstack(a21)
+        ehat, fhat = self.h[:kn], self.h[kn:]
         self.g = np.vstack([a.d * ehat + a.b * fhat, a.c * ehat + a.a * fhat])
         self.gs, self.hs = star(self.g), star(self.h)
-        self.ehat, self.fhat = self.h[:kn], self.h[kn:]
+        self.ehat, self.fhat = ehat, fhat
         self.g0, self.g1 = self.g[:kn], self.g[kn:]
 
     @classmethod
     def unperturbed(cls, k: int, n: int, kind) -> "StarSylvesterOperator":
-        zero = np.zeros((k * n, (k + 1) * n))
-        return cls(zero, zero, kind)
+        # + 0.0 turns the -0.0 entries of L_k's -I blocks into +0.0; with
+        # -0.0 in T_A, `strukt sigma-min`'s SVDs move in the last digit.
+        return cls(minbases.build_Lk(k, n).coeffs + 0.0, kind)
 
     def apply(self, y: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Matrix-free image of the pair (Y, Z), given Y and Z^*: two products,
@@ -180,9 +179,8 @@ class _MinNormSolver:
 
     def __init__(self, op: StarSylvesterOperator):
         ref = _reference(op.k, op.driver)
-        sel = minbases.selector_matrices(op.k, op.n)
-        # H - [-E; F] is exact by Sterbenz's lemma: dH is the operator's own.
-        dh = np.vstack([op.ehat + sel.e, op.fhat - sel.f])
+        # H - L_k is exact by Sterbenz's lemma: dH is the operator's own.
+        dh = op.h - minbases.build_Lk(op.k, op.n).coeffs.reshape(op.h.shape)
         s = np.linalg.svd(dh, compute_uv=False)[0] * (1.0 + len(dh) * _EPS)
         # ||dT||_2 rounds up and the difference down, so delta never exceeds
         # the exact sigma_min - ||dT||_2 of these inputs.
@@ -228,46 +226,40 @@ class _MinNormSolver:
 
 @dataclass
 class FixedPointState:
-    """Outcome of the quadratic star-Sylvester iteration."""
+    """Outcome of the quadratic star-Sylvester iteration. ``x_norms`` keeps
+    ||X||_F of every sweep's iterate, not only the last."""
 
     x: np.ndarray
     delta: float
     theta: float
     omega: float
     kappa1: float
-    kappa: float
-    rho0: float
     residuals: list = field(default_factory=list)
     x_norms: list = field(default_factory=list)
     solve_iterations: list = field(default_factory=list)  # CG iterations per sweep
     iterations: int = 0
-    converged: bool = False
-
-    @property
-    def norm_bound(self) -> float:
-        """Guaranteed bound 2*theta/delta on the solution norm."""
-        return 2.0 * self.theta / self.delta if self.delta > 0 else math.inf
 
 
-def quadratic_fixed_point(pert, m0: np.ndarray, m1: np.ndarray) -> FixedPointState:
-    """Solve the quadratic star-Sylvester system that rezeroes the (2,2) block.
+def quadratic_fixed_point(a: BlockKroneckerPencil) -> FixedPointState:
+    """Solve the quadratic star-Sylvester system that rezeroes the (2,2) block
+    of the perturbed pencil A.
 
-    ``pert`` is a `backward.StructuredPerturbation`; its natural-partition
-    blocks are read as views of its pencil, and its kind fixes the operator.
-    Each sweep solves the linearized coupled system at minimum norm and
-    averages; admissibility requires delta > 0 and theta*omega/delta^2 < 1/4.
-    Averaging is exact because every sweep's right-hand pencil carries the
-    structure. A solve residual above 1e-12 relative raises `NumericalError`
-    at its sweep; the iteration stops once the fixed-point residual is at
-    most 1e-12*theta (at theta = 0 the first sweep's residual is exactly 0)
-    and raises `ConvergenceError` after 100 sweeps.
+    Its natural-partition blocks are read as views: the (2,1) block fixes the
+    operator, W = A11 and theta = ||A22||. Each sweep solves the linearized
+    coupled system at minimum norm and averages; admissibility requires
+    delta > 0 and theta*omega/delta^2 < 1/4, omega = ||W||. Averaging is
+    exact because every sweep's right-hand pencil carries the structure. A
+    solve residual above 1e-12 relative raises `NumericalError` at its
+    sweep; the iteration stops once the fixed-point residual is at most
+    1e-12*theta (at theta = 0 the first sweep's residual is exactly 0) and
+    raises `ConvergenceError` after 100 sweeps.
     """
-    d11, (da21, db21), _, d22 = natural_blocks(pert.pencil.coeffs, pert.k, pert.n)
-    op = StarSylvesterOperator(da21, db21, pert.kind)
-    kn, width = da21.shape
+    a11, a21, _, a22 = natural_blocks(a.poly.coeffs, a.k, a.n)
+    op = StarSylvesterOperator(a21, a.kind)
+    _, kn, width = a21.shape
     # W = [W0 W1], so X W is (X W0, X W1) side by side.
-    w = np.hstack([m0 + d11[0], m1 + d11[1]])
-    theta = array_norm(d22)
+    w = np.hstack(a11)
+    theta = array_norm(a22)
     omega = array_norm(w)
 
     solver = _MinNormSolver(op)
@@ -279,38 +271,27 @@ def quadratic_fixed_point(pert, m0: np.ndarray, m1: np.ndarray) -> FixedPointSta
             value=kappa1,
             bound=0.25,
         )
-    kappa = 0.0
-    if kappa1 > 0:
-        kappa = 2.0 * kappa1 / (1.0 - 2.0 * kappa1 + math.sqrt(1.0 - 4.0 * kappa1))
     tol = 1e-12 * theta
-
     state = FixedPointState(
-        x=np.zeros_like(op.ehat),
-        delta=delta,
-        theta=theta,
-        omega=omega,
-        kappa1=kappa1,
-        kappa=kappa,
-        rho0=theta / delta,
+        x=np.zeros_like(op.ehat), delta=delta, theta=theta, omega=omega, kappa1=kappa1
     )
 
     # q = (X W0 X^*, X W1 X^*) at the current iterate, shared by its residual
     # and the next right-hand side. Each sweep's CG starts from the previous
     # sweep's solution, whose right-hand side differs by the change in q.
-    q = np.zeros_like(d22)
+    q = np.zeros_like(a22)
     for it in range(1, 101):
-        y, zs = solver.solve(-d22 - q, solver.w)
+        y, zs = solver.solve(-a22 - q, solver.w)
         x = (y + star(zs)) / 2.0
         xs = star(x)
         q = (x @ w).reshape(kn, 2, width).swapaxes(0, 1) @ xs
-        resid = array_norm(op.apply(x, xs) + d22 + q)
+        resid = array_norm(op.apply(x, xs) + a22 + q)
         state.x = x
         state.residuals.append(resid)
         state.x_norms.append(float(np.linalg.norm(x)))
         state.solve_iterations.append(solver.iterations)
         state.iterations = it
         if resid <= tol:
-            state.converged = True
             return state
     raise ConvergenceError(
         f"fixed point did not reach {tol:.3e} in 100 sweeps "

@@ -1,8 +1,8 @@
 """Oracles that only the tests read: dense reductions and a-priori bounds of
 the star-Sylvester system (the paper's proof objects, checked against the
-library's operator and solver), the placement condition, the permuted
-tridiagonal form, a minimality test, two fixed Mobius matrices and their
-product."""
+library's operator and solver), the star-Sylvester operator of a (2,1)
+perturbation, the placement condition, the permuted tridiagonal form, a
+minimality test, two fixed Mobius matrices and their product."""
 
 import math
 
@@ -12,6 +12,7 @@ from strukt import minbases, polycore
 from strukt.errors import GradeError, ThresholdError
 from strukt.linearize import BlockKroneckerPencil, permutation_to_tridiagonal
 from strukt.polycore import MatrixPolynomial, MobiusMatrix, StructureKind, driver_matrix, frob_norm
+from strukt.sylvester import StarSylvesterOperator
 
 MOBIUS_IDENTITY = MobiusMatrix(1, 0, 0, 1)
 #: Swap matrix: substituting with it reverses the coefficient order at fixed grade.
@@ -82,6 +83,25 @@ def x_norm_bound(k: int, norm_dl: float) -> float:
     """Guaranteed bound 3k||dL|| / (1 - 3k||dL||) on the congruence factor."""
     denom = 1.0 - 3.0 * k * norm_dl
     return 3.0 * k * norm_dl / denom if denom > 0 else math.inf
+
+
+def operator_for(da21: np.ndarray, db21: np.ndarray, kind) -> StarSylvesterOperator:
+    """The star-Sylvester operator of the perturbed (2,1) block
+    L_k (x) I_n + (dA21 + l*dB21), whose kn x (k+1)n shape fixes k and n."""
+    kn, width = da21.shape
+    n = width - kn
+    a21 = minbases.build_Lk(kn // n, n).coeffs + np.stack([da21, db21])
+    return StarSylvesterOperator(a21, kind)
+
+
+def iterate_norm_cap(state) -> float:
+    """Cap theta/delta * (1 + kappa) on the norm of every fixed-point iterate,
+    kappa = kappa1 (1 + kappa)^2 the smaller root, kappa1 = theta*omega/delta^2."""
+    kappa1 = state.kappa1
+    kappa = 0.0
+    if kappa1 > 0:
+        kappa = 2.0 * kappa1 / (1.0 - 2.0 * kappa1 + math.sqrt(1.0 - 4.0 * kappa1))
+    return state.theta / state.delta * (1.0 + kappa)
 
 
 def _blocks(mat: np.ndarray, n: int, i: int, j: int) -> np.ndarray:

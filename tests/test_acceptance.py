@@ -51,7 +51,7 @@ from conftest import (
     integer_structured_coeffs,
     with_scaled_22_block,
 )
-from oracles import MOBIUS_REVERSAL, compose, tridiagonal_form, x_norm_bound
+from oracles import MOBIUS_REVERSAL, compose, iterate_norm_cap, tridiagonal_form, x_norm_bound
 
 
 @contextmanager
@@ -258,11 +258,12 @@ def test_criterion_5_backward_certification():
                 for trial in range(100):
                     seed = np.random.SeedSequence(entropy=555, spawn_key=(ni, trial))
                     pert = random_structured_perturbation(k, n, kind, norm_dl, seed)
-                    cong = congruence_zero_block(pencil, pert)
+                    a = pert.perturbed(pencil)
+                    cong = congruence_zero_block(a)
                     theta = cong.state.theta
                     assert cong.state.residuals[-1] <= 1e-12 * theta
                     assert np.linalg.norm(cong.state.x) <= x_norm_bound(k, pert.norm)
-                    recon = reconstruct_perturbed_polynomial(cong.m11, cong.b21, kind)
+                    recon = reconstruct_perturbed_polynomial(a.m_pencil, cong.b21, kind)
                     norm_dtilde21 = frob_norm(cong.b21 - build_Lk(k, n))
                     assert recon.norm_dr <= dr_factor * norm_dtilde21
                     assert recon.norm_dr < 1.0 / math.sqrt(2.0)
@@ -384,10 +385,10 @@ def test_criterion_9_fixed_point_theory():
             pencil = build_linearization(p, kind, "tridiagonal")
             norm_dl = float(rng.uniform(1e-8, 3e-2))
             pert = random_structured_perturbation(k, n, kind, norm_dl, seed=trial)
-            state = sylvester.quadratic_fixed_point(pert, pencil.m0, pencil.m1)
-            assert state.converged
+            state = sylvester.quadratic_fixed_point(pert.perturbed(pencil))
+            assert state.residuals[-1] <= 1e-12 * state.theta
             assert state.kappa1 < 0.25
-            cap = state.rho0 * (1.0 + state.kappa)
+            cap = iterate_norm_cap(state)
             assert max(state.x_norms) <= cap + 1e-12 * max(1.0, cap)
         # forced inadmissibility raises the documented precondition error
         kind = StructureKind.palindromic
@@ -396,5 +397,5 @@ def test_criterion_9_fixed_point_theory():
         pert = random_structured_perturbation(k, n, kind, 1e-4, seed=4001)
         forced = with_scaled_22_block(pert, 1e7)
         with pytest.raises(ThresholdError) as err:
-            sylvester.quadratic_fixed_point(forced, pencil.m0, pencil.m1)
+            sylvester.quadratic_fixed_point(forced.perturbed(pencil))
         assert err.value.value >= 0.25 and err.value.bound == 0.25

@@ -116,32 +116,38 @@ def test_from_pencil_refuses_a_pencil_of_the_wrong_size_or_grade(size, grade):
 # congruence
 # ---------------------------------------------------------------------------
 
-def dense_congruence(pencil, pert, x):
-    """Oracle: [[I, 0], [X, I]] (L + dL) [[I, X^*], [0, I]], formed densely."""
-    top = (pencil.k + 1) * pencil.n
-    g = np.eye(pencil.size, dtype=np.result_type(x, pencil.l0))
+def dense_congruence(a, x):
+    """Oracle: [[I, 0], [X, I]] A [[I, X^*], [0, I]], formed densely."""
+    top = (a.k + 1) * a.n
+    g = np.eye(a.size, dtype=np.result_type(x, a.l0))
     g[top:, :top] = x
-    perturbed = pencil.poly + pert.pencil
-    return polycore.MatrixPolynomial(g @ perturbed.coeffs @ polycore.star(g))
+    return polycore.MatrixPolynomial(g @ a.poly.coeffs @ polycore.star(g))
 
 
 def test_congruence_zero_perturbation_is_identity():
     kind = StructureKind.symmetric
     p, pencil, _ = make_case(kind, seed=3)
     zero = StructuredPerturbation.from_pencil(polycore.zeros(10, 10, 1), 2, 2, kind)
-    res = congruence_zero_block(pencil, zero)
+    a = zero.perturbed(pencil)
+    res = congruence_zero_block(a)
     assert not res.state.x.any()
-    assert res.m11.coeffs.tobytes() == pencil.m_pencil.coeffs.tobytes()
+    assert a.m_pencil.coeffs.tobytes() == pencil.m_pencil.coeffs.tobytes()
     # Bit for bit but for the sign of zeros: adding dL = 0 turns the -0.0
     # entries of L_k's -I blocks into +0.0.
     assert np.array_equal(res.b21.coeffs, minbases.build_Lk(2, 2).coeffs)
 
 
-def test_congruence_refuses_a_perturbation_of_another_kind():
-    p, pencil, _ = make_case(StructureKind.even, seed=3)
-    odd = random_structured_perturbation(2, 2, StructureKind.odd, 1e-8, seed=4)
-    with pytest.raises(errors.StructureError):
-        congruence_zero_block(pencil, odd)
+@pytest.mark.parametrize(
+    "kind, k, n", [(StructureKind.odd, 1, 6), (StructureKind.even, 4, 2)], ids=["kind", "sizes"]
+)
+def test_perturbed_refuses_a_perturbation_of_another_kind_or_shape(kind, k, n):
+    """dL must have the pencil's kind, k and n: an odd dL of an even pencil
+    is refused, and so is a (k, n) = (4, 2) dL of a (1, 6) pencil of the
+    same size 18."""
+    p, pencil, _ = make_case(StructureKind.even, seed=3, g=3, n=6)
+    pert = random_structured_perturbation(k, n, kind, 1e-8, seed=4)
+    with pytest.raises(errors.StructureError, match="kind or block sizes"):
+        pert.perturbed(pencil)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -153,11 +159,12 @@ def test_congruence_blocks_match_the_dense_congruence(kind, field, placement):
     p = random_structured(2, 5, kind, 1.0, seed=17, field=field)
     pencil = build_linearization(p, kind, placement)
     pert = random_structured_perturbation(2, 2, kind, 1e-6, seed=18, field_tag=field)
-    res = congruence_zero_block(pencil, pert)
-    dense = dense_congruence(pencil, pert, res.state.x)
+    a = pert.perturbed(pencil)
+    res = congruence_zero_block(a)
+    dense = dense_congruence(a, res.state.x)
     assert is_structured(dense, kind, tol=1e-12)
     d11, d21, _, d22 = linearize.natural_blocks(dense.coeffs, 2, 2)
-    for got, want in ((res.m11.coeffs, d11), (res.b21.coeffs, d21)):
+    for got, want in ((a.m_pencil.coeffs, d11), (res.b21.coeffs, d21)):
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
     # Both are the rounding residue of one block summed in different orders,
     # so they agree in size, not in bits.
@@ -167,7 +174,7 @@ def test_congruence_blocks_match_the_dense_congruence(kind, field, placement):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_congruence_pipeline_small_perturbation(kind):
     p, pencil, pert = make_case(kind, seed=17, norm=1e-8)
-    res = congruence_zero_block(pencil, pert)
+    res = congruence_zero_block(pert.perturbed(pencil))
     assert res.residual22 <= 1e-14
     assert np.linalg.norm(res.state.x) <= x_norm_bound(2, pert.norm)
     # growth of the (2,1) defect obeys the stated amplification factor
@@ -186,7 +193,7 @@ def test_congruence_threshold_certified_mode():
     p, pencil, _ = make_case(kind, seed=23)
     big = random_structured_perturbation(2, 2, kind, 0.5, seed=2)
     with pytest.raises(ThresholdError) as err:
-        congruence_zero_block(pencil, big)
+        congruence_zero_block(big.perturbed(pencil))
     assert err.value.bound == 0.25
 
 
@@ -222,8 +229,9 @@ def test_reconstruct_structure_and_norm_bound(kind, g):
     k = (g - 1) // 2
     for trial in range(10):
         p, pencil, pert = make_case(kind, seed=trial * 7, g=g, norm=1e-6)
-        cong = congruence_zero_block(pencil, pert)
-        recon = reconstruct_perturbed_polynomial(cong.m11, cong.b21, kind)
+        a = pert.perturbed(pencil)
+        cong = congruence_zero_block(a)
+        recon = reconstruct_perturbed_polynomial(a.m_pencil, cong.b21, kind)
         assert is_structured(recon.poly, kind, tol=1e-11)
         dp = recon.poly - p
         assert polycore.structure_residual(dp, kind) <= 1e-11
@@ -234,6 +242,35 @@ def test_reconstruct_structure_and_norm_bound(kind, g):
             + 4.0 * frob_norm(pencil.m_pencil) * recon.norm_dr
         )
         assert frob_norm(dp) <= cap + 1e-15
+
+
+@pytest.mark.parametrize("field", [polycore.REAL, polycore.COMPLEX])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_no_solve_shortcut_reads_the_perturbed_pencil(monkeypatch, kind, field):
+    """When A22 = 0 and A21 = L_k (x) I_n, recovery runs neither solve and is
+    the monomial sandwich of A's own (1,1) block, bit for bit: for dL = 0 and
+    for a structured dL confined to the (1,1) block, which moves P."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran on the no-solve path")
+
+    k, n = 2, 2
+    p = random_structured(n, 2 * k + 1, kind, 1.0, seed=41, field=field)
+    pencil = build_linearization(p, kind, "stacked")
+    top = (k + 1) * n
+    coeffs = np.zeros((2, pencil.size, pencil.size), dtype=pencil.poly.coeffs.dtype)
+    coeffs[:, :top, :top] = random_structured(top, 1, kind, 1e-3, seed=42, field=field).coeffs
+    monkeypatch.setattr(sylvester, "quadratic_fixed_point", refuse)
+    monkeypatch.setattr(minbases, "dual_basis_complete", refuse)
+    zero = polycore.zeros(pencil.size, pencil.size, 1)
+    for dl, moves in ((zero, False), (polycore.MatrixPolynomial(coeffs), True)):
+        a = StructuredPerturbation.from_pencil(dl, k, n, kind).perturbed(pencil)
+        want = linearize.recover_from_m(a.m_pencil, minbases.build_Lambda(k, n), kind)
+        rec = backward.recover_perturbed(a)
+        assert rec.poly.coeffs.tobytes() == want.coeffs.tobytes()
+        assert (rec.norm_x, rec.norm_dr, rec.iterations) == (0.0, 0.0, 0)
+        assert linearize.recover(a).coeffs.tobytes() == want.coeffs.tobytes()
+        assert (frob_norm(rec.poly - p) > 1e-6) == moves
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +604,11 @@ def test_minimal_index_shift_under_perturbation():
     n, g, k = 3, 5, 2
     p = random_structured(n, g, kind, 1.0, seed=8)
     pencil = build_linearization(p, kind, "tridiagonal")
-    pert = random_structured_perturbation(k, n, kind, 1e-8, seed=9)
-    cong = congruence_zero_block(pencil, pert)
-    recon = reconstruct_perturbed_polynomial(cong.m11, cong.b21, kind)
-    lpert = pencil.poly + pert.pencil
+    a = random_structured_perturbation(k, n, kind, 1e-8, seed=9).perturbed(pencil)
+    cong = congruence_zero_block(a)
+    recon = reconstruct_perturbed_polynomial(a.m_pencil, cong.b21, kind)
     rep_poly = minimal_indices(recon.poly)
-    rep_pencil = minimal_indices(lpert, tol=1e-7)
+    rep_pencil = minimal_indices(a.poly, tol=1e-7)
     assert rep_poly.right == rep_poly.left
     assert rep_pencil.right == tuple(e + k for e in rep_poly.right)
     assert rep_pencil.left == rep_pencil.right
@@ -582,11 +618,11 @@ def test_complex_field_pipeline():
     kind = StructureKind.palindromic
     p = random_structured(2, 5, kind, 1.0, seed=3, field=polycore.COMPLEX)
     pencil = build_linearization(p, kind, "tridiagonal")
-    pert = random_structured_perturbation(
+    a = random_structured_perturbation(
         2, 2, kind, 1e-8, seed=5, field_tag=polycore.COMPLEX
-    )
-    cong = congruence_zero_block(pencil, pert)
-    recon = reconstruct_perturbed_polynomial(cong.m11, cong.b21, kind)
+    ).perturbed(pencil)
+    cong = congruence_zero_block(a)
+    recon = reconstruct_perturbed_polynomial(a.m_pencil, cong.b21, kind)
     dp = recon.poly - p
     assert cong.residual22 <= 1e-14
     assert polycore.structure_residual(dp, kind) <= 1e-11

@@ -319,3 +319,16 @@ def test_build_linearization_refuses_non_finite_coefficients(bad, placement):
     p = with_entry(random_structured(2, 3, StructureKind.symmetric, seed=1), bad)
     with pytest.raises(StruktError, match="finite"):
         build_linearization(p, StructureKind.symmetric, placement)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_recover_refuses_a_non_finite_12_block(bad):
+    """Recovery never reads the (1,2) block, so the dL gate is all that sees
+    a NaN or inf there; a NaN residual compares False with any bound."""
+    kind = StructureKind.symmetric
+    pencil = build_linearization(random_structured(2, 5, kind, 1.0, seed=4), kind, "tridiagonal")
+    coeffs = pencil.poly.coeffs.copy()
+    linearize.natural_blocks(coeffs, 2, 2)[2][1, 0, 0] = bad
+    bad_pencil = linearize.BlockKroneckerPencil(polycore.MatrixPolynomial(coeffs), 2, 2, kind)
+    with pytest.raises(StruktError, match="finite"):
+        recover(bad_pencil)

@@ -536,6 +536,19 @@ def test_cg_cap_stops_an_ill_conditioned_solve_and_the_gate_refuses_it(rng):
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_min_norm_solve_gate_refuses_a_non_finite_residual(rng, bad):
+    """An operator whose image is NaN or inf is refused by the residual gate:
+    a NaN residual compares False with any bound, so it must not pass."""
+    a = rng.standard_normal((6, 10))
+    c = rng.standard_normal((1, 3, 2))
+    with pytest.raises(NumericalError, match="solve residual"):
+        polycore.min_norm_solve(
+            lambda x: np.full(c.shape, bad), lambda w: a.T @ w.reshape(-1),
+            lambda w: (a @ (a.T @ w.reshape(-1))).reshape(c.shape), np.eye(6), 1, c,
+        )
+
+
 def test_pcg_zero_rhs_returns_exact_zeros():
     def never(v):
         raise AssertionError("no operator call for a zero right-hand side")

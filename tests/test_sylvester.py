@@ -33,6 +33,8 @@ from oracles import (
     build_TA_mid,
     delta_lower_bound,
     is_coninvolutory,
+    iterate_norm_cap,
+    operator_for,
     reference_reduced,
     sign_diagonals,
 )
@@ -136,6 +138,8 @@ def test_zero_perturbation_gives_the_law_and_build_TA(kind, k):
         assert 0.0 <= law - _MinNormSolver(op).delta <= 1e-12
     op = StarSylvesterOperator.unperturbed(k, 2, kind)
     assert np.array_equal(op.matrix(), build_TA(k, 2, kind))
+    # Its zeros are +0.0: L_k's -0.0 entries move `strukt sigma-min` rows.
+    assert not np.signbit(op.h[op.h == 0.0]).any()
 
 
 def _draw(rng, shape, field_tag, scale=1.0):
@@ -170,7 +174,7 @@ def test_operator_matrix_matches_matrix_products(kind, field_tag, rng):
     zs = z.conj().T
     want0 = y @ g0.conj().T + ehat @ zs
     want1 = y @ g1.conj().T + fhat @ zs
-    op = StarSylvesterOperator(da21, db21, kind)
+    op = operator_for(da21, db21, kind)
     assert (op.k, op.ehat.shape) == (k, shape)
     image = mobius(from_coeff_list([ehat, fhat]), a).coeffs
     assert op.g0.tobytes() == image[0].tobytes() and op.g1.tobytes() == image[1].tobytes()
@@ -196,7 +200,7 @@ def test_operator_gram_apply_adjoint_and_solve_match_dense_oracles(kind, field_t
     kn = k * n
     pert = backward.random_structured_perturbation(k, n, kind, 0.05, seed=7, field_tag=field_tag)
     _, _, da21, db21, _, _ = perturbation_blocks(pert)
-    op = StarSylvesterOperator(da21, db21, kind)
+    op = operator_for(da21, db21, kind)
     t = op.matrix()
 
     y = _draw(rng, (kn, (k + 1) * n), field_tag)
@@ -231,7 +235,7 @@ def test_weyl_bound_is_below_sigma_min_and_agrees_with_the_gap(kind, field_tag):
                     k, n, kind, nrm, seed=seed, field_tag=field_tag
                 )
                 _, _, da21, db21, _, _ = perturbation_blocks(pert)
-                op = StarSylvesterOperator(da21, db21, kind)
+                op = operator_for(da21, db21, kind)
                 delta = _MinNormSolver(op).delta
                 sigma = np.linalg.svd(op.matrix(), compute_uv=False)[-1]
                 image = mobius(from_coeff_list([da21, db21]), driver).coeffs
@@ -269,11 +273,11 @@ def test_one_svd_gap_against_two_svds(field_tag, rng):
                     k, n, kind, nrm, seed=seed, field_tag=field_tag
                 )
                 _, _, da21, db21, _, _ = perturbation_blocks(pert)
-                op = StarSylvesterOperator(da21, db21, kind)
+                op = operator_for(da21, db21, kind)
                 assert abs(_MinNormSolver(op).delta - _two_svd_delta(op)) <= 1e-15
             shape = (k * n, (k + 1) * n)
             for drv in _NON_UNITARY:
-                op = StarSylvesterOperator(
+                op = operator_for(
                     _draw(rng, shape, field_tag, 0.03 / k), _draw(rng, shape, field_tag, 0.03 / k), drv
                 )
                 assert _MinNormSolver(op).delta <= _two_svd_delta(op)
@@ -300,7 +304,7 @@ def test_gap_is_never_optimistic(kind, field_tag):
                 k, n, kind, frac / (3.0 * k), seed=seed, field_tag=field_tag
             )
             _, _, da21, db21, _, _ = perturbation_blocks(pert)
-            op = StarSylvesterOperator(da21, db21, kind)
+            op = operator_for(da21, db21, kind)
             base = StarSylvesterOperator.unperturbed(k, n, kind)
             delta = _MinNormSolver(op).delta
             sigma = sylvester._reference(k, driver).sigma_min
@@ -331,7 +335,7 @@ def test_delta_lower_bound_is_a_lower_bound(k, rng):
             k, 2, kind, nrm, seed=trial, field_tag=field_tag
         )
         _, _, da21, db21, _, _ = perturbation_blocks(pert)
-        op = StarSylvesterOperator(da21, db21, kind)
+        op = operator_for(da21, db21, kind)
         t = op.matrix()
         weyl = sigma_min_formula(k) - np.linalg.norm(t - build_TA(k, 2, kind), 2)
         sigma = np.linalg.svd(t, compute_uv=False)[-1]
@@ -372,7 +376,7 @@ def test_fused_gram_is_apply_after_adjoint(kind, field_tag, rng):
         for n in range(1, 4):
             kn = k * n
             shape = (kn, (k + 1) * n)
-            op = StarSylvesterOperator(
+            op = operator_for(
                 _draw(rng, shape, field_tag, 0.05 / k), _draw(rng, shape, field_tag, 0.05 / k), kind
             )
             c = _draw(rng, (2, kn, kn), field_tag)
@@ -392,7 +396,7 @@ def test_warm_started_solve_matches_lstsq(kind, field_tag, rng):
     kn = k * n
     pert = backward.random_structured_perturbation(k, n, kind, 0.05, seed=7, field_tag=field_tag)
     _, _, da21, db21, _, _ = perturbation_blocks(pert)
-    op = StarSylvesterOperator(da21, db21, kind)
+    op = operator_for(da21, db21, kind)
     solver = _MinNormSolver(op)
     t = op.matrix()
     c = _draw(rng, (2, kn, kn), field_tag)
@@ -442,7 +446,7 @@ def test_min_norm_solve_bound_and_consistency(kind, rng):
 def test_min_norm_solve_rank_risk(rng):
     k, n = 2, 1
     huge = rng.standard_normal((k * n, (k + 1) * n)) * 10.0
-    op = StarSylvesterOperator(huge, huge, StructureKind.symmetric)
+    op = operator_for(huge, huge, StructureKind.symmetric)
     with pytest.raises(ThresholdError) as err:
         _MinNormSolver(op)
     assert err.value.bound == 0.0
@@ -518,10 +522,10 @@ def test_fixed_point_zero_perturbation():
     kind = StructureKind.symmetric
     pencil, pert = _pencil_blocks(kind, 21)
     zero = backward.StructuredPerturbation.from_pencil(zeros(10, 10, 1), 2, 2, kind)
-    state = quadratic_fixed_point(zero, pencil.m0, pencil.m1)
+    state = quadratic_fixed_point(zero.perturbed(pencil))
     assert not state.x.any()
     assert state.iterations == 1
-    assert state.converged
+    assert state.residuals[-1] <= 1e-12 * state.theta
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -529,10 +533,9 @@ def test_fixed_point_small_perturbation(kind):
     pencil, pert = _pencil_blocks(kind, 31)
     *_, da22, db22 = perturbation_blocks(pert)
     theta = pair_norm(da22, db22)
-    state = quadratic_fixed_point(pert, pencil.m0, pencil.m1)
-    assert state.converged
+    state = quadratic_fixed_point(pert.perturbed(pencil))
     assert state.residuals[-1] <= 1e-12 * theta
-    assert np.linalg.norm(state.x) <= state.norm_bound
+    assert np.linalg.norm(state.x) <= 2.0 * state.theta / state.delta
     assert len(state.solve_iterations) == state.iterations
     assert all(1 <= it <= 5 for it in state.solve_iterations)
 
@@ -540,23 +543,23 @@ def test_fixed_point_small_perturbation(kind):
 def test_fixed_point_congruence_zeroes_block(rng):
     kind = StructureKind.symmetric
     pencil, pert = _pencil_blocks(kind, 41)
-    state = quadratic_fixed_point(pert, pencil.m0, pencil.m1)
+    a = pert.perturbed(pencil)
+    state = quadratic_fixed_point(a)
     x = state.x
     g = np.eye(10)
     g[6:, :6] = x
     h = np.eye(10)
     h[:6, 6:] = x.T
-    perturbed = pencil.poly + pert.pencil
-    t0 = g @ perturbed.coefficient(0) @ h
-    t1 = g @ perturbed.coefficient(1) @ h
+    t0 = g @ a.l0 @ h
+    t1 = g @ a.l1 @ h
     assert pair_norm(t0[6:, 6:], t1[6:, 6:]) <= 1e-13
 
 
 def test_fixed_point_iterate_norms_bounded():
     for seed, kind in enumerate(ALL_KINDS):
         pencil, pert = _pencil_blocks(kind, 100 + seed, norm=2e-2)
-        state = quadratic_fixed_point(pert, pencil.m0, pencil.m1)
-        cap = state.rho0 * (1.0 + state.kappa) + 1e-12
+        state = quadratic_fixed_point(pert.perturbed(pencil))
+        cap = iterate_norm_cap(state) + 1e-12
         assert max(state.x_norms) <= cap
 
 
@@ -567,8 +570,8 @@ def test_later_sweeps_start_from_the_previous_solve(kind, norm):
     change in q, so CG started from the first sweep's w needs fewer
     iterations."""
     pencil, pert = _pencil_blocks(kind, 31, norm=norm)
-    state = quadratic_fixed_point(pert, pencil.m0, pencil.m1)
-    assert state.converged and state.iterations >= 2
+    state = quadratic_fixed_point(pert.perturbed(pencil))
+    assert state.residuals[-1] <= 1e-12 * state.theta and state.iterations >= 2
     assert state.solve_iterations[1] < state.solve_iterations[0]
 
 
@@ -577,7 +580,7 @@ def test_fixed_point_inadmissible_raises():
     pencil, pert = _pencil_blocks(kind, 51, norm=1e-3)
     forced = with_scaled_22_block(pert, 1e6)
     with pytest.raises(ThresholdError) as err:
-        quadratic_fixed_point(forced, pencil.m0, pencil.m1)
+        quadratic_fixed_point(forced.perturbed(pencil))
     assert err.value.bound == 0.25
 
 
@@ -596,5 +599,5 @@ def test_fixed_point_gates_every_solve(monkeypatch):
 
     monkeypatch.setattr(polycore, "pcg", slightly_wrong)
     with pytest.raises(NumericalError, match="solve residual"):
-        quadratic_fixed_point(pert, pencil.m0, pencil.m1)
+        quadratic_fixed_point(pert.perturbed(pencil))
     assert len(calls) == 1
