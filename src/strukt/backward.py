@@ -189,8 +189,12 @@ def recover_perturbed(a: BlockKroneckerPencil) -> Recovery:
     When A22 is zero and A21 is exactly L_k (x) I_n, as in a built pencil,
     the congruence is X = 0 and the completion N = Lambda exactly, so
     neither solve runs: the result is the monomial sandwich of A11, the
-    inverse of the builder.
+    inverse of the builder. A non-finite or unstructured A is refused with
+    `StruktError` or `StructureError` before either shortcut or solve.
     """
+    polycore.require_finite(a.poly)
+    if not polycore.is_structured(a.poly, a.kind):
+        raise StructureError(f"perturbed pencil is not {a.kind.value}")
     _, a21, _, a22 = linearize.natural_blocks(a.poly.coeffs, a.k, a.n)
     if not a22.any() and np.array_equal(a21, minbases.build_Lk(a.k, a.n).coeffs):
         row = minbases.build_Lambda(a.k, a.n)
@@ -356,8 +360,9 @@ def run_certification(
     ``p`` is scaled to unit Frobenius norm first. Trials run one after
     another and are deterministic per (seed, norm index, trial index);
     per-trial failures are recorded in the report, never raised. A grade
-    below 3, a non-finite coefficient, fewer than one trial or a norm outside
-    [0, inf) is refused with a `StruktError` before any trial.
+    below 3, a non-finite coefficient, a computed ||P||_F of zero (P = 0, or
+    so small that its squares underflow), fewer than one trial or a norm
+    outside [0, inf) is refused with a `StruktError` before any trial.
     """
     if p.grade < 3:
         raise GradeError(f"certification needs grade >= 3 (k >= 1), got {p.grade}")
@@ -366,7 +371,10 @@ def run_certification(
         raise StruktError("trials must be >= 1")
     if not all(0 <= nrm < math.inf for nrm in pert_norms):
         raise StruktError("perturbation norms must be finite and nonnegative")
-    p = p * (1.0 / frob_norm(p))
+    norm_p = frob_norm(p)
+    if norm_p == 0.0:
+        raise StruktError("cannot scale P to unit norm: its computed Frobenius norm is 0")
+    p = p * (1.0 / norm_p)
     pencil = linearize.build_linearization(p, kind, placement)
     tb = theorem_bound(p, pencil)
     return [

@@ -6,6 +6,9 @@ singular polynomials.
 Eigenvalues are kept as projective pairs (alpha, beta); beta near zero marks
 an infinite eigenvalue, and all comparisons run in the chordal metric
 |a*b' - a'*b| / (||(a,b)|| ||(a',b')||), which treats infinity uniformly.
+
+scipy is imported on first use, inside `pencil_eigs` (QZ) and `compare_spectra`
+(chordal matching), so `import strukt` and the non-spectral paths never load it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from . import minbases, polycore
 from .errors import SingularPolynomialError, SpectrumMismatchError, StruktError
@@ -70,6 +71,10 @@ def pencil_eigs(l0: np.ndarray, l1: np.ndarray) -> SpectrumReport:
     l1 = np.asarray(l1)
     if l0.shape != l1.shape or l0.shape[0] != l0.shape[1]:
         raise ValueError("pencil coefficients must be square and equally sized")
+    # deferred: only the spectral checks need scipy, and importing it at
+    # module level cost every process ~0.5 s and ~40 MB (2-vCPU host)
+    import scipy.linalg
+
     w = scipy.linalg.eig(l0, -l1, right=False, homogeneous_eigvals=True)
     return _normalize_pairs(w[0], w[1])
 
@@ -150,6 +155,8 @@ def compare_spectra(
         raise SpectrumMismatchError(
             f"cardinality mismatch: {len(a)} vs {len(b)} eigenvalues"
         )
+    from scipy.optimize import linear_sum_assignment  # deferred, as in pencil_eigs
+
     cost = _chordal_matrix(a, b)
     rows, cols = linear_sum_assignment(cost)
     dists = cost[rows, cols]

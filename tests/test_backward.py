@@ -273,6 +273,24 @@ def test_no_solve_shortcut_reads_the_perturbed_pencil(monkeypatch, kind, field):
         assert (frob_norm(rec.poly - p) > 1e-6) == moves
 
 
+@pytest.mark.parametrize(
+    "block, value, error",
+    [("12", math.nan, "finite"), ("12", 5.0, "not symmetric"), ("11", math.nan, "finite")],
+)
+def test_recover_perturbed_refuses_a_nonfinite_or_unstructured_pencil(block, value, error):
+    """Called directly, without the perturbation's gate, recovery still
+    refuses a built pencil with one entry of its (1,1) or (1,2) block made
+    non-finite or unstructured, instead of returning P through the no-solve
+    shortcut."""
+    k, n, kind = 2, 2, StructureKind.symmetric
+    pencil = build_linearization(random_structured(n, 2 * k + 1, kind, 1.0, seed=3), kind)
+    coeffs = pencil.poly.coeffs.copy()
+    coeffs[1, 0, (k + 1) * n if block == "12" else 0] = value
+    a = linearize.BlockKroneckerPencil(polycore.MatrixPolynomial(coeffs), k, n, kind)
+    with pytest.raises(StruktError, match=error):
+        backward.recover_perturbed(a)
+
+
 # ---------------------------------------------------------------------------
 # theorem bound bookkeeping
 # ---------------------------------------------------------------------------
@@ -550,6 +568,17 @@ def test_run_certification_refuses_bad_arguments_before_any_trial(monkeypatch, m
         run_certification(
             p, StructureKind.symmetric, "tridiagonal", norms, trials=trials, seed=3, mode=mode
         )
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-320])
+def test_run_certification_refuses_a_zero_computed_norm_before_any_trial(monkeypatch, scale):
+    """P = 0, and a nonzero P whose squares underflow, both have computed
+    norm 0 and cannot be scaled to unit norm."""
+    monkeypatch.setattr(backward, "_run_single_trial", None)
+    p = random_structured(2, 3, StructureKind.symmetric, 1.0, seed=2) * scale
+    assert p.coeffs.any() == (scale > 0)
+    with pytest.raises(StruktError, match="norm is 0"):
+        run_certification(p, StructureKind.symmetric, "tridiagonal", [1e-8], trials=1, seed=3)
 
 
 def _same_cell(a, b):

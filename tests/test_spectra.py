@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -204,3 +209,59 @@ def test_reference_polyeigs_refuses_non_finite_coefficients(bad):
     p = with_entry(random_structured(2, 3, StructureKind.even, seed=2), bad)
     with pytest.raises(StruktError, match="finite"):
         reference_polyeigs(p)
+
+
+_FRESH_PROCESS_SCIPY = """
+import contextlib, io, json, sys
+from pathlib import Path
+from strukt import StructureKind, build_linearization, cli, linearize, random_structured
+from strukt import run_certification, save_polynomial, spectra
+from strukt.backward import random_structured_perturbation
+
+def loaded():
+    return [name for name in ("scipy.linalg", "scipy.optimize") if name in sys.modules]
+
+def cli_ok(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+tmp = Path(sys.argv[1])
+for kind in (StructureKind.symmetric, StructureKind.palindromic):
+    p = random_structured(2, 5, kind, 1.0, seed=8)
+    assert run_certification(p, kind, "tridiagonal", [1e-6], trials=1, seed=9)[0].error is None
+pencil = build_linearization(p, kind)
+a = random_structured_perturbation(2, 2, kind, 1e-8, seed=1).perturbed(pencil)
+linearize.recover(a)
+poly = tmp / "p.json"
+save_polynomial(p, poly)
+config = tmp / "c.json"
+config.write_text(json.dumps({"kind": "odd", "grade": 3, "n": 2, "trials": 2}))
+cli_ok("linearize", str(poly), "--kind", kind.value)
+cli_ok("perturb", str(tmp / "p.pencil.json"), "--norm", "1e-8")
+cli_ok("recover", str(tmp / "p.pencil.json"))
+cli_ok("recover", str(tmp / "p.pencil.perturbed.json"))
+cli_ok("sigma-min", "--kmax", "2")
+cli_ok("certify", str(config), "--output", str(tmp / "r.csv"))
+states = [loaded()]
+cli_ok("eigs", str(poly))
+states.append(loaded())
+spec = spectra.pencil_eigs(pencil.l0, pencil.l1)
+assert spectra.compare_spectra(spec, spec).max_distance == 0.0
+states.append(loaded())
+print(repr(states))
+"""
+
+
+def test_only_the_spectral_checks_load_scipy(tmp_path):
+    """In a fresh process, importing strukt, certifying without eigenvalues,
+    building, recovering and the non-spectral subcommands load neither
+    scipy.linalg nor scipy.optimize; polynomial eigenvalues load only the
+    first, and a chordal matching the second."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spectra.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS_SCIPY, str(tmp_path)],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout
+    assert out.strip().splitlines()[-1] == repr(
+        [[], ["scipy.linalg"], ["scipy.linalg", "scipy.optimize"]]
+    )
