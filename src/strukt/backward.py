@@ -202,7 +202,7 @@ def recover_perturbed(a: BlockKroneckerPencil) -> Recovery:
     cong = congruence_zero_block(a)
     recon = reconstruct_perturbed_polynomial(a.m_pencil, cong.b21, a.kind)
     return Recovery(
-        recon.poly, float(np.linalg.norm(cong.state.x)), recon.norm_dr, cong.state.iterations
+        recon.poly, polycore.array_norm(cong.state.x), recon.norm_dr, cong.state.iterations
     )
 
 
@@ -361,14 +361,18 @@ def run_certification(
     another and are deterministic per (seed, norm index, trial index);
     per-trial failures are recorded in the report, never raised. A grade
     below 3, a non-finite coefficient, a computed ||P||_F of zero (P = 0, or
-    so small that its squares underflow), fewer than one trial or a norm
-    outside [0, inf) is refused with a `StruktError` before any trial.
+    so small that its squares underflow), fewer than one trial, an empty
+    ``pert_norms`` or a norm outside [0, inf) is refused with a `StruktError`
+    before any trial.
     """
     if p.grade < 3:
         raise GradeError(f"certification needs grade >= 3 (k >= 1), got {p.grade}")
     polycore.require_finite(p)
     if trials < 1:
         raise StruktError("trials must be >= 1")
+    pert_norms = list(pert_norms)
+    if not pert_norms:
+        raise StruktError("pert_norms must hold at least one perturbation norm")
     if not all(0 <= nrm < math.inf for nrm in pert_norms):
         raise StruktError("perturbation norms must be finite and nonnegative")
     norm_p = frob_norm(p)

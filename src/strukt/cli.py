@@ -63,6 +63,8 @@ class ExperimentConfig:
             raise StruktError(f"unknown placement {self.placement!r}")
         if self.trials < 1:
             raise StruktError("trials must be >= 1")
+        if not self.pert_norms:
+            raise StruktError("pert_norms must hold at least one perturbation norm")
         if not all(0 <= nrm < math.inf for nrm in self.pert_norms):
             raise StruktError("perturbation norms must be finite and nonnegative")
         if self.mode not in ("certified", "empirical"):

@@ -22,16 +22,7 @@ import numpy as np
 
 from . import minbases, polycore
 from .errors import GradeError, StructureError, StruktError
-from .polycore import (
-    MatrixPolynomial,
-    StructureKind,
-    is_structured,
-    mobius,
-    poly_matmul,
-    star_adjoint,
-    structure_project,
-    transpose_poly,
-)
+from .polycore import MatrixPolynomial, StructureKind, is_structured, star, structure_project
 
 
 def natural_blocks(coeffs: np.ndarray, k: int, n: int):
@@ -235,7 +226,7 @@ def assemble(
     c11[...] = mp.coeffs
     if k >= 1:
         lk = minbases.build_Lk(k, n)
-        c12[...] = star_adjoint(mobius(lk, kind.mobius)).coeffs
+        c12[...] = star(polycore._substituted(lk.coeffs, kind.mobius))
         c21[...] = lk.coeffs
     return BlockKroneckerPencil(MatrixPolynomial(coeffs), k, n, kind)
 
@@ -245,11 +236,17 @@ def build_linearization(
     kind: StructureKind,
     placement: str = "tridiagonal",
 ) -> BlockKroneckerPencil:
-    """placement -> symmetrize -> assemble, the standard forward pipeline."""
+    """placement -> symmetrize -> assemble, the standard forward pipeline.
+
+    A grade below 3 (k = 0, no dual basis to embed) is refused with
+    `GradeError`: `load_pencil` reads no pencil with k < 1 back.
+    """
     try:
         place = PLACEMENTS[placement]
     except KeyError:
         raise ValueError(f"unknown placement {placement!r}") from None
+    if p.grade < 3:
+        raise GradeError(f"a linearization needs grade >= 3 (k >= 1), got {p.grade}")
     # The average of two pencils satisfying the placement condition still
     # satisfies it, and now carries the structure.
     m = structure_project(place(p, kind), kind)
@@ -266,10 +263,11 @@ def recover_from_m(
     Lambda_k^T (x) I_n for a built pencil, or the completed dual basis of a
     perturbed one.  The result carries the kind's recovery sign at k.
     """
-    col = transpose_poly(row)
-    left = star_adjoint(mobius(col, kind.mobius))
-    raw = poly_matmul(poly_matmul(left, polycore.pad_to_grade(m, 1)), col)
-    return kind.recovery_sign(row.grade) * raw
+    col = row.coeffs.swapaxes(1, 2)
+    left = star(polycore._substituted(col, kind.mobius))
+    m1 = polycore.pad_to_grade(m, 1).coeffs
+    raw = polycore._coeff_product(polycore._coeff_product(left, m1), col)
+    return MatrixPolynomial(kind.recovery_sign(row.grade) * raw)
 
 
 def recover(pencil: BlockKroneckerPencil) -> MatrixPolynomial:

@@ -111,16 +111,9 @@ def convolution_matrix(K: MatrixPolynomial, target_degree: int) -> np.ndarray:
     return out
 
 
-def _times(K: MatrixPolynomial, d: np.ndarray) -> np.ndarray:
-    """Coefficients of K times the factor with coefficient stack ``d``."""
-    out = np.zeros((K.grade + len(d), K.rows, d.shape[2]), dtype=np.result_type(K.coeffs, d))
-    for i, ki in enumerate(K.coeffs):
-        out[i:i + len(d)] += ki @ d
-    return out
-
-
 def _times_adjoint(K: MatrixPolynomial, c: np.ndarray) -> np.ndarray:
-    """Adjoint of `_times` in the Frobenius inner product."""
+    """Adjoint in the Frobenius inner product of d -> K d, the coefficients
+    of K times the factor with coefficient stack d."""
     width = len(c) - K.grade
     return sum(polycore.star(ki) @ c[i:i + width] for i, ki in enumerate(K.coeffs))
 
@@ -130,7 +123,9 @@ def _completion_preconditioner(k: int) -> np.ndarray:
     """Inverse of C C^T for C = `convolution_matrix(build_Lk(k, 1), k)`, the
     (k+2)k square Gram matrix of the n = 1 completion, built matrix-free."""
     lk = build_Lk(k, 1)
-    gram = polycore.gram_matrix(lambda r: _times(lk, _times_adjoint(lk, r)), (k + 2, k, 1))
+    gram = polycore.gram_matrix(
+        lambda r: polycore._coeff_product(lk.coeffs, _times_adjoint(lk, r)), (k + 2, k, 1)
+    )
     pinv = np.linalg.inv(gram)
     pinv.setflags(write=False)
     return pinv
@@ -161,10 +156,10 @@ def dual_basis_complete(K: MatrixPolynomial, k: int, n: int) -> DualBasisPair:
             bound=bound,
         )
     lam = build_Lambda(k, n)
+    times = functools.partial(polycore._coeff_product, K.coeffs)
     d, _, iterations = polycore.min_norm_solve(
-        functools.partial(_times, K), functools.partial(_times_adjoint, K),
-        lambda r: _times(K, _times_adjoint(K, r)),
-        _completion_preconditioner(k), n, -_times(K, polycore.transpose_poly(lam).coeffs),
+        times, functools.partial(_times_adjoint, K), lambda r: times(_times_adjoint(K, r)),
+        _completion_preconditioner(k), n, -times(lam.coeffs.swapaxes(1, 2)),
     )
-    correction = polycore.transpose_poly(MatrixPolynomial(d))
+    correction = MatrixPolynomial(d.swapaxes(1, 2))
     return DualBasisPair(N=lam + correction, correction=correction, iterations=iterations)

@@ -230,17 +230,30 @@ def pad_to_grade(p: MatrixPolynomial, grade: int) -> MatrixPolynomial:
 # Norms
 # ---------------------------------------------------------------------------
 
-@np.errstate(over="ignore")
+def _plain_norm(a: np.ndarray) -> float:
+    # The dot products of np.linalg.norm, bit for bit, on the same order="K"
+    # ravel and, like it, in float64 for an integer or bool array. np.vdot
+    # overflows to inf without the warning that np.dot and @ raise, and the
+    # real and imaginary sums add as Python floats, which do not warn either.
+    x = np.asarray(a).ravel(order="K")
+    if x.dtype.kind == "c":
+        return math.sqrt(float(np.vdot(x.real, x.real)) + float(np.vdot(x.imag, x.imag)))
+    if x.dtype.kind != "f":
+        x = x.astype(np.float64)
+    return math.sqrt(float(np.vdot(x, x)))
+
+
 def array_norm(a: np.ndarray) -> float:
     """Frobenius norm of an array whose squares may overflow.
 
     Only when the plain norm is inf is it recomputed on the entries scaled by
     a power of two, so every finite plain norm is returned as it is.
     """
-    nrm = float(np.linalg.norm(a))
+    nrm = _plain_norm(a)
     if nrm == math.inf:
-        scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(a))))[1])
-        nrm = float(np.linalg.norm(a * scale)) / scale
+        with np.errstate(over="ignore"):  # |z| of a complex entry may overflow
+            scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(a))))[1])
+        nrm = _plain_norm(a * scale) / scale
     return nrm
 
 
@@ -271,14 +284,14 @@ def pcg(gram_apply, precondition, c: np.ndarray, w: np.ndarray | None = None):
     1e-14 ||c||_F, or after 100 iterations; the caller checks the true
     residual of what it builds from w.
     """
-    norm_c = np.linalg.norm(c)
+    norm_c = array_norm(c)
     if norm_c == 0.0:
         return np.zeros_like(c), 0
     if w is None:
         w, r = np.zeros_like(c), c
     else:
         r = c - gram_apply(w)
-        if np.linalg.norm(r) <= 1e-14 * norm_c:
+        if array_norm(r) <= 1e-14 * norm_c:
             return w, 0
     p = z = precondition(r)
     rz = np.vdot(r, z).real
@@ -287,7 +300,7 @@ def pcg(gram_apply, precondition, c: np.ndarray, w: np.ndarray | None = None):
         alpha = rz / np.vdot(p, q).real
         w = w + alpha * p
         r = r - alpha * q
-        if np.linalg.norm(r) <= 1e-14 * norm_c:
+        if array_norm(r) <= 1e-14 * norm_c:
             break
         z = precondition(r)
         rz, rz_prev = np.vdot(r, z).real, rz
@@ -363,7 +376,7 @@ def star(a: np.ndarray) -> np.ndarray:
     """Transpose of the last two axes of a real array, conjugate transpose of
     a complex one."""
     t = a.swapaxes(-1, -2)
-    return np.conj(t) if np.iscomplexobj(a) else t
+    return np.conj(t) if a.dtype.kind == "c" else t
 
 
 def star_adjoint(p: MatrixPolynomial) -> MatrixPolynomial:
@@ -375,13 +388,17 @@ def poly_matmul(p: MatrixPolynomial, q: MatrixPolynomial) -> MatrixPolynomial:
     """Product polynomial with grade equal to the sum of the factor grades."""
     if p.cols != q.rows:
         raise ValueError(f"size mismatch {p.shape} x {q.shape}")
-    g = p.grade + q.grade
-    dtype = np.result_type(p.coeffs.dtype, q.coeffs.dtype)
-    out = np.zeros((g + 1, p.rows, q.cols), dtype=dtype)
-    for i in range(p.grade + 1):
-        for j in range(q.grade + 1):
-            out[i + j] += p.coeffs[i] @ q.coeffs[j]
-    return MatrixPolynomial(out)
+    return MatrixPolynomial(_coeff_product(p.coeffs, q.coeffs))
+
+
+def _coeff_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient stack of the product of the polynomials with stacks ``a``
+    and ``b``: one stacked product per coefficient of ``a``, each added in
+    ascending powers of ``a``."""
+    out = np.zeros((len(a) + len(b) - 1, a.shape[1], b.shape[2]), dtype=np.result_type(a, b))
+    for i, ai in enumerate(a):
+        out[i:i + len(b)] += ai @ b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +431,18 @@ def _mobius_weights(a, b, c, d, grade: int) -> np.ndarray:
     return w
 
 
-def _substituted(p: MatrixPolynomial, a: MobiusMatrix) -> np.ndarray:
-    """Coefficient stack of `mobius(p, a)`; a singular ``a`` is refused."""
+def _substituted(coeffs: np.ndarray, a: MobiusMatrix) -> np.ndarray:
+    """`mobius` by ``a`` of the polynomial with coefficient stack ``coeffs``,
+    as a stack; a singular ``a`` is refused."""
     scale = max(abs(a.a), abs(a.b), abs(a.c), abs(a.d), 1.0)
     if abs(a.det) <= 1e-14 * scale * scale:
         raise StruktError("Mobius matrix is singular")
-    return np.einsum("ij,irc->jrc", mobius_weights(a, p.grade), p.coeffs)
+    return np.einsum("ij,irc->jrc", mobius_weights(a, len(coeffs) - 1), coeffs)
 
 
 def mobius(p: MatrixPolynomial, a: MobiusMatrix) -> MatrixPolynomial:
     """Substitution P(l) -> sum_i P_i (al+b)^i (cl+d)^(g-i) at P's grade."""
-    return MatrixPolynomial(_substituted(p, a))
+    return MatrixPolynomial(_substituted(p.coeffs, a))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +458,7 @@ def structure_residual(p: MatrixPolynomial, kind) -> float:
     """
     if not p.is_square:
         raise StructureError("structure checks require a square polynomial")
-    return array_norm(_substituted(p, driver_matrix(kind)) - star(p.coeffs))
+    return array_norm(_substituted(p.coeffs, driver_matrix(kind)) - star(p.coeffs))
 
 
 def is_structured(
@@ -454,7 +472,12 @@ def structure_project(p: MatrixPolynomial, kind) -> MatrixPolynomial:
     """Average P with its substituted adjoint; idempotent, fixes structured inputs."""
     if not p.is_square:
         raise StructureError("structure projection requires a square polynomial")
-    return (p + star_adjoint(mobius(p, driver_matrix(kind)))) * 0.5
+    return MatrixPolynomial(_projected(p.coeffs, driver_matrix(kind)))
+
+
+def _projected(coeffs: np.ndarray, a: MobiusMatrix) -> np.ndarray:
+    """`structure_project` by the driver ``a`` of a square coefficient stack."""
+    return (coeffs + star(_substituted(coeffs, a))) * 0.5
 
 
 def random_structured(
@@ -479,10 +502,10 @@ def random_structured(
         raw = rng.standard_normal((g + 1, n, n))
         if field == COMPLEX:
             raw = raw + 1j * rng.standard_normal((g + 1, n, n))
-        proj = structure_project(MatrixPolynomial(raw), kind)
-        nrm = frob_norm(proj)
+        proj = _projected(raw, driver_matrix(kind))
+        nrm = array_norm(proj)
         if nrm > 1e-8:
-            return proj * (target_norm / nrm)
+            return MatrixPolynomial(proj * (target_norm / nrm))
     raise StruktError("structure projection annihilated every sample")
 
 

@@ -288,7 +288,7 @@ def quadratic_fixed_point(a: BlockKroneckerPencil) -> FixedPointState:
         resid = array_norm(op.apply(x, xs) + a22 + q)
         state.x = x
         state.residuals.append(resid)
-        state.x_norms.append(float(np.linalg.norm(x)))
+        state.x_norms.append(array_norm(x))
         state.solve_iterations.append(solver.iterations)
         state.iterations = it
         if resid <= tol:

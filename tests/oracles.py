@@ -2,7 +2,10 @@
 the star-Sylvester system (the paper's proof objects, checked against the
 library's operator and solver), the star-Sylvester operator of a (2,1)
 perturbation, the placement condition, the permuted tridiagonal form, a
-minimality test, two fixed Mobius matrices and their product."""
+minimality test, two fixed Mobius matrices and their product, and reference
+kernels: the Frobenius norm, polynomial product, structure projection and
+dual-row sandwich written out plainly, which the library's kernels must
+match bit for bit."""
 
 import math
 
@@ -11,7 +14,17 @@ import numpy as np
 from strukt import minbases, polycore
 from strukt.errors import GradeError, ThresholdError
 from strukt.linearize import BlockKroneckerPencil, permutation_to_tridiagonal
-from strukt.polycore import MatrixPolynomial, MobiusMatrix, StructureKind, driver_matrix, frob_norm
+from strukt.polycore import (
+    MatrixPolynomial,
+    MobiusMatrix,
+    StructureKind,
+    driver_matrix,
+    frob_norm,
+    mobius,
+    pad_to_grade,
+    star_adjoint,
+    transpose_poly,
+)
 from strukt.sylvester import StarSylvesterOperator
 
 MOBIUS_IDENTITY = MobiusMatrix(1, 0, 0, 1)
@@ -187,3 +200,49 @@ def is_minimal_basis(Q: MatrixPolynomial, tol: float = 1e-10) -> bool:
     ]
     points.append(0.37 + 1.91j)
     return all(full_row_rank(polycore.evaluate(Q, pt)) for pt in points)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels
+# ---------------------------------------------------------------------------
+
+@np.errstate(over="ignore")
+def reference_norm(a: np.ndarray) -> float:
+    """`polycore.array_norm` as np.linalg.norm under np.errstate."""
+    nrm = float(np.linalg.norm(a))
+    if nrm == math.inf:
+        scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(a))))[1])
+        nrm = float(np.linalg.norm(a * scale)) / scale
+    return nrm
+
+
+def reference_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`polycore._coeff_product` with one 2-D product per pair of coefficients."""
+    dtype = np.result_type(a.dtype, b.dtype)
+    out = np.zeros((len(a) + len(b) - 1, a.shape[1], b.shape[2]), dtype=dtype)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i + j] += a[i] @ b[j]
+    return out
+
+
+def reference_poly_matmul(p: MatrixPolynomial, q: MatrixPolynomial) -> MatrixPolynomial:
+    """`polycore.poly_matmul` by `reference_product`."""
+    if p.cols != q.rows:
+        raise ValueError(f"size mismatch {p.shape} x {q.shape}")
+    return MatrixPolynomial(reference_product(p.coeffs, q.coeffs))
+
+
+def reference_structure_project(p: MatrixPolynomial, kind) -> MatrixPolynomial:
+    """`polycore.structure_project` in polynomial arithmetic."""
+    return (p + star_adjoint(mobius(p, driver_matrix(kind)))) * 0.5
+
+
+def reference_recover_from_m(
+    m: MatrixPolynomial, row: MatrixPolynomial, kind: StructureKind
+) -> MatrixPolynomial:
+    """`linearize.recover_from_m` on transposed copies and reference products."""
+    col = transpose_poly(row)
+    left = star_adjoint(mobius(col, kind.mobius))
+    raw = reference_poly_matmul(reference_poly_matmul(left, pad_to_grade(m, 1)), col)
+    return kind.recovery_sign(row.grade) * raw

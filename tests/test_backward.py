@@ -367,6 +367,23 @@ def test_run_certification_rejects_grade_1():
         run_certification(p, StructureKind.symmetric, "tridiagonal", [1e-8], trials=1, seed=3)
 
 
+@pytest.mark.parametrize("norms", [[], (), np.array([])], ids=["list", "tuple", "array"])
+def test_run_certification_refuses_no_perturbation_norms(norms):
+    """No norm means no trial: refused, not an empty certificate."""
+    p = random_structured(2, 3, StructureKind.even, 1.0, seed=2)
+    with pytest.raises(StruktError, match="at least one perturbation norm"):
+        run_certification(p, StructureKind.even, "tridiagonal", norms, trials=1, seed=3)
+
+
+def test_run_certification_runs_every_norm_of_a_one_shot_iterable():
+    """The range check does not use up a generator of norms."""
+    p = random_structured(2, 3, StructureKind.even, 1.0, seed=2)
+    reports = run_certification(
+        p, StructureKind.even, "tridiagonal", (nrm for nrm in [0.0, 1e-8]), trials=1, seed=3
+    )
+    assert [r.norm_dL for r in reports] == [0.0, 1e-8]
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_run_certification_refuses_non_finite_coefficients(bad):
     """Refused before the polynomial is scaled to unit norm, where an inf

@@ -306,6 +306,31 @@ def test_certify_zero_norm_config(tmp_path, capsys):
     assert rows[0]["ratio"] == 0.0
 
 
+def test_certify_without_perturbation_norms_exits_2(tmp_path):
+    """An empty ``pert_norms`` certifies nothing, so it is a usage error, and
+    no report is written."""
+    with pytest.raises(StruktError, match="at least one perturbation norm"):
+        ExperimentConfig(pert_norms=[]).validate()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pert_norms": []}))
+    out = tmp_path / "rep.csv"
+    code, err = _run_cli(["certify", str(cfg), "--output", str(out)])
+    assert code == EXIT_USAGE and err.count("error:") == 1
+    assert "at least one perturbation norm" in err
+    assert not out.exists()
+
+
+def test_linearize_grade_1_exits_2_and_writes_nothing(tmp_path):
+    """A grade-1 polynomial has k = 0, and `recover` and `eigs` read no
+    pencil with k = 0 back, so `linearize` refuses it before writing."""
+    path = tmp_path / "lin.json"
+    save_polynomial(random_structured(2, 1, StructureKind.symmetric, 1.0, seed=3), path)
+    code, err = _run_cli(["linearize", str(path), "--kind", "symmetric"])
+    assert code == EXIT_USAGE and err.count("error:") == 1
+    assert "grade >= 3" in err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["lin.json"]
+
+
 def test_certify_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grade": 4}))

@@ -57,6 +57,15 @@ def test_placement_rejects_even_grade(rng):
         placement_tridiagonal(p, StructureKind.symmetric)
 
 
+@pytest.mark.parametrize("kind", list(StructureKind))
+def test_build_linearization_refuses_grade_1(kind):
+    """k = 0 is refused, as `run_certification` refuses it; `assemble` with
+    k = 0 stays available in code."""
+    p = random_structured(2, 1, kind, 1.0, seed=5, field=polycore.COMPLEX)
+    with pytest.raises(GradeError, match="grade >= 3"):
+        build_linearization(p, kind, "tridiagonal")
+
+
 def test_placement_rejects_wrong_structure(rng):
     p = random_structured(2, 5, StructureKind.symmetric, 1.0, seed=1)
     with pytest.raises(StructureError):
