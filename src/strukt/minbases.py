@@ -111,11 +111,15 @@ def convolution_matrix(K: MatrixPolynomial, target_degree: int) -> np.ndarray:
     return out
 
 
-def _times_adjoint(K: MatrixPolynomial, c: np.ndarray) -> np.ndarray:
+def _times_adjoint(k_star: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Adjoint in the Frobenius inner product of d -> K d, the coefficients
-    of K times the factor with coefficient stack d."""
-    width = len(c) - K.grade
-    return sum(polycore.star(ki) @ c[i:i + width] for i, ki in enumerate(K.coeffs))
+    of K times the factor with coefficient stack d, given
+    k_star = `polycore.star(K.coeffs)`."""
+    width = len(c) - len(k_star) + 1
+    out = k_star[0] @ c[:width]
+    for i in range(1, len(k_star)):
+        out += k_star[i] @ c[i:i + width]
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,8 +127,9 @@ def _completion_preconditioner(k: int) -> np.ndarray:
     """Inverse of C C^T for C = `convolution_matrix(build_Lk(k, 1), k)`, the
     (k+2)k square Gram matrix of the n = 1 completion, built matrix-free."""
     lk = build_Lk(k, 1)
+    lk_star = polycore.star(lk.coeffs)
     gram = polycore.gram_matrix(
-        lambda r: polycore._coeff_product(lk.coeffs, _times_adjoint(lk, r)), (k + 2, k, 1)
+        lambda r: polycore._coeff_product(lk.coeffs, _times_adjoint(lk_star, r)), (k + 2, k, 1)
     )
     pinv = np.linalg.inv(gram)
     pinv.setflags(write=False)
@@ -157,8 +162,9 @@ def dual_basis_complete(K: MatrixPolynomial, k: int, n: int) -> DualBasisPair:
         )
     lam = build_Lambda(k, n)
     times = functools.partial(polycore._coeff_product, K.coeffs)
+    adjoint = functools.partial(_times_adjoint, polycore.star(K.coeffs))
     d, _, iterations = polycore.min_norm_solve(
-        times, functools.partial(_times_adjoint, K), lambda r: times(_times_adjoint(K, r)),
+        times, adjoint, lambda r: times(adjoint(r)),
         _completion_preconditioner(k), n, -times(lam.coeffs.swapaxes(1, 2)),
     )
     correction = MatrixPolynomial(d.swapaxes(1, 2))

@@ -7,8 +7,13 @@ Eigenvalues are kept as projective pairs (alpha, beta); beta near zero marks
 an infinite eigenvalue, and all comparisons run in the chordal metric
 |a*b' - a'*b| / (||(a,b)|| ||(a',b')||), which treats infinity uniformly.
 
-scipy is imported on first use, inside `pencil_eigs` (QZ) and `compare_spectra`
-(chordal matching), so `import strukt` and the non-spectral paths never load it.
+Spectra are matched by `_assign`, a numpy transcription of the assignment
+solver that scipy.optimize.linear_sum_assignment runs (Crouse, "On implementing
+2D rectangular assignment algorithms", IEEE TAES 52(4), 2016). It returns
+scipy's columns on every input, so matchings and their distances are the ones
+scipy gives, bit for bit. scipy.linalg, imported on first use inside
+`pencil_eigs` (QZ), is the only scipy module strukt loads: `import strukt` and
+the non-spectral paths never load scipy at all.
 """
 
 from __future__ import annotations
@@ -37,14 +42,6 @@ class SpectrumReport:
     @property
     def infinite_mask(self) -> np.ndarray:
         return np.abs(self.beta) <= INFINITE_BETA_TOL
-
-    @property
-    def n_infinite(self) -> int:
-        return int(np.count_nonzero(self.infinite_mask))
-
-    def finite_values(self) -> np.ndarray:
-        mask = ~self.infinite_mask
-        return self.alpha[mask] / self.beta[mask]
 
 
 def _normalize_pairs(alpha: np.ndarray, beta: np.ndarray) -> SpectrumReport:
@@ -140,6 +137,160 @@ def _chordal_matrix(a: SpectrumReport, b: SpectrumReport) -> np.ndarray:
     )
 
 
+def _first_steps(r: np.ndarray):
+    """First augmenting step of each row of reduced costs r = c - v: the
+    column of the row minimum, its value, and whether no other column ties."""
+    rows = np.arange(r.shape[0])
+    best = r.argmin(axis=1)
+    low = r[rows, best]
+    ties = r == low[:, None]
+    ties[rows, best] = False
+    return best, low, ~ties.any(axis=1)
+
+
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Column matched to each row by a minimum-cost perfect matching of a
+    finite square cost matrix.
+
+    This is the shortest augmenting path solver of Crouse (IEEE TAES 52(4),
+    2016) as scipy.optimize.linear_sum_assignment runs it for a square
+    minimization: rows are augmented in order, reduced costs are the float
+    expression ((minVal + c_ij) - u_i) - v_j, the remaining columns are
+    scanned from n-1 down to 0 with swap-removes, and among equal minima the
+    last free column in that order wins, else the first. So it returns
+    scipy's columns on every input. Three layers keep it fast on the
+    near-permutation matrices of matched spectra:
+
+    - A row whose unique first-step minimum lies on a free column is a
+      one-step augment that sets u_i and leaves v alone. One argmin pass
+      over the matrix (`_first_steps`) finds these minima for all rows, and
+      while v stays put it settles every such row.
+    - A row whose unique minimum sits on a taken column tries `_two_step`,
+      which settles the collisions of double eigenvalues.
+    - Any other row runs the generic `_augment`. After an augment that moves
+      v, only later rows whose cached minimum sat on a moved column, or that
+      a raised column now undercuts, are rescanned.
+    """
+    cost = np.asarray(cost, dtype=float)
+    n = cost.shape[0]
+    if cost.shape != (n, n):
+        raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix must be finite")
+    u = [0.0] * n
+    v = np.zeros(n)
+    row4col = [-1] * n
+    col4row = [-1] * n
+    if n == 0:
+        return np.array(col4row, dtype=np.intp)
+    best, low, unique = _first_steps(cost)
+    best_l, low_l, unique_l = best.tolist(), low.tolist(), unique.tolist()
+    for i in range(n):
+        j = best_l[i]
+        moved = None
+        if unique_l[i]:
+            if row4col[j] < 0:
+                row4col[j], col4row[i] = i, j
+                u[i] = 0.0 + low_l[i]
+                continue
+            moved = _two_step(cost, u, v, row4col, col4row, i, j, low_l[i])
+        if moved is None:
+            moved = _augment(cost, u, v, row4col, col4row, i)
+        rest = slice(i + 1, n)
+        for j, raised in moved:
+            # v_j fell: column j's reduced costs rose, which unseats only the
+            # rows whose minimum sat on j. v_j rose: they fell, so every row
+            # they now tie or undercut, its minimum on j included, is stale.
+            if raised:
+                stale = cost[rest, j] - v[j] <= low[rest]
+            else:
+                stale = best[rest] == j
+            rows = i + 1 + stale.nonzero()[0]
+            if rows.size:
+                scan = _first_steps(cost[rows] - v)
+                best[rows], low[rows], unique[rows] = scan
+                for r, *cached in zip(rows.tolist(), *(a.tolist() for a in scan)):
+                    best_l[r], low_l[r], unique_l[r] = cached
+    return np.array(col4row, dtype=np.intp)
+
+
+def _two_step(cost, u, v, row4col, col4row, i, j1, m1):
+    """Augment row i through the row that holds j1, its unique first-step
+    minimum m1, if the second step ends on a unique free column. Returns the
+    moved duals as for `_augment`, or None, changing nothing, otherwise."""
+    i2 = row4col[j1]
+    r1 = cost[i] - v
+    r2 = m1 + cost[i2]
+    r2 -= u[i2]
+    r2 -= v
+    spc = np.minimum(r1, r2)
+    spc[j1] = np.inf
+    j2 = int(spc.argmin())
+    # the minimum is unique when the last one, found from the back, is j2
+    if row4col[j2] >= 0 or spc[::-1].argmin() != spc.size - 1 - j2:
+        return None
+    lowest = float(spc[j2])
+    step = lowest - m1
+    u[i] = 0.0 + lowest
+    u[i2] += step
+    old = v[j1]
+    v[j1] -= step
+    if r2[j2] < r1[j2]:
+        row4col[j2], col4row[i2] = i2, j2
+        row4col[j1], col4row[i] = i, j1
+    else:
+        row4col[j2], col4row[i] = i, j2
+    return [] if v[j1] == old else [(j1, v[j1] > old)]
+
+
+def _augment(cost, u, v, row4col, col4row, cur):
+    """Scipy's augmenting path step for row cur, then its dual update and
+    augmentation. Shortest-path costs and paths are kept aligned with the
+    remaining columns. Returns (column, raised) for each v that moved."""
+    n = v.size
+    remaining = np.arange(n - 1, -1, -1)
+    spc = np.full(n, np.inf)
+    path = np.full(n, cur)
+    reached = []  # (column, its shortest-path cost, its path row), in scan order
+    i, min_val, k = cur, 0.0, n
+    while True:
+        cols = remaining[:k]
+        r = ((min_val + cost[i, cols]) - u[i]) - v[cols]
+        s = spc[:k]
+        better = r < s
+        s[better] = r[better]
+        path[:k][better] = i
+        min_val = float(s.min())
+        ties = np.flatnonzero(s == min_val).tolist()
+        free = [t for t in ties if row4col[remaining[t]] < 0]
+        index = free[-1] if free else ties[0]
+        j = int(remaining[index])
+        reached.append((j, min_val, int(path[index])))
+        k -= 1
+        remaining[index], spc[index], path[index] = remaining[k], spc[k], path[k]
+        if row4col[j] < 0:
+            break
+        i = row4col[j]
+    u[cur] += min_val
+    moved = []
+    # the sink's own dual moves by min_val - min_val = 0
+    for j, cost_j, _ in reached[:-1]:
+        step = min_val - cost_j
+        u[row4col[j]] += step
+        old = v[j]
+        v[j] -= step
+        if v[j] != old:
+            moved.append((j, v[j] > old))
+    back = {j: row for j, _, row in reached}
+    j = reached[-1][0]
+    while True:
+        i = back[j]
+        row4col[j] = i
+        col4row[i], j = j, col4row[i]
+        if i == cur:
+            return moved
+
+
 @dataclass(frozen=True)
 class SpectrumMatch:
     max_distance: float
@@ -150,16 +301,19 @@ class SpectrumMatch:
 def compare_spectra(
     a: SpectrumReport, b: SpectrumReport, tol: float = 1e-8
 ) -> SpectrumMatch:
-    """Minimum-cost perfect matching between two spectra in the chordal metric."""
+    """Minimum-cost perfect matching between two spectra in the chordal metric.
+
+    The matching is `_assign`, the algorithm of Crouse (2016) that
+    scipy.optimize.linear_sum_assignment implements; it returns scipy's
+    assignment on every input, so the distances are byte-identical to
+    scipy's.
+    """
     if len(a) != len(b):
         raise SpectrumMismatchError(
             f"cardinality mismatch: {len(a)} vs {len(b)} eigenvalues"
         )
-    from scipy.optimize import linear_sum_assignment  # deferred, as in pencil_eigs
-
     cost = _chordal_matrix(a, b)
-    rows, cols = linear_sum_assignment(cost)
-    dists = cost[rows, cols]
+    dists = cost[np.arange(len(a)), _assign(cost)]
     return SpectrumMatch(
         max_distance=float(dists.max(initial=0.0)),
         distances=dists,

@@ -2,7 +2,8 @@
 the star-Sylvester system (the paper's proof objects, checked against the
 library's operator and solver), the star-Sylvester operator of a (2,1)
 perturbation, the placement condition, the permuted tridiagonal form, a
-minimality test, two fixed Mobius matrices and their product, and reference
+minimality test, two fixed Mobius matrices and their product, the finite
+eigenvalues and infinite count of a spectrum report, and reference
 kernels: the Frobenius norm, polynomial product, structure projection and
 dual-row sandwich written out plainly, which the library's kernels must
 match bit for bit."""
@@ -25,6 +26,7 @@ from strukt.polycore import (
     star_adjoint,
     transpose_poly,
 )
+from strukt.spectra import SpectrumReport
 from strukt.sylvester import StarSylvesterOperator
 
 MOBIUS_IDENTITY = MobiusMatrix(1, 0, 0, 1)
@@ -246,3 +248,14 @@ def reference_recover_from_m(
     left = star_adjoint(mobius(col, kind.mobius))
     raw = reference_poly_matmul(reference_poly_matmul(left, pad_to_grade(m, 1)), col)
     return kind.recovery_sign(row.grade) * raw
+
+
+def finite_values(spec: SpectrumReport) -> np.ndarray:
+    """The finite eigenvalues alpha/beta of a spectrum report, in its order."""
+    mask = ~spec.infinite_mask
+    return spec.alpha[mask] / spec.beta[mask]
+
+
+def n_infinite(spec: SpectrumReport) -> int:
+    """How many eigenvalues of a spectrum report are infinite."""
+    return int(np.count_nonzero(spec.infinite_mask))
