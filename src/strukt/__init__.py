@@ -35,18 +35,15 @@ from .polycore import (
 )
 from .minbases import (
     DualBasisPair,
-    SelectorMatrices,
     build_Lambda,
     build_Lk,
     convolution_matrix,
     dual_basis_complete,
-    selector_matrices,
 )
 from .linearize import (
     BlockKroneckerPencil,
     assemble,
     build_linearization,
-    permutation_to_tridiagonal,
     placement_stacked,
     placement_tridiagonal,
     recover,

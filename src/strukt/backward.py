@@ -277,11 +277,12 @@ class BackwardErrorReport:
         return {name: getattr(self, name) for name in REPORT_COLUMNS}
 
 
-# Serialized column name -> annotated type name, in field order.
-_COLUMN_TYPES = {
-    f.name: f.type for f in fields(BackwardErrorReport) if f.name != "error"
-}
-REPORT_COLUMNS = list(_COLUMN_TYPES)
+#: The modes of `run_certification`: "certified" refuses a trial above the
+#: certified threshold, "empirical" runs it.
+MODES = ("certified", "empirical")
+
+#: Serialized columns, in field order.
+REPORT_COLUMNS = [f.name for f in fields(BackwardErrorReport) if f.name != "error"]
 
 
 def _run_single_trial(
@@ -362,9 +363,12 @@ def run_certification(
     per-trial failures are recorded in the report, never raised. A grade
     below 3, a non-finite coefficient, a computed ||P||_F of zero (P = 0, or
     so small that its squares underflow), fewer than one trial, an empty
-    ``pert_norms`` or a norm outside [0, inf) is refused with a `StruktError`
-    before any trial.
+    ``pert_norms``, a norm outside [0, inf) or a ``mode`` other than
+    "certified" and "empirical" is refused with a `StruktError` before any
+    trial.
     """
+    if mode not in MODES:
+        raise StruktError(f"mode must be 'certified' or 'empirical', got {mode!r}")
     if p.grade < 3:
         raise GradeError(f"certification needs grade >= 3 (k >= 1), got {p.grade}")
     polycore.require_finite(p)
@@ -419,26 +423,6 @@ def _format_cell(value):
     return str(value)
 
 
-def _parse_cell(name: str, text: str):
-    type_name = _COLUMN_TYPES[name]
-    if type_name == "bool":
-        return text == "true"
-    if type_name == "int":
-        return int(text)
-    if type_name == "str":
-        return text
-    return float(text)
-
-
-def reports_from_csv(path) -> list[BackwardErrorReport]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            BackwardErrorReport(**{k: _parse_cell(k, v) for k, v in row.items()})
-            for row in reader
-        ]
-
-
 def reports_to_json(reports, path) -> None:
     """Strict JSON: non-finite floats (NaN where a trial has no value) become null."""
     rows = [
@@ -450,13 +434,3 @@ def reports_to_json(reports, path) -> None:
     ]
     with open(path, "w") as fh:
         json.dump(rows, fh, allow_nan=False)
-
-
-def reports_from_json(path) -> list[BackwardErrorReport]:
-    with open(path) as fh:
-        return [
-            BackwardErrorReport(
-                **{name: math.nan if value is None else value for name, value in row.items()}
-            )
-            for row in json.load(fh)
-        ]

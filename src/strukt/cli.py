@@ -67,7 +67,7 @@ class ExperimentConfig:
             raise StruktError("pert_norms must hold at least one perturbation norm")
         if not all(0 <= nrm < math.inf for nrm in self.pert_norms):
             raise StruktError("perturbation norms must be finite and nonnegative")
-        if self.mode not in ("certified", "empirical"):
+        if self.mode not in backward.MODES:
             raise StruktError("mode must be 'certified' or 'empirical'")
         if self.format not in ("csv", "json"):
             raise StruktError("format must be 'csv' or 'json'")
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     cer = sub.add_parser("certify", help="run a certification campaign")
     cer.add_argument("config", nargs="?", help="JSON config; defaults are built in")
     cer.add_argument("--seed", type=int, help="overrides the config's seed")
-    cer.add_argument("--mode", choices=["certified", "empirical"])
+    cer.add_argument("--mode", choices=backward.MODES)
     cer.add_argument("--output")
     cer.add_argument("--format", choices=["csv", "json"])
     cer.add_argument("--eigs", action="store_true", help="record eigenvalue transport per trial")

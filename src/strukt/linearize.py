@@ -291,33 +291,6 @@ def recover(pencil: BlockKroneckerPencil) -> MatrixPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Tridiagonal permuted forms
-# ---------------------------------------------------------------------------
-
-def permutation_to_tridiagonal(k: int, n: int, kind: StructureKind) -> np.ndarray:
-    """Odd-even block interleave Pi with Pi L Pi^T block-(anti)tridiagonal.
-
-    Odd block positions take the (1,1)-block rows in order; even positions take
-    the bidiagonal rows, reversed for the palindromic family so the result is
-    antitridiagonal.
-    """
-    if k < 1:
-        raise ValueError("permutation requires k >= 1")
-    target = []
-    for pos in range(1, 2 * k + 2):
-        if pos % 2 == 1:
-            target.append((pos + 1) // 2)
-        else:
-            j = pos // 2
-            target.append(2 * k + 2 - j if kind.condition_family == "diff" else k + 1 + j)
-    size = (2 * k + 1) * n
-    perm = np.zeros((size, size))
-    for pos, src in enumerate(target, start=1):
-        perm[(pos - 1) * n:pos * n, (src - 1) * n:src * n] = np.eye(n)
-    return perm
-
-
-# ---------------------------------------------------------------------------
 # Pencil file format (polynomial JSON of grade 1 plus a sidecar record)
 # ---------------------------------------------------------------------------
 

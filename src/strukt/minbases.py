@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polycore
-from .errors import GradeError, ThresholdError
+from .errors import ThresholdError
 from .polycore import MatrixPolynomial
 
 #: A perturbed pencil within this bound of L_k (x) I_n is guaranteed to admit a
@@ -28,41 +28,18 @@ def completion_threshold(k: int) -> float:
     return math.pi / (12.0 * (k + 1) ** 1.5)
 
 
-@dataclass(frozen=True)
-class SelectorMatrices:
-    """Constant selectors with l*F - E reproducing the bidiagonal pencil."""
-
-    e: np.ndarray
-    f: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def selector_matrices(k: int, n: int) -> SelectorMatrices:
-    """E = [I_k 0] (x) I_n and F = [0 I_k] (x) I_n, exact 0/1 matrices.
-
-    Built once per (k, n) and shared, so both are read-only.
-    """
-    if k < 1:
-        raise GradeError("selector matrices need k >= 1")
-    sel = SelectorMatrices(np.eye(k * n, (k + 1) * n), np.eye(k * n, (k + 1) * n, n))
-    sel.e.setflags(write=False)
-    sel.f.setflags(write=False)
-    return sel
-
-
 @functools.lru_cache(maxsize=None)
 def build_Lk(k: int, n: int) -> MatrixPolynomial:
     """The kn x (k+1)n block-bidiagonal pencil with -I_n and l*I_n entries.
 
-    k = 0 yields the degenerate zero-row basis; downstream code then treats
-    the pencil as the polynomial itself. Built once per (k, n) and shared.
+    Its coefficients are -E and F for the selectors E = [I_k 0] (x) I_n and
+    F = [0 I_k] (x) I_n, exact 0/1 matrices that nothing else stores. k = 0
+    yields the degenerate zero-row basis; downstream code then treats the
+    pencil as the polynomial itself. Built once per (k, n) and shared.
     """
     if k < 0 or n < 1:
         raise ValueError("build_Lk requires k >= 0 and n >= 1")
-    if k == 0:
-        return MatrixPolynomial(np.zeros((2, 0, n)))
-    sel = selector_matrices(k, n)
-    return polycore.from_coeff_list([-sel.e, sel.f])
+    return polycore.from_coeff_list([-np.eye(k * n, (k + 1) * n), np.eye(k * n, (k + 1) * n, n)])
 
 
 @functools.lru_cache(maxsize=None)

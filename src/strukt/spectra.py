@@ -294,13 +294,9 @@ def _augment(cost, u, v, row4col, col4row, cur):
 @dataclass(frozen=True)
 class SpectrumMatch:
     max_distance: float
-    distances: np.ndarray
-    unmatched: int
 
 
-def compare_spectra(
-    a: SpectrumReport, b: SpectrumReport, tol: float = 1e-8
-) -> SpectrumMatch:
+def compare_spectra(a: SpectrumReport, b: SpectrumReport) -> SpectrumMatch:
     """Minimum-cost perfect matching between two spectra in the chordal metric.
 
     The matching is `_assign`, the algorithm of Crouse (2016) that
@@ -314,35 +310,29 @@ def compare_spectra(
         )
     cost = _chordal_matrix(a, b)
     dists = cost[np.arange(len(a)), _assign(cost)]
-    return SpectrumMatch(
-        max_distance=float(dists.max(initial=0.0)),
-        distances=dists,
-        unmatched=int(np.count_nonzero(dists > tol)),
-    )
-
-
-_INVOLUTIONS = {
-    StructureKind.palindromic: lambda a, b: (np.conj(b), np.conj(a)),
-    StructureKind.anti_palindromic: lambda a, b: (np.conj(b), np.conj(a)),
-    StructureKind.even: lambda a, b: (-np.conj(a), np.conj(b)),
-    StructureKind.odd: lambda a, b: (-np.conj(a), np.conj(b)),
-    StructureKind.symmetric: lambda a, b: (np.conj(a), np.conj(b)),
-    StructureKind.skew_symmetric: lambda a, b: (np.conj(a), np.conj(b)),
-}
+    return SpectrumMatch(max_distance=float(dists.max(initial=0.0)))
 
 
 def symmetry_check(spec: SpectrumReport, kind: StructureKind) -> float:
-    """Max chordal mismatch of the spectrum against its structural involution.
+    """Max chordal mismatch of the spectrum against its structural pairing.
 
-    Palindromic kinds pair l with 1/conj(l) (zero with infinity), alternating
-    kinds pair l with -conj(l), and the symmetric kinds demand closure under
-    conjugation. These are the pairings of the conjugate-transpose structures
-    on complex coefficients; on real ones the spectrum is also closed under
+    The pairing is the kind's Mobius map. With A = [[a, b], [c, d]] =
+    ``kind.mobius``, a structured P of grade g obeys
+    P^*(l) = (cl+d)^g P(Mob(l)), Mob(l) = (al+b)/(cl+d), and
+    l is in spec(P^*) exactly when conj(l) is in spec(P). So mu in spec(P)
+    has its partner Mob(conj(mu)) in spec(P): the projective pair
+    (alpha, beta) maps to (a*conj(alpha) + b*conj(beta),
+    c*conj(alpha) + d*conj(beta)). This pairs l with 1/conj(l) for the
+    palindromic kinds (zero with infinity), with -conj(l) for the
+    alternating ones, and with conj(l) for the symmetric ones. These are
+    the pairings of the conjugate-transpose structures on complex
+    coefficients; on real ones the spectrum is also closed under
     conjugation, so they hold there too. A perfectly symmetric spectrum
     scores zero; fixed points match themselves.
     """
-    alpha, beta = _INVOLUTIONS[kind](spec.alpha, spec.beta)
-    image = _normalize_pairs(alpha, beta)
+    a = kind.mobius
+    alpha, beta = np.conj(spec.alpha), np.conj(spec.beta)
+    image = _normalize_pairs(a.a * alpha + a.b * beta, a.c * alpha + a.d * beta)
     return compare_spectra(spec, image).max_distance
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import minbases
 from .errors import ConvergenceError, ThresholdError
 from .linearize import BlockKroneckerPencil, natural_blocks
-from .polycore import array_norm, driver_matrix, gram_matrix, min_norm_solve, star
+from .polycore import array_norm, driver_matrix, min_norm_solve, star
 
 
 def sigma_min_formula(k: int) -> float:
@@ -102,10 +102,15 @@ def build_TA(k: int, n: int, kind) -> np.ndarray:
 
 def build_TA_reduced(k: int, kind) -> np.ndarray:
     """Fully reduced 2k^2 x 2k(k+1) matrix sharing every singular value of the
-    full system matrix (each full singular value repeats n^2 times)."""
+    full system matrix (each full singular value repeats n^2 times).
+
+    It is T_A at n = 1, its rows in the row-major order (equation, row block,
+    column block) of `polycore.kron_precondition`. E and F are read off
+    L_k = -E + l*F; negating L_k's -0.0 entries gives +0.0.
+    """
     a = driver_matrix(kind)
-    sel = minbases.selector_matrices(k, 1)
-    e, f = sel.e, sel.f
+    lk = minbases.build_Lk(k, 1).coeffs
+    e, f = -lk[0], lk[1]
     eye = np.eye(k)
     top = np.hstack([np.kron(eye, a.b * f - a.d * e), -np.kron(e, eye)])
     bot = np.hstack([np.kron(eye, a.a * f - a.c * e), np.kron(f, eye)])
@@ -139,8 +144,8 @@ _EPS = float(np.finfo(float).eps)
 
 @functools.lru_cache(maxsize=None)
 def _reference(k: int, driver) -> _Reference:
-    op1 = StarSylvesterOperator.unperturbed(k, 1, driver)
-    gram = gram_matrix(lambda w: op1.apply(*op1.adjoint(w)), (2, k, k))
+    t = build_TA_reduced(k, driver)
+    gram = t @ star(t)
     # eigvalsh is backward stable: each computed eigenvalue is within a small
     # multiple of eps*||G||_2 of an exact one, so lambda_min less 2k^2*eps*||G||_F
     # bounds the exact one from below.

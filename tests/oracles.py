@@ -3,18 +3,23 @@ the star-Sylvester system (the paper's proof objects, checked against the
 library's operator and solver), the star-Sylvester operator of a (2,1)
 perturbation, the placement condition, the permuted tridiagonal form, a
 minimality test, two fixed Mobius matrices and their product, the finite
-eigenvalues and infinite count of a spectrum report, and reference
+eigenvalues and infinite count of a spectrum report, the spectral pairings
+tabulated per kind, report rows read back from CSV and JSON, and reference
 kernels: the Frobenius norm, polynomial product, structure projection and
 dual-row sandwich written out plainly, which the library's kernels must
 match bit for bit."""
 
+import csv
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 
 from strukt import minbases, polycore
+from strukt.backward import BackwardErrorReport
 from strukt.errors import GradeError, ThresholdError
-from strukt.linearize import BlockKroneckerPencil, permutation_to_tridiagonal
+from strukt.linearize import BlockKroneckerPencil
 from strukt.polycore import (
     MatrixPolynomial,
     MobiusMatrix,
@@ -26,7 +31,7 @@ from strukt.polycore import (
     star_adjoint,
     transpose_poly,
 )
-from strukt.spectra import SpectrumReport
+from strukt.spectra import SpectrumReport, _normalize_pairs, compare_spectra
 from strukt.sylvester import StarSylvesterOperator
 
 MOBIUS_IDENTITY = MobiusMatrix(1, 0, 0, 1)
@@ -46,27 +51,28 @@ def is_coninvolutory(a: MobiusMatrix, tol: float = 1e-14) -> bool:
     return bool(np.linalg.norm(arr @ np.conj(arr) - np.eye(2)) <= tol)
 
 
+def selectors(k: int, n: int):
+    """E = [I_k 0] (x) I_n and F = [0 I_k] (x) I_n, read off L_k = -E + l*F."""
+    lk = minbases.build_Lk(k, n).coeffs
+    return -lk[0], lk[1]
+
+
 def build_TA_mid(k: int, n: int, kind) -> np.ndarray:
     """Intermediate reduction with one identity factor peeled off."""
     a = driver_matrix(kind)
-    sel_n = minbases.selector_matrices(k, n)
-    sel_1 = minbases.selector_matrices(k, 1)
+    e_n, f_n = selectors(k, n)
+    e_1, f_1 = selectors(k, 1)
     eye_k = np.eye(k)
     eye_kn = np.eye(k * n)
-    top = np.hstack(
-        [np.kron(a.b * sel_n.f - a.d * sel_n.e, eye_k), -np.kron(eye_kn, sel_1.e)]
-    )
-    bot = np.hstack(
-        [np.kron(a.a * sel_n.f - a.c * sel_n.e, eye_k), np.kron(eye_kn, sel_1.f)]
-    )
+    top = np.hstack([np.kron(a.b * f_n - a.d * e_n, eye_k), -np.kron(eye_kn, e_1)])
+    bot = np.hstack([np.kron(a.a * f_n - a.c * e_n, eye_k), np.kron(eye_kn, f_1)])
     return np.vstack([top, bot])
 
 
 def reference_reduced(k: int) -> np.ndarray:
     """The all-positive reduced reference matrix every kind is sign/permutation
     equivalent to."""
-    sel = minbases.selector_matrices(k, 1)
-    e, f = sel.e, sel.f
+    e, f = selectors(k, 1)
     eye = np.eye(k)
     return np.vstack(
         [
@@ -161,6 +167,29 @@ def check_placement(
 ) -> bool:
     res = condition_residuals(m, p, kind)
     return bool(np.all(res <= tol * max(1.0, frob_norm(p))))
+
+
+def permutation_to_tridiagonal(k: int, n: int, kind: StructureKind) -> np.ndarray:
+    """Odd-even block interleave Pi with Pi L Pi^T block-(anti)tridiagonal.
+
+    Odd block positions take the (1,1)-block rows in order; even positions take
+    the bidiagonal rows, reversed for the palindromic family so the result is
+    antitridiagonal.
+    """
+    if k < 1:
+        raise ValueError("permutation requires k >= 1")
+    target = []
+    for pos in range(1, 2 * k + 2):
+        if pos % 2 == 1:
+            target.append((pos + 1) // 2)
+        else:
+            j = pos // 2
+            target.append(2 * k + 2 - j if kind.condition_family == "diff" else k + 1 + j)
+    size = (2 * k + 1) * n
+    perm = np.zeros((size, size))
+    for pos, src in enumerate(target, start=1):
+        perm[(pos - 1) * n:pos * n, (src - 1) * n:src * n] = np.eye(n)
+    return perm
 
 
 def tridiagonal_form(pencil: BlockKroneckerPencil):
@@ -259,3 +288,63 @@ def finite_values(spec: SpectrumReport) -> np.ndarray:
 def n_infinite(spec: SpectrumReport) -> int:
     """How many eigenvalues of a spectrum report are infinite."""
     return int(np.count_nonzero(spec.infinite_mask))
+
+
+#: The spectral pairing of each kind as a hand-written table on projective
+#: pairs (alpha, beta), from Mackey, Mackey, Mehl and Mehrmann, "Good
+#: vibrations from good linearizations", SIMAX 28(4), 2006.
+INVOLUTIONS = {
+    StructureKind.palindromic: lambda a, b: (np.conj(b), np.conj(a)),
+    StructureKind.anti_palindromic: lambda a, b: (np.conj(b), np.conj(a)),
+    StructureKind.even: lambda a, b: (-np.conj(a), np.conj(b)),
+    StructureKind.odd: lambda a, b: (-np.conj(a), np.conj(b)),
+    StructureKind.symmetric: lambda a, b: (np.conj(a), np.conj(b)),
+    StructureKind.skew_symmetric: lambda a, b: (np.conj(a), np.conj(b)),
+}
+
+
+def symmetry_by_table(spec: SpectrumReport, kind: StructureKind) -> float:
+    """`spectra.symmetry_check` scored against the `INVOLUTIONS` table."""
+    image = _normalize_pairs(*INVOLUTIONS[kind](spec.alpha, spec.beta))
+    return compare_spectra(spec, image).max_distance
+
+
+# ---------------------------------------------------------------------------
+# Report rows read back
+# ---------------------------------------------------------------------------
+
+#: Serialized column name -> annotated type name, in field order.
+_COLUMN_TYPES = {f.name: f.type for f in fields(BackwardErrorReport) if f.name != "error"}
+
+
+def _parse_cell(name: str, text: str):
+    type_name = _COLUMN_TYPES[name]
+    if type_name == "bool":
+        return text == "true"
+    if type_name == "int":
+        return int(text)
+    if type_name == "str":
+        return text
+    return float(text)
+
+
+def reports_from_csv(path) -> list:
+    """The `BackwardErrorReport` rows of a `backward.reports_to_csv` file."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return [
+            BackwardErrorReport(**{k: _parse_cell(k, v) for k, v in row.items()})
+            for row in reader
+        ]
+
+
+def reports_from_json(path) -> list:
+    """The `BackwardErrorReport` rows of a `backward.reports_to_json` file,
+    null read back as NaN."""
+    with open(path) as fh:
+        return [
+            BackwardErrorReport(
+                **{name: math.nan if value is None else value for name, value in row.items()}
+            )
+            for row in json.load(fh)
+        ]

@@ -31,7 +31,7 @@ from strukt.errors import GradeError, StruktError, ThresholdError
 from strukt.linearize import build_linearization
 
 from conftest import ALL_KINDS, perturbation_blocks, with_entry
-from oracles import x_norm_bound
+from oracles import reports_from_csv, reports_from_json, x_norm_bound
 
 
 def make_case(kind, seed=0, g=5, n=2, norm=1e-8, placement="tridiagonal"):
@@ -447,9 +447,9 @@ def _clear_shape_caches():
 
 
 def test_a_repeated_certification_rebuilds_no_shape_constant(monkeypatch):
-    """Mobius weight tables and selector matrices depend only on (k, n, kind):
-    once a trial at a shape has run, a second certification at that shape
-    builds neither again."""
+    """Mobius weight tables and the selector identities of L_k depend only
+    on (k, n, kind): once a trial at a shape has run, a second certification
+    at that shape builds neither again."""
     calls = {"binom": 0, "selector eye": 0}
     binom_poly, eye = polycore._binom_poly, np.eye
 
@@ -458,7 +458,7 @@ def test_a_repeated_certification_rebuilds_no_shape_constant(monkeypatch):
         return binom_poly(*args)
 
     def counting_eye(*args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "selector_matrices":
+        if sys._getframe(1).f_code.co_name == "build_Lk":
             calls["selector eye"] += 1
         return eye(*args, **kwargs)
 
@@ -534,12 +534,9 @@ def test_shared_constants_give_the_rows_of_fresh_processes():
 
 def test_shared_constants_and_built_pencils_are_read_only():
     kind = StructureKind.even
-    sel = minbases.selector_matrices(2, 2)
     pencil = build_linearization(random_structured(2, 5, kind, 1.0, seed=1), kind)
     shared = [
         polycore.mobius_weights(kind.mobius, 5),
-        sel.e,
-        sel.f,
         minbases.build_Lk(2, 2).coeffs,
         minbases.build_Lambda(2, 2).coeffs,
         pencil.l0,
@@ -587,6 +584,18 @@ def test_run_certification_refuses_bad_arguments_before_any_trial(monkeypatch, m
         )
 
 
+@pytest.mark.parametrize("mode", ["certifed", "Certified", "", None])
+def test_run_certification_refuses_an_unknown_mode_before_any_trial(monkeypatch, mode):
+    """A misspelt mode is refused, not run as an empirical trial that then
+    fails on the contraction condition above the certified threshold."""
+    monkeypatch.setattr(backward, "_run_single_trial", None)
+    p = random_structured(2, 3, StructureKind.symmetric, 1.0, seed=2)
+    with pytest.raises(StruktError, match="mode must be"):
+        run_certification(
+            p, StructureKind.symmetric, "tridiagonal", [1.0], trials=1, seed=3, mode=mode
+        )
+
+
 @pytest.mark.parametrize("scale", [0.0, 1e-320])
 def test_run_certification_refuses_a_zero_computed_norm_before_any_trial(monkeypatch, scale):
     """P = 0, and a nonzero P whose squares underflow, both have computed
@@ -625,7 +634,7 @@ def test_reports_roundtrip_csv_and_json(tmp_path):
         )
         rows = json.loads(json_path.read_text(), parse_constant=reject)
         assert all((row["eig_chordal_max"] is None) != compute_eigs for row in rows)
-        for loaded in (backward.reports_from_csv(csv_path), backward.reports_from_json(json_path)):
+        for loaded in (reports_from_csv(csv_path), reports_from_json(json_path)):
             assert len(loaded) == len(reports)
             for got, want in zip(loaded, reports):
                 got_row, want_row = got.row(), want.row()

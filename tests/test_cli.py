@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -284,6 +285,23 @@ def test_certify_byte_identical(tmp_path):
     assert main(["certify", "--output", str(a)]) == EXIT_OK
     assert main(["certify", "--output", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+#: sha256 of the CSV that the bundled campaign writes, recorded with numpy
+#: 2.4.6, scipy 1.17.1 and Python 3.11.7, with one and with two BLAS threads.
+_CAMPAIGN_CSV_SHA256 = "e5f0c4bd9377c763da1d66d14ac08df66c646a9646c0ebf224d9d1bd59b4a72a"
+
+
+def test_bundled_campaign_report_bytes_are_pinned(tmp_path, capsys):
+    """`strukt certify scripts/configs/default_certify.json --eigs` certifies
+    all 1800 trials and writes the pinned CSV bytes: a change that moves any
+    reported digit of the campaign moves this hash. Other numpy, scipy or
+    BLAS builds may round differently."""
+    config = Path(__file__).parents[1] / "scripts" / "configs" / "default_certify.json"
+    out = tmp_path / "campaign.csv"
+    assert main(["certify", str(config), "--eigs", "--output", str(out)]) == EXIT_OK
+    assert "certify: 1800/1800" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _CAMPAIGN_CSV_SHA256
 
 
 def test_certify_zero_norm_config(tmp_path, capsys):

@@ -10,7 +10,6 @@ from strukt import (
     frob_norm,
     is_structured,
     mobius,
-    permutation_to_tridiagonal,
     placement_stacked,
     placement_tridiagonal,
     random_structured,
@@ -23,7 +22,7 @@ from strukt.errors import GradeError, StructureError, StruktError
 from strukt.linearize import build_linearization
 
 from conftest import ALL_KINDS, expected_tridiagonal_grade5, integer_structured_poly, with_entry
-from oracles import check_placement, tridiagonal_form
+from oracles import check_placement, permutation_to_tridiagonal, tridiagonal_form
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

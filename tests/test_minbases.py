@@ -13,11 +13,10 @@ from strukt import (
     frob_norm,
     mobius,
     poly_matmul,
-    selector_matrices,
     transpose_poly,
 )
 from strukt import minbases, polycore
-from strukt.errors import GradeError, NumericalError, ThresholdError
+from strukt.errors import NumericalError, ThresholdError
 
 from conftest import ALL_KINDS
 from oracles import is_minimal_basis
@@ -53,23 +52,26 @@ def test_duality_exact(k, n):
     assert frob_norm(prod) == 0.0
 
 
-def test_selector_matrices_small():
-    sel = selector_matrices(1, 1)
-    assert np.array_equal(sel.e, np.array([[1.0, 0.0]]))
-    assert np.array_equal(sel.f, np.array([[0.0, 1.0]]))
-    sel2 = selector_matrices(2, 1)
-    assert np.array_equal(sel2.e, np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-    with pytest.raises(GradeError):
-        selector_matrices(0, 2)
+def test_build_Lk_degenerate_and_refused_shapes():
+    """k = 0 is the zero-row basis; a negative k or an n below 1 is refused."""
+    l0 = build_Lk(0, 2)
+    assert l0.coeffs.shape == (2, 0, 2) and l0.coeffs.dtype == np.float64
+    for k, n in ((-1, 2), (1, 0)):
+        with pytest.raises(ValueError):
+            build_Lk(k, n)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 @pytest.mark.parametrize("n", [1, 3])
 def test_selectors_reconstruct_bidiagonal(k, n):
-    sel = selector_matrices(k, n)
+    """L_k's coefficients are -E and F for E = [I_k 0] (x) I_n and
+    F = [0 I_k] (x) I_n, byte for byte: -1.0 and -0.0 in the first, 1.0 and
+    +0.0 in the second."""
+    e = np.kron(np.eye(k, k + 1), np.eye(n))
+    f = np.kron(np.eye(k, k + 1, 1), np.eye(n))
     lk = build_Lk(k, n)
-    assert np.array_equal(lk.coefficient(0), -sel.e)
-    assert np.array_equal(lk.coefficient(1), sel.f)
+    assert lk.coefficient(0).tobytes() == (-e).tobytes()
+    assert lk.coefficient(1).tobytes() == f.tobytes()
 
 
 def test_is_minimal_basis_canonical():

@@ -26,7 +26,7 @@ from strukt.errors import SingularPolynomialError, SpectrumMismatchError, Strukt
 from strukt.linearize import build_linearization
 
 from conftest import ALL_KINDS, with_entry
-from oracles import finite_values, n_infinite
+from oracles import INVOLUTIONS, finite_values, n_infinite, symmetry_by_table
 
 
 def test_pencil_eigs_diagonal():
@@ -72,7 +72,7 @@ def test_normalize_pairs_matches_the_loop_bit_for_bit(kind, field_tag, rng):
     beta[:3] = 0.0
     beta[3:6] *= 1e-13
     alpha[6:8] = 0.0
-    for a, b in [(w[0], w[1]), spectra._INVOLUTIONS[kind](w[0], w[1]), (alpha, beta)]:
+    for a, b in [(w[0], w[1]), INVOLUTIONS[kind](w[0], w[1]), (alpha, beta)]:
         got = spectra._normalize_pairs(a, b)
         want_alpha, want_beta = _normalize_pairs_loop(a, b)
         assert got.alpha.tobytes() == want_alpha.tobytes()
@@ -136,6 +136,26 @@ def test_symmetry_check_examples():
 def test_symmetry_check_zero_pairs_with_infinity():
     spec = _spectrum_of([0.0], infinite=1)
     assert symmetry_check(spec, StructureKind.palindromic) <= 1e-15
+
+
+@pytest.mark.parametrize("field_tag", [polycore.REAL, polycore.COMPLEX])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_symmetry_check_is_the_tabulated_pairing(kind, field_tag):
+    """The pairing read off the kind's Mobius matrix scores every spectrum
+    exactly as the hand-written table of the six kinds does: pencil spectra
+    of structured polynomials, and spectra with zero, infinite and unpaired
+    eigenvalues."""
+    specs = [
+        _spectrum_of([0.0, 2.0, -0.5 + 1j, 1j], infinite=2),
+        _spectrum_of([2.0, 3.0, 1.0 - 1j]),
+    ]
+    for k, n in ((1, 4), (2, 2), (3, 3)):
+        for seed in range(3):
+            p = random_structured(n, 2 * k + 1, kind, 1.0, seed=seed, field=field_tag)
+            pencil = build_linearization(p, kind)
+            specs.append(pencil_eigs(pencil.l0, pencil.l1))
+    for spec in specs:
+        assert symmetry_check(spec, kind) == symmetry_by_table(spec, kind)
 
 
 def test_compare_spectra_identical_and_permuted():

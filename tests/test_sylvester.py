@@ -14,7 +14,7 @@ from strukt import (
     random_structured,
     sigma_min_formula,
 )
-from strukt import backward, minbases, polycore, sylvester
+from strukt import backward, polycore, sylvester
 from strukt.errors import NumericalError, ThresholdError
 from strukt.polycore import (
     COMPLEX,
@@ -36,6 +36,7 @@ from oracles import (
     iterate_norm_cap,
     operator_for,
     reference_reduced,
+    selectors,
     sign_diagonals,
 )
 
@@ -164,8 +165,8 @@ def test_operator_matrix_matches_matrix_products(kind, field_tag, rng):
     shape = (k * n, (k + 1) * n)
     da21 = _draw(rng, shape, field_tag, 0.1)
     db21 = _draw(rng, shape, field_tag, 0.1)
-    sel = minbases.selector_matrices(k, n)
-    ehat, fhat = -sel.e + da21, sel.f + db21
+    e, f = selectors(k, n)
+    ehat, fhat = -e + da21, f + db21
     a = driver_matrix(kind)
     g0 = a.b * fhat + a.d * ehat
     g1 = a.a * fhat + a.c * ehat
@@ -409,6 +410,19 @@ def test_warm_started_solve_matches_lstsq(kind, field_tag, rng):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         if new is nearby:
             assert solver.iterations < cold
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_reduced_gram_is_the_matrix_free_gram(kind):
+    """T T^* of `build_TA_reduced` is, bit for bit, the Gram matrix of the
+    unperturbed n = 1 operator applied to unit (2, k, k) stacks in row-major
+    order: the reduced matrix's rows are in `kron_precondition`'s channel
+    order, so the solver's preconditioner may be read off it."""
+    for k in range(1, 9):
+        op = StarSylvesterOperator.unperturbed(k, 1, kind)
+        want = polycore.gram_matrix(lambda w: op.apply(*op.adjoint(w)), (2, k, k))
+        t = build_TA_reduced(k, kind)
+        assert (t @ star(t)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
