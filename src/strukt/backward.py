@@ -186,15 +186,15 @@ def recover_perturbed(a: BlockKroneckerPencil) -> Recovery:
     `congruence_zero_block`, then `reconstruct_perturbed_polynomial` of A's
     (1,1) block and the rezeroed (2,1) block.
 
+    Precondition, not checked here: A is a built pencil plus a dL that
+    `StructuredPerturbation.from_pencil` admitted, so it is finite and
+    structured. A trial's `perturbed` and `linearize.recover` ensure it.
+
     When A22 is zero and A21 is exactly L_k (x) I_n, as in a built pencil,
     the congruence is X = 0 and the completion N = Lambda exactly, so
     neither solve runs: the result is the monomial sandwich of A11, the
-    inverse of the builder. A non-finite or unstructured A is refused with
-    `StruktError` or `StructureError` before either shortcut or solve.
+    inverse of the builder.
     """
-    polycore.require_finite(a.poly)
-    if not polycore.is_structured(a.poly, a.kind):
-        raise StructureError(f"perturbed pencil is not {a.kind.value}")
     _, a21, _, a22 = linearize.natural_blocks(a.poly.coeffs, a.k, a.n)
     if not a22.any() and np.array_equal(a21, minbases.build_Lk(a.k, a.n).coeffs):
         row = minbases.build_Lambda(a.k, a.n)

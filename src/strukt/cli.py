@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -36,6 +35,9 @@ class ExperimentConfig:
     """Certification campaign description, loadable from a single JSON file.
 
     ``kind`` names one structure kind, or "all" for the six in enum order.
+    `validate` checks the types, kind, grade, n, placement and format;
+    `backward.run_certification` refuses a bad trial count, norm list or
+    mode before any trial.
     """
 
     kind: str = "symmetric"
@@ -61,14 +63,6 @@ class ExperimentConfig:
             raise StruktError("n must be >= 1")
         if self.placement not in linearize.PLACEMENTS:
             raise StruktError(f"unknown placement {self.placement!r}")
-        if self.trials < 1:
-            raise StruktError("trials must be >= 1")
-        if not self.pert_norms:
-            raise StruktError("pert_norms must hold at least one perturbation norm")
-        if not all(0 <= nrm < math.inf for nrm in self.pert_norms):
-            raise StruktError("perturbation norms must be finite and nonnegative")
-        if self.mode not in backward.MODES:
-            raise StruktError("mode must be 'certified' or 'empirical'")
         if self.format not in ("csv", "json"):
             raise StruktError("format must be 'csv' or 'json'")
         return self

@@ -45,8 +45,7 @@ class BlockKroneckerPencil:
     The pencil `assemble` builds, or one read back by `load_pencil`, which
     may also be a perturbed pencil that `strukt perturb` wrote; `recover`
     maps either kind back to its polynomial. ``poly`` holds the one
-    coefficient stack; L0, L1 and the (1,1) block's M0, M1 are read-only
-    views of it.
+    coefficient stack; L0 and L1 are read-only views of it.
     """
 
     poly: MatrixPolynomial
@@ -61,14 +60,6 @@ class BlockKroneckerPencil:
     @property
     def l1(self) -> np.ndarray:
         return self.poly.coeffs[1]
-
-    @property
-    def m0(self) -> np.ndarray:
-        return natural_blocks(self.poly.coeffs, self.k, self.n)[0][0]
-
-    @property
-    def m1(self) -> np.ndarray:
-        return natural_blocks(self.poly.coeffs, self.k, self.n)[0][1]
 
     @property
     def sign(self) -> int:
@@ -217,6 +208,7 @@ def assemble(
     mp = polycore.pad_to_grade(m, 1)
     if mp.grade != 1:
         raise GradeError("the (1,1) block must be a pencil")
+    polycore.require_finite(mp)
     if not is_structured(mp, kind):
         raise StructureError(f"the (1,1) block is not {kind.value}")
 

@@ -129,7 +129,7 @@ def dual_basis_complete(K: MatrixPolynomial, k: int, n: int) -> DualBasisPair:
             f"K must be a {k * n} x {(k + 1) * n} pencil, got {K.shape} of grade {K.grade}"
         )
     base = build_Lk(k, n)
-    dl_norm = polycore.frob_norm(K - base)
+    dl_norm = polycore.array_norm(K.coeffs - base.coeffs)
     bound = completion_threshold(k)
     if dl_norm >= bound:
         raise ThresholdError(

@@ -35,7 +35,7 @@ from strukt import (
     symmetry_check,
     transpose_poly,
 )
-from strukt import linearize, polycore, sylvester
+from strukt import polycore, sylvester
 from strukt.backward import (
     congruence_zero_block,
     random_structured_perturbation,

@@ -275,20 +275,49 @@ def test_no_solve_shortcut_reads_the_perturbed_pencil(monkeypatch, kind, field):
 
 @pytest.mark.parametrize(
     "block, value, error",
-    [("12", math.nan, "finite"), ("12", 5.0, "not symmetric"), ("11", math.nan, "finite")],
+    [
+        ("11", math.nan, "finite"),
+        ("11", math.inf, "finite"),
+        ("12", math.nan, "finite"),
+        ("12", 5.0, "not structured"),
+    ],
 )
-def test_recover_perturbed_refuses_a_nonfinite_or_unstructured_pencil(block, value, error):
-    """Called directly, without the perturbation's gate, recovery still
-    refuses a built pencil with one entry of its (1,1) or (1,2) block made
-    non-finite or unstructured, instead of returning P through the no-solve
+def test_recover_refuses_a_nonfinite_or_unstructured_pencil(block, value, error):
+    """A built pencil with one entry of its (1,1) or (1,2) block made
+    non-finite or unstructured is refused by `linearize.recover`'s two
+    admissions, the (1,1) block's `assemble` and dL's `from_pencil`, without
+    forming inf - inf, instead of being returned through the no-solve
     shortcut."""
     k, n, kind = 2, 2, StructureKind.symmetric
     pencil = build_linearization(random_structured(n, 2 * k + 1, kind, 1.0, seed=3), kind)
     coeffs = pencil.poly.coeffs.copy()
     coeffs[1, 0, (k + 1) * n if block == "12" else 0] = value
     a = linearize.BlockKroneckerPencil(polycore.MatrixPolynomial(coeffs), k, n, kind)
-    with pytest.raises(StruktError, match=error):
-        backward.recover_perturbed(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StruktError, match=error):
+            linearize.recover(a)
+
+
+def test_a_trial_checks_the_pencils_structure_once(monkeypatch):
+    """The perturbed pencil A = L + dL is finite and structured by
+    construction, so a trial takes the structure residual of a (2k+1)n
+    pencil once, at dL's gate, and never of A."""
+    callers = []
+    residual = polycore.structure_residual
+
+    def counting_residual(p, kind):
+        if p.shape == (10, 10):  # (2k+1)n at k = n = 2
+            callers.append(sys._getframe(1).f_code.co_name)
+        return residual(p, kind)
+
+    monkeypatch.setattr(polycore, "structure_residual", counting_residual)
+    monkeypatch.setattr(backward, "structure_residual", counting_residual)
+    kind = StructureKind.even
+    p = random_structured(2, 5, kind, 1.0, seed=8)
+    [rep] = run_certification(p, kind, "tridiagonal", [1e-6], trials=1, seed=9)
+    assert rep.error is None and rep.ratio_le_bound and rep.structure_ok
+    assert callers == ["from_pencil"]
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +570,8 @@ def test_shared_constants_and_built_pencils_are_read_only():
         minbases.build_Lambda(2, 2).coeffs,
         pencil.l0,
         pencil.l1,
-        pencil.m0,
-        pencil.m1,
+        pencil.m_pencil.coeffs[0],
+        pencil.m_pencil.coeffs[1],
     ]
     for arr in shared:
         with pytest.raises(ValueError, match="read-only"):

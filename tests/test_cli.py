@@ -324,17 +324,27 @@ def test_certify_zero_norm_config(tmp_path, capsys):
     assert rows[0]["ratio"] == 0.0
 
 
-def test_certify_without_perturbation_norms_exits_2(tmp_path):
-    """An empty ``pert_norms`` certifies nothing, so it is a usage error, and
-    no report is written."""
-    with pytest.raises(StruktError, match="at least one perturbation norm"):
-        ExperimentConfig(pert_norms=[]).validate()
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"trials": 0}', "trials must be >= 1"),
+        ('{"pert_norms": []}', "at least one perturbation norm"),
+        ('{"pert_norms": [NaN]}', "finite and nonnegative"),
+        ('{"pert_norms": [Infinity]}', "finite and nonnegative"),
+        ('{"mode": "certifed"}', "mode must be"),
+    ],
+    ids=["trials-0", "pert_norms-empty", "pert_norms-nan", "pert_norms-inf", "mode-misspelled"],
+)
+def test_certify_config_that_run_certification_refuses_exits_2(tmp_path, doc, message):
+    """A config with no trials, no norms, a norm outside [0, inf) or an
+    unknown mode certifies nothing: `run_certification` refuses it before any
+    trial, so `certify` exits 2 with one error line and writes no report."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"pert_norms": []}))
+    cfg.write_text(doc)
     out = tmp_path / "rep.csv"
     code, err = _run_cli(["certify", str(cfg), "--output", str(out)])
     assert code == EXIT_USAGE and err.count("error:") == 1
-    assert "at least one perturbation norm" in err
+    assert message in err
     assert not out.exists()
 
 
@@ -447,8 +457,6 @@ def test_config_validation_direct():
     with pytest.raises(StruktError):
         ExperimentConfig(grade=4).validate()
     with pytest.raises(StruktError):
-        ExperimentConfig(trials=0).validate()
-    with pytest.raises(StruktError):
         ExperimentConfig(grade=1).validate()
     with pytest.raises(StruktError):
         ExperimentConfig(kind="no-such-kind").validate()
@@ -456,8 +464,6 @@ def test_config_validation_direct():
     for bad in _BAD_TYPES + [
         {"grade": True},
         {"pert_norms": [True]},
-        {"pert_norms": [float("nan")]},
-        {"pert_norms": [float("inf")]},
         {"output": 3},
     ]:
         with pytest.raises(StruktError):

@@ -277,7 +277,7 @@ def test_pencil_file_roundtrip(tmp_path):
     assert json.loads(linearize.sidecar_path(path).read_text())["sign"] == kind.recovery_sign(2)
     assert np.array_equal(loaded.l0, pencil.l0)
     m11, _, _, b22 = linearize.natural_blocks(loaded.poly.coeffs, 2, 2)
-    assert np.array_equal(m11[0], pencil.m0)
+    assert np.array_equal(m11[0], pencil.m_pencil.coeffs[0])
     assert not b22.any()
 
 

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from strukt import (
-    StructureKind,
     build_Lambda,
     build_Lk,
     convolution_matrix,

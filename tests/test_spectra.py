@@ -14,7 +14,6 @@ from scipy.optimize import linear_sum_assignment
 from strukt import (
     StructureKind,
     compare_spectra,
-    frob_norm,
     minimal_indices,
     pencil_eigs,
     random_structured,

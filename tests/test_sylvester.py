@@ -8,7 +8,6 @@ from strukt import (
     StructureKind,
     build_TA,
     build_TA_reduced,
-    frob_norm,
     pair_norm,
     quadratic_fixed_point,
     random_structured,
