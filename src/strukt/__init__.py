@@ -51,7 +51,6 @@ from .linearize import (
 from .sylvester import (
     FixedPointState,
     build_TA,
-    build_TA_reduced,
     quadratic_fixed_point,
     sigma_min_formula,
 )

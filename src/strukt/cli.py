@@ -80,7 +80,7 @@ class ExperimentConfig:
     def kinds(self) -> list[StructureKind]:
         if self.kind == "all":
             return list(StructureKind)
-        return [_parse_kind(self.kind)]
+        return [polycore.parse_kind(self.kind)]
 
 
 def _check_type(name: str, value, want) -> None:
@@ -90,22 +90,13 @@ def _check_type(name: str, value, want) -> None:
         raise StruktError(f"config {name} must be {want}, got {value!r}")
 
 
-def _parse_kind(name: str) -> StructureKind:
-    try:
-        return StructureKind(name)
-    except ValueError:
-        raise StruktError(
-            f"unknown structure kind {name!r}; expected one of {ALL_KINDS}"
-        ) from None
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_linearize(args) -> int:
     p = polycore.load_polynomial(args.input)
-    kind = _parse_kind(args.kind)
+    kind = polycore.parse_kind(args.kind)
     pencil = linearize.build_linearization(p, kind, args.placement)
     out = args.output or (str(Path(args.input).with_suffix("")) + ".pencil.json")
     linearize.save_pencil(pencil, out)
@@ -142,12 +133,14 @@ def cmd_perturb(args) -> int:
 
 def cmd_sigma_min(args) -> int:
     """Check the law sigma_min = 2 sin(pi/(4k)) at n = 1, 2, and that every
-    singular value of the full system matrix is one of the reduced matrix's,
-    repeated n^2 times."""
+    singular value of the system matrix is one of its n = 1 form's, repeated
+    n^2 times."""
     kinds = [
-        _parse_kind(name)
+        polycore.parse_kind(name)
         for name in (args.kinds.split(",") if args.kinds else ALL_KINDS)
     ]
+    if args.kmax < 1:
+        raise StruktError(f"--kmax must be at least 1, got {args.kmax}")
     failures = 0
     print(
         f"{'k':>3} {'n':>3} {'kind':>16} {'formula':>19} {'svd':>19} "
@@ -156,7 +149,7 @@ def cmd_sigma_min(args) -> int:
     for k in range(1, args.kmax + 1):
         formula = sylvester.sigma_min_formula(k)
         reduced = {
-            kind: np.linalg.svd(sylvester.build_TA_reduced(k, kind), compute_uv=False)
+            kind: np.linalg.svd(sylvester.build_TA(k, 1, kind), compute_uv=False)
             for kind in kinds
         }
         for n in (1, 2):
@@ -179,7 +172,7 @@ def cmd_sigma_min(args) -> int:
 
 def cmd_eigs(args) -> int:
     path = Path(args.input)
-    kind = _parse_kind(args.kind) if args.kind else None
+    kind = polycore.parse_kind(args.kind) if args.kind else None
     if linearize.sidecar_path(path).exists():
         pencil = linearize.load_pencil(path)
         spec = spectra.pencil_eigs(pencil.l0, pencil.l1)

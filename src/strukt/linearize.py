@@ -313,7 +313,8 @@ def load_pencil(path) -> BlockKroneckerPencil:
     with open(sidecar_path(path)) as fh:
         record = polycore.require_keys(json.load(fh), _SIDECAR_KEYS, "sidecar record")
     polycore.require_ints(record, ("k", "n", "sign"), "sidecar record")
-    k, n, kind, sign = record["k"], record["n"], StructureKind(record["kind"]), record["sign"]
+    k, n, sign = record["k"], record["n"], record["sign"]
+    kind = polycore.parse_kind(record["kind"])
     if k < 1 or n < 1:
         raise StruktError(f"sidecar k = {k} and n = {n} must both be at least 1")
     size = (2 * k + 1) * n

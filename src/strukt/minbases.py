@@ -6,8 +6,8 @@ They multiply to zero and stay minimal under the structure substitutions.
 When the pencil is perturbed, `dual_basis_complete` rebuilds a dual partner of
 degree k by `polycore.min_norm_solve` on the coefficient-convolution system,
 applied as matrix products and preconditioned by the n = 1 Gram inverse of
-the unperturbed pencil. `convolution_matrix` forms the system densely for
-oracles and minimal-index estimation.
+the unperturbed pencil. `convolution_matrix` is the system's one dense form:
+that Gram matrix, minimal-index estimation and test oracles read it.
 """
 
 from __future__ import annotations
@@ -101,14 +101,11 @@ def _times_adjoint(k_star: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _completion_preconditioner(k: int) -> np.ndarray:
-    """Inverse of C C^T for C = `convolution_matrix(build_Lk(k, 1), k)`, the
-    (k+2)k square Gram matrix of the n = 1 completion, built matrix-free."""
-    lk = build_Lk(k, 1)
-    lk_star = polycore.star(lk.coeffs)
-    gram = polycore.gram_matrix(
-        lambda r: polycore._coeff_product(lk.coeffs, _times_adjoint(lk_star, r)), (k + 2, k, 1)
-    )
-    pinv = np.linalg.inv(gram)
+    """Inverse of the (k+2)k square Gram matrix C C^T of the n = 1
+    completion, C = `convolution_matrix(build_Lk(k, 1), k)`; its rows are in
+    the channel order of `polycore.kron_precondition`."""
+    c = convolution_matrix(build_Lk(k, 1), k)
+    pinv = np.linalg.inv(c @ c.T)
     pinv.setflags(write=False)
     return pinv
 

@@ -118,6 +118,17 @@ def driver_matrix(kind) -> MobiusMatrix:
     return kind.mobius if isinstance(kind, StructureKind) else kind
 
 
+def parse_kind(name) -> StructureKind:
+    """The StructureKind named ``name``; any other value, of any type, is
+    refused with `StruktError` naming the six kinds."""
+    try:
+        return StructureKind(name)
+    except ValueError:
+        raise StruktError(
+            f"unknown structure kind {name!r}; expected one of {[k.value for k in StructureKind]}"
+        ) from None
+
+
 # ---------------------------------------------------------------------------
 # Matrix polynomials
 # ---------------------------------------------------------------------------
@@ -306,14 +317,6 @@ def pcg(gram_apply, precondition, c: np.ndarray, w: np.ndarray | None = None):
         rz, rz_prev = np.vdot(r, z).real, rz
         p = z + (rz / rz_prev) * p
     return w, it
-
-
-def gram_matrix(gram_apply, shape) -> np.ndarray:
-    """Matrix of the linear map ``gram_apply`` on arrays of ``shape``, one
-    column per unit array, rows and columns in row-major order."""
-    size = math.prod(shape)
-    cols = [gram_apply(unit.reshape(shape)).reshape(size) for unit in np.eye(size)]
-    return np.stack(cols, axis=1)
 
 
 def kron_precondition(pinv: np.ndarray, n: int, r: np.ndarray) -> np.ndarray:

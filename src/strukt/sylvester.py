@@ -4,13 +4,14 @@ block of a perturbed pencil A, read from A's own blocks.
 The linear step vectorizes a pair of coupled Sylvester equations into one
 underdetermined system whose matrix has exact 0/+-1 entries and minimum
 singular value 2*sin(pi/(4k)) for every structure kind and every block size.
-Its minimum-norm solver never forms T or T T^*. It computes the certified
-gap delta once, by Weyl's inequality on the operator's own blocks, with
-sigma_min of the unperturbed system taken from its n = 1 Gram matrix, and
-solves through `polycore.min_norm_solve` preconditioned with that matrix's
-inverse. The quadratic step wraps the linear solve in a fixed-point
-iteration whose convergence is certified by delta > 0 and
-theta*omega/delta^2 < 1/4.
+`StarSylvesterOperator.matrix` is that system's one dense form. The
+minimum-norm solver never forms T or T T^*. It computes the certified gap
+delta once, by Weyl's inequality on the operator's own blocks, with
+sigma_min of the unperturbed system taken from the n = 1 Gram matrix
+T_A T_A^*, T_A = `build_TA(k, 1, kind)`, and solves through
+`polycore.min_norm_solve` preconditioned with that matrix's inverse. The
+quadratic step wraps the linear solve in a fixed-point iteration whose
+convergence is certified by delta > 0 and theta*omega/delta^2 < 1/4.
 """
 
 from __future__ import annotations
@@ -79,42 +80,31 @@ class StarSylvesterOperator:
         return c.swapaxes(0, 1).reshape(kn, 2 * kn) @ self.g, self.hs @ c.reshape(2 * kn, kn)
 
     def matrix(self) -> np.ndarray:
-        """Vectorized 2k^2n^2 x 2k(k+1)n^2 matrix acting on [vec Y; vec Z^*].
+        """Vectorized 2k^2n^2 x 2k(k+1)n^2 matrix acting on [vec Y; vec Z^*],
+        each vec row-major: vec(Y G0^*) = (I (x) conj(G0)) vec Y and
+        vec(ehat Z^*) = (ehat (x) I) vec Z^*. At n = 1 its rows are in the
+        order (equation, row block, column block) of the channels of
+        `polycore.kron_precondition`.
 
-        Only `build_TA`, `strukt sigma-min` and test oracles form it; the
-        solver reads the gap off the operator's blocks and solves through
-        `apply` and `adjoint`.
+        Only `build_TA`, `strukt sigma-min`, the solver's cached n = 1 Gram
+        matrix and test oracles form it; a solve reads the gap off the
+        operator's blocks and runs through `apply` and `adjoint`.
         """
         eye = np.eye(self.ehat.shape[0])
-        top = np.hstack([np.kron(np.conj(self.g0), eye), np.kron(eye, self.ehat)])
-        bot = np.hstack([np.kron(np.conj(self.g1), eye), np.kron(eye, self.fhat)])
+        top = np.hstack([np.kron(eye, np.conj(self.g0)), np.kron(self.ehat, eye)])
+        bot = np.hstack([np.kron(eye, np.conj(self.g1)), np.kron(self.fhat, eye)])
         return np.vstack([top, bot])
 
 
 # ---------------------------------------------------------------------------
-# The unperturbed system matrix and its reductions
+# The unperturbed system matrix
 # ---------------------------------------------------------------------------
 
 def build_TA(k: int, n: int, kind) -> np.ndarray:
-    """Unperturbed 2k^2n^2 x 2k(k+1)n^2 system matrix, exact 0/+-1 entries."""
+    """Unperturbed 2k^2n^2 x 2k(k+1)n^2 system matrix, exact 0/+-1 entries.
+    Its singular values are those of build_TA(k, 1, kind), each repeated n^2
+    times."""
     return StarSylvesterOperator.unperturbed(k, n, kind).matrix()
-
-
-def build_TA_reduced(k: int, kind) -> np.ndarray:
-    """Fully reduced 2k^2 x 2k(k+1) matrix sharing every singular value of the
-    full system matrix (each full singular value repeats n^2 times).
-
-    It is T_A at n = 1, its rows in the row-major order (equation, row block,
-    column block) of `polycore.kron_precondition`. E and F are read off
-    L_k = -E + l*F; negating L_k's -0.0 entries gives +0.0.
-    """
-    a = driver_matrix(kind)
-    lk = minbases.build_Lk(k, 1).coeffs
-    e, f = -lk[0], lk[1]
-    eye = np.eye(k)
-    top = np.hstack([np.kron(eye, a.b * f - a.d * e), -np.kron(e, eye)])
-    bot = np.hstack([np.kron(eye, a.a * f - a.c * e), np.kron(f, eye)])
-    return np.vstack([top, bot])
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +116,7 @@ class _Reference:
     """What the solver needs of the unperturbed system T_A and the driver,
     for every block size n. T_A(n) is a row and column permutation of
     T_A(1) (x) I_{n^2}, so its Gram inverse and its sigma_min are those of
-    the n = 1 reduction."""
+    T_A(1) = `build_TA(k, 1, driver)`."""
 
     #: Inverse of the n = 1 Gram matrix, rows and columns in the row-major
     #: order (equation, row block, column block) of `polycore.kron_precondition`.
@@ -144,7 +134,7 @@ _EPS = float(np.finfo(float).eps)
 
 @functools.lru_cache(maxsize=None)
 def _reference(k: int, driver) -> _Reference:
-    t = build_TA_reduced(k, driver)
+    t = build_TA(k, 1, driver)
     gram = t @ star(t)
     # eigvalsh is backward stable: each computed eigenvalue is within a small
     # multiple of eps*||G||_2 of an exact one, so lambda_min less 2k^2*eps*||G||_F

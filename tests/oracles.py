@@ -1,7 +1,8 @@
 """Oracles that only the tests read: dense reductions and a-priori bounds of
 the star-Sylvester system (the paper's proof objects, checked against the
 library's operator and solver), the star-Sylvester operator of a (2,1)
-perturbation, the placement condition, the permuted tridiagonal form, a
+perturbation, the matrix of a linear map probed with unit arrays, the
+placement condition, the permuted tridiagonal form, a
 minimality test, two fixed Mobius matrices and their product, the finite
 eigenvalues and infinite count of a spectrum report, the spectral pairings
 tabulated per kind, report rows read back from CSV and JSON, and reference
@@ -104,6 +105,14 @@ def x_norm_bound(k: int, norm_dl: float) -> float:
     """Guaranteed bound 3k||dL|| / (1 - 3k||dL||) on the congruence factor."""
     denom = 1.0 - 3.0 * k * norm_dl
     return 3.0 * k * norm_dl / denom if denom > 0 else math.inf
+
+
+def gram_matrix(gram_apply, shape) -> np.ndarray:
+    """Matrix of the linear map ``gram_apply`` on arrays of ``shape``, one
+    column per unit array, rows and columns in row-major order."""
+    size = math.prod(shape)
+    cols = [gram_apply(unit.reshape(shape)).reshape(size) for unit in np.eye(size)]
+    return np.stack(cols, axis=1)
 
 
 def operator_for(da21: np.ndarray, db21: np.ndarray, kind) -> StarSylvesterOperator:

@@ -17,7 +17,6 @@ from strukt import (
     build_Lambda,
     build_Lk,
     build_TA,
-    build_TA_reduced,
     compare_spectra,
     frob_norm,
     from_coeff_list,
@@ -80,7 +79,7 @@ def test_criterion_1_sigma_min_law():
         for kind in ALL_KINDS:
             for k in range(1, 9):
                 want = sigma_min_formula(k)
-                sv_red = np.linalg.svd(build_TA_reduced(k, kind), compute_uv=False)
+                sv_red = np.linalg.svd(build_TA(k, 1, kind), compute_uv=False)
                 for n in (1, 2):
                     sv = np.linalg.svd(build_TA(k, n, kind), compute_uv=False)
                     assert abs(sv[-1] - want) <= 1e-10 * want

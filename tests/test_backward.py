@@ -424,23 +424,46 @@ def test_run_certification_refuses_non_finite_coefficients(bad):
 
 def test_certification_never_forms_the_dense_system(monkeypatch):
     """The dense vectorized star-Sylvester matrix, the convolution matrix,
-    Cholesky factors and dense solves are for oracles only: with them
-    disabled, every kind still certifies."""
+    Cholesky factors and dense solves are for oracles only: the two cached
+    preconditioners read the n = 1 dense forms once, and a trial at n = 2
+    forms neither dense system. With every dense form refused once the
+    caches are warm, every kind still certifies."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense system formed or solved on the certification path")
 
+    matrix, convolution = sylvester.StarSylvesterOperator.matrix, minbases.convolution_matrix
+    formed = []
+
+    def n1_matrix(op):
+        assert op.n == 1, "dense star-Sylvester system formed at n >= 2"
+        formed.append("matrix")
+        return matrix(op)
+
+    def n1_convolution(K, target_degree):
+        assert K.cols - K.rows == 1, "dense convolution matrix formed at n >= 2"
+        formed.append("convolution_matrix")
+        return convolution(K, target_degree)
+
+    def certify_every_kind():
+        for kind in ALL_KINDS:
+            p = random_structured(2, 5, kind, 1.0, seed=8)
+            reports = run_certification(p, kind, "tridiagonal", [1e-6], trials=2, seed=9)
+            assert all(r.error is None and r.ratio_le_bound and r.structure_ok for r in reports)
+
     sylvester._reference.cache_clear()
-    monkeypatch.setattr(sylvester.StarSylvesterOperator, "matrix", refuse)
-    monkeypatch.setattr(minbases, "convolution_matrix", refuse)
+    minbases._completion_preconditioner.cache_clear()
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
     monkeypatch.setattr(scipy.linalg, "cholesky", refuse)
-    for kind in ALL_KINDS:
-        p = random_structured(2, 5, kind, 1.0, seed=8)
-        reports = run_certification(p, kind, "tridiagonal", [1e-6], trials=2, seed=9)
-        assert all(r.error is None and r.ratio_le_bound and r.structure_ok for r in reports)
+    monkeypatch.setattr(sylvester.StarSylvesterOperator, "matrix", n1_matrix)
+    monkeypatch.setattr(minbases, "convolution_matrix", n1_convolution)
+    certify_every_kind()
+    assert set(formed) == {"matrix", "convolution_matrix"}
+    monkeypatch.setattr(sylvester.StarSylvesterOperator, "matrix", refuse)
+    monkeypatch.setattr(minbases, "convolution_matrix", refuse)
+    certify_every_kind()
 
 
 def test_certification_checks_the_gap_independently_of_the_formula(monkeypatch):

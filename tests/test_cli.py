@@ -252,6 +252,15 @@ def test_sigma_min_passes(capsys):
     assert {(row[1], row[2]) for row in rows} == {(n, kind) for n in "12" for kind in ("even", "odd")}
 
 
+@pytest.mark.parametrize("kmax", ["0", "-2"])
+def test_sigma_min_refuses_a_kmax_below_one(kmax, capsys):
+    """A --kmax below 1 would tabulate no row and check nothing: it exits 2
+    with one error line and prints no table header."""
+    assert main(["sigma-min", f"--kmax={kmax}"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --kmax") and err.count("\n") == 1
+
+
 def test_eigs_on_polynomial(tmp_path, capsys):
     p = random_structured(2, 3, StructureKind.palindromic, 1.0, seed=6)
     path = tmp_path / "p.json"

@@ -299,6 +299,22 @@ def test_load_pencil_gives_back_the_saved_pencil_bit_for_bit(grade, kind, field,
     assert recover(loaded).coeffs.tobytes() == recover(pencil).coeffs.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["banana", 5, None, ["x"]])
+def test_load_pencil_refuses_an_unknown_sidecar_kind(kind, tmp_path):
+    """A sidecar kind that names none of the six kinds, of any JSON type, is
+    refused with `StruktError` naming the six, not with a bare ValueError."""
+    p = random_structured(2, 3, StructureKind.even, 1.0, seed=4)
+    path = tmp_path / "pencil.json"
+    linearize.save_pencil(build_linearization(p, StructureKind.even, "tridiagonal"), path)
+    sidecar = linearize.sidecar_path(path)
+    record = json.loads(sidecar.read_text())
+    record["kind"] = kind
+    sidecar.write_text(json.dumps(record))
+    with pytest.raises(StruktError, match="unknown structure kind") as err:
+        linearize.load_pencil(path)
+    assert all(repr(k.value) in str(err.value) for k in StructureKind)
+
+
 def test_natural_blocks_are_views_that_tile_the_stack():
     k, n = 2, 3
     stack = np.arange(2 * 15 * 15, dtype=float).reshape(2, 15, 15)

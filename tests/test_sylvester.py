@@ -7,13 +7,12 @@ import scipy.linalg
 from strukt import (
     StructureKind,
     build_TA,
-    build_TA_reduced,
     pair_norm,
     quadratic_fixed_point,
     random_structured,
     sigma_min_formula,
 )
-from strukt import backward, polycore, sylvester
+from strukt import backward, minbases, polycore, sylvester
 from strukt.errors import NumericalError, ThresholdError
 from strukt.polycore import (
     COMPLEX,
@@ -31,6 +30,7 @@ from conftest import ALL_KINDS, perturbation_blocks, with_scaled_22_block
 from oracles import (
     build_TA_mid,
     delta_lower_bound,
+    gram_matrix,
     is_coninvolutory,
     iterate_norm_cap,
     operator_for,
@@ -79,14 +79,14 @@ def test_reduction_chain_singular_values(kind, k):
     n = 2
     sv_full = np.linalg.svd(build_TA(k, n, kind), compute_uv=False)
     sv_mid = np.linalg.svd(build_TA_mid(k, n, kind), compute_uv=False)
-    sv_red = np.linalg.svd(build_TA_reduced(k, kind), compute_uv=False)
+    sv_red = np.linalg.svd(build_TA(k, 1, kind), compute_uv=False)
     assert np.allclose(sv_full, np.sort(np.repeat(sv_red, n * n))[::-1], atol=1e-12)
     assert np.allclose(sv_mid, np.sort(np.repeat(sv_red, n))[::-1], atol=1e-12)
 
 
 def test_reduced_sigma_min_closed_form():
     for k in range(1, 7):
-        sv = np.linalg.svd(build_TA_reduced(k, StructureKind.palindromic), compute_uv=False)
+        sv = np.linalg.svd(build_TA(k, 1, StructureKind.palindromic), compute_uv=False)
         want = math.sqrt(2.0 - 2.0 * math.cos(math.pi / (2.0 * k)))
         assert sv[-1] == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(2.0 * math.sin(math.pi / (4.0 * k)), abs=1e-15)
@@ -101,21 +101,21 @@ def test_exact_sign_reduction_identities(k):
     fl = np.diag([-1.0] * kk + [1.0] * kk)
     dr = np.diag([-1.0] * kk1 + [1.0] * kk1)
 
-    t_sym = build_TA_reduced(k, StructureKind.symmetric)
-    t_skew = build_TA_reduced(k, StructureKind.skew_symmetric)
+    t_sym = build_TA(k, 1, StructureKind.symmetric)
+    t_skew = build_TA(k, 1, StructureKind.skew_symmetric)
     assert np.array_equal(fl @ t_sym, ref)
     assert np.array_equal(t_skew @ dr, t_sym)
 
-    t_pal = build_TA_reduced(k, StructureKind.palindromic)
-    t_anti = build_TA_reduced(k, StructureKind.anti_palindromic)
+    t_pal = build_TA(k, 1, StructureKind.palindromic)
+    t_anti = build_TA(k, 1, StructureKind.anti_palindromic)
     assert np.array_equal(t_pal @ dr, t_anti)
 
-    t_odd = build_TA_reduced(k, StructureKind.odd)
-    assert np.array_equal(t_odd @ dr, build_TA_reduced(k, StructureKind.even))
+    t_odd = build_TA(k, 1, StructureKind.odd)
+    assert np.array_equal(t_odd @ dr, build_TA(k, 1, StructureKind.even))
 
     # alternating kinds reduce through the alternating-sign diagonals
     sk, sk1 = sign_diagonals(k)
-    t_even = fl @ build_TA_reduced(k, StructureKind.even)
+    t_even = fl @ build_TA(k, 1, StructureKind.even)
     left = np.kron(np.eye(2), np.kron(np.eye(k), sk))
     right = np.block(
         [
@@ -178,8 +178,8 @@ def test_operator_matrix_matches_matrix_products(kind, field_tag, rng):
     assert (op.k, op.ehat.shape) == (k, shape)
     image = mobius(from_coeff_list([ehat, fhat]), a).coeffs
     assert op.g0.tobytes() == image[0].tobytes() and op.g1.tobytes() == image[1].tobytes()
-    got = op.matrix() @ np.concatenate([y.reshape(-1, order="F"), zs.reshape(-1, order="F")])
-    want = np.concatenate([want0.reshape(-1, order="F"), want1.reshape(-1, order="F")])
+    got = op.matrix() @ np.concatenate([y.reshape(-1, order="C"), zs.reshape(-1, order="C")])
+    want = np.concatenate([want0.reshape(-1, order="C"), want1.reshape(-1, order="C")])
     assert np.allclose(got, want, rtol=0, atol=1e-13)
     at0, at1 = op.apply(y, star(y))
     assert np.allclose(at0, y @ g0.conj().T + ehat @ y.conj().T, rtol=0, atol=1e-13)
@@ -187,7 +187,7 @@ def test_operator_matrix_matches_matrix_products(kind, field_tag, rng):
 
 
 def _vec_pair(a, b):
-    return np.concatenate([a.reshape(-1, order="F"), b.reshape(-1, order="F")])
+    return np.concatenate([a.reshape(-1, order="C"), b.reshape(-1, order="C")])
 
 
 @pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
@@ -413,22 +413,40 @@ def test_warm_started_solve_matches_lstsq(kind, field_tag, rng):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_reduced_gram_is_the_matrix_free_gram(kind):
-    """T T^* of `build_TA_reduced` is, bit for bit, the Gram matrix of the
-    unperturbed n = 1 operator applied to unit (2, k, k) stacks in row-major
-    order: the reduced matrix's rows are in `kron_precondition`'s channel
-    order, so the solver's preconditioner may be read off it."""
+    """T T^* of `build_TA(k, 1, kind)` is, bit for bit, the Gram matrix of
+    the unperturbed n = 1 operator applied to unit (2, k, k) stacks in
+    row-major order: the n = 1 matrix's rows are in `kron_precondition`'s
+    channel order, so the solver's preconditioner may be read off it. The
+    same holds for the completion: C C^T, C = `convolution_matrix(L_k, k)`
+    at n = 1, is the Gram matrix of D -> L_k D on unit (k+2, k, 1) stacks."""
     for k in range(1, 9):
         op = StarSylvesterOperator.unperturbed(k, 1, kind)
-        want = polycore.gram_matrix(lambda w: op.apply(*op.adjoint(w)), (2, k, k))
-        t = build_TA_reduced(k, kind)
+        want = gram_matrix(lambda w: op.apply(*op.adjoint(w)), (2, k, k))
+        t = build_TA(k, 1, kind)
         assert (t @ star(t)).tobytes() == want.tobytes()
+        lk = minbases.build_Lk(k, 1)
+        want = gram_matrix(
+            lambda r: polycore._coeff_product(lk.coeffs, minbases._times_adjoint(star(lk.coeffs), r)),
+            (k + 2, k, 1),
+        )
+        c = minbases.convolution_matrix(lk, k)
+        assert (c @ c.T).tobytes() == want.tobytes()
+
+
+# A coninvolutory driver with non-real entries: A conj(A) = I.
+_CONINVOLUTORY = MobiusMatrix(
+    math.cosh(0.3), 1j * math.sinh(0.3), -1j * math.sinh(0.3), math.cosh(0.3)
+)
 
 
 @pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize(
+    "kind", ALL_KINDS + [pytest.param(_CONINVOLUTORY, id="complex-coninvolutory")]
+)
 def test_preconditioner_is_the_unperturbed_gram_inverse(kind, field_tag, rng):
     """At zero perturbation the Kronecker preconditioner is exactly
-    (T_A T_A^*)^{-1}, so conjugate gradients stops after one iteration."""
+    (T_A T_A^*)^{-1}, so conjugate gradients stops after one iteration; for a
+    non-real driver too, whose G0 and G1 enter T_A conjugated."""
     for k in range(1, 5):
         for n in range(1, 4):
             op, solver = _solver(kind, k, n)
