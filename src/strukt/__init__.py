@@ -21,7 +21,6 @@ from .polycore import (
     evaluate,
     frob_norm,
     from_coeff_list,
-    is_structured,
     load_polynomial,
     mobius,
     pair_norm,

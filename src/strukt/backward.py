@@ -42,9 +42,10 @@ from .polycore import (
 class StructuredPerturbation:
     """A structured pencil perturbation dL of a (2k+1)n block Kronecker pencil.
 
-    `from_pencil` admits dL only when it is finite and structured to within
-    1e-12 of its own norm, and stores that Frobenius ``norm``. `perturbed`
-    forms A = L + dL, the one pencil recovery reads.
+    `from_pencil` admits dL by `polycore.admit_structured` and stores its
+    projection with ``norm`` = ||projection||_F plus the projection distance,
+    which bounds ||dL||_F. `perturbed` forms A = L + dL, the one pencil
+    recovery reads.
     """
 
     pencil: MatrixPolynomial
@@ -63,13 +64,8 @@ class StructuredPerturbation:
                 f"expected a {size} x {size} pencil of grade 1, "
                 f"got {dl.rows} x {dl.cols} of grade {dl.grade}"
             )
-        polycore.require_finite(dl)
-        residual, norm = structure_residual(dl, kind), frob_norm(dl)
-        if residual > 1e-12 * norm:
-            raise StructureError(
-                f"perturbation is not structured (residual {residual:.3e} at norm {norm:.3e})"
-            )
-        return cls(dl, kind, k, n, norm)
+        pencil, distance = polycore.admit_structured(dl, kind, "perturbation")
+        return cls(pencil, kind, k, n, frob_norm(pencil) + distance)
 
     def perturbed(self, pencil: BlockKroneckerPencil) -> BlockKroneckerPencil:
         """The perturbed pencil A = L + dL of the pencil L; a pencil of another
@@ -125,8 +121,7 @@ def congruence_zero_block(a: BlockKroneckerPencil) -> CongruenceResult:
     `quadratic_fixed_point` refuses an inadmissible perturbation with
     `ThresholdError`. No norm threshold is checked here: certified runs refuse
     norms at or above `theorem_bound(...).threshold` before they get here.
-    The (2,2) block left by X is refused unless it is at most
-    max(1e-12, 4e-12*theta).
+    The (2,2) block left by X is refused unless it is at most 4e-12*theta.
     """
     state = sylvester.quadratic_fixed_point(a)
     x = state.x
@@ -134,7 +129,7 @@ def congruence_zero_block(a: BlockKroneckerPencil) -> CongruenceResult:
     b21 = x @ a11 + a21
     r22 = b21 @ star(x) + x @ a12 + a22
     residual22 = pair_norm(r22[0], r22[1])
-    if not residual22 <= max(1e-12, 4e-12 * state.theta):
+    if not residual22 <= 4e-12 * state.theta:
         raise StruktError(
             f"(2,2) block residual {residual22:.3e} above tolerance after congruence"
         )

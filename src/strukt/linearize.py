@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import minbases, polycore
-from .errors import GradeError, StructureError, StruktError
-from .polycore import MatrixPolynomial, StructureKind, is_structured, star, structure_project
+from .errors import GradeError, StruktError
+from .polycore import MatrixPolynomial, StructureKind, star, structure_project
 
 
 def natural_blocks(coeffs: np.ndarray, k: int, n: int):
@@ -80,15 +80,11 @@ class BlockKroneckerPencil:
 # ---------------------------------------------------------------------------
 
 def _placement_preamble(p: MatrixPolynomial, kind: StructureKind):
-    if not p.is_square:
-        raise StructureError("placements require a square polynomial")
+    """The admitted P, its grade g = 2k+1, k and n."""
     if p.grade % 2 == 0:
         raise GradeError("odd grade required")
-    polycore.require_finite(p)
-    if not is_structured(p, kind):
-        raise StructureError(f"input polynomial is not {kind.value}")
-    g = p.grade
-    return g, (g - 1) // 2, p.rows
+    p, _ = polycore.admit_structured(p, kind, "input polynomial")
+    return p, p.grade, (p.grade - 1) // 2, p.rows
 
 
 class _PencilBuilder:
@@ -121,7 +117,7 @@ def placement_tridiagonal(p: MatrixPolynomial, kind: StructureKind) -> MatrixPol
     palindromic-family kinds on the antidiagonal, alternating kinds alternate
     the sign along the diagonal.
     """
-    g, k, n = _placement_preamble(p, kind)
+    p, g, k, n = _placement_preamble(p, kind)
     b = _PencilBuilder(k, n, p.coeffs.dtype)
     family = kind.condition_family
     for j in range(1, k + 2):
@@ -143,7 +139,7 @@ def placement_stacked(p: MatrixPolynomial, kind: StructureKind) -> MatrixPolynom
     """Staircase placement: head rows carry the leading coefficients, a single
     interior row carries the mid-range run, and the trailing column collects
     the low-order coefficients."""
-    g, k, n = _placement_preamble(p, kind)
+    p, g, k, n = _placement_preamble(p, kind)
     b = _PencilBuilder(k, n, p.coeffs.dtype)
     family = kind.condition_family
 
@@ -208,9 +204,7 @@ def assemble(
     mp = polycore.pad_to_grade(m, 1)
     if mp.grade != 1:
         raise GradeError("the (1,1) block must be a pencil")
-    polycore.require_finite(mp)
-    if not is_structured(mp, kind):
-        raise StructureError(f"the (1,1) block is not {kind.value}")
+    mp, _ = polycore.admit_structured(mp, kind, "the (1,1) block")
 
     size = (2 * k + 1) * n
     coeffs = np.zeros((2, size, size), dtype=mp.coeffs.dtype)
@@ -265,21 +259,23 @@ def recover_from_m(
 def recover(pencil: BlockKroneckerPencil) -> MatrixPolynomial:
     """Grade 2k+1 polynomial linearized by the pencil A, built or perturbed.
 
-    The gate: A less its skeleton, `assemble` of its own (1,1) block, is the
-    dL that `backward.StructuredPerturbation.from_pencil` must admit. Then
-    `backward.recover_perturbed` maps A itself back, as a certification
-    trial does. A built pencil recovers by the monomial sandwich alone, the
-    inverse of the builder. A (1,1) block or dL that is not finite and
+    `assemble` of A's (1,1) block admits that block and gives the skeleton.
+    dL = A - skeleton, its (1,1) block zeroed since `assemble` judged A11,
+    must pass `backward.StructuredPerturbation.from_pencil`; then
+    `backward.recover_perturbed` maps the skeleton plus the admitted dL back,
+    as a trial does. A built pencil recovers by the monomial sandwich alone,
+    the inverse of the builder. A (1,1) block or dL that is not finite and
     structured, or a dL outside the solves' thresholds, is refused with a
     `StruktError`.
     """
     from . import backward  # backward imports this module
 
-    skeleton = assemble(pencil.m_pencil, pencil.k, pencil.n, pencil.kind)
-    backward.StructuredPerturbation.from_pencil(
-        pencil.poly - skeleton.poly, pencil.k, pencil.n, pencil.kind
-    )
-    return backward.recover_perturbed(pencil).poly
+    k, n, kind = pencil.k, pencil.n, pencil.kind
+    skeleton = assemble(pencil.m_pencil, k, n, kind)
+    dl = pencil.poly.coeffs - skeleton.poly.coeffs
+    natural_blocks(dl, k, n)[0][...] = 0.0
+    pert = backward.StructuredPerturbation.from_pencil(MatrixPolynomial(dl), k, n, kind)
+    return backward.recover_perturbed(pert.perturbed(skeleton)).poly
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ does not).  On top of that this module provides
 Horner evaluation, grade-aware reversal, Mobius transformations driven by a
 nonsingular 2x2 matrix, and the six classical structure classes (symmetric,
 skew-symmetric, palindromic, anti-palindromic, even, odd) together with a
-structure test, a structure projector, and a seeded random sampler.
+structure gate, a structure projector, and a seeded random sampler.
 `min_norm_solve` is the gated matrix-free solve that both minimum-norm solves
 of the certification pipeline call.
 """
@@ -27,8 +27,6 @@ from .errors import GradeError, NumericalError, StructureError, StruktError
 
 REAL = "real"
 COMPLEX = "complex"
-
-DEFAULT_STRUCTURE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +447,7 @@ def mobius(p: MatrixPolynomial, a: MobiusMatrix) -> MatrixPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Structure test, projection, random sampling
+# Structure residual, gate, projection, random sampling
 # ---------------------------------------------------------------------------
 
 def structure_residual(p: MatrixPolynomial, kind) -> float:
@@ -464,23 +462,38 @@ def structure_residual(p: MatrixPolynomial, kind) -> float:
     return array_norm(_substituted(p.coeffs, driver_matrix(kind)) - star(p.coeffs))
 
 
-def is_structured(
-    p: MatrixPolynomial, kind, tol: float = DEFAULT_STRUCTURE_TOL
-) -> bool:
-    """Structure test with tolerance relative to max(1, ||P||_F)."""
-    return structure_residual(p, kind) <= tol * max(1.0, frob_norm(p))
+def admit_structured(p: MatrixPolynomial, kind: StructureKind, what: str):
+    """The one structure gate: (projection, distance) of ``p``, named ``what``
+    in its refusals: `StructureError` unless square and structured to within
+    1e-12 ||p||_F, `StruktError` unless finite. One substitution gives the
+    residual and the projection (P + (substituted P)^*)/2; an exactly
+    structured ``p`` is itself at distance 0.0, any other one is at half its
+    residual, rounded up."""
+    if not p.is_square:
+        raise StructureError(f"{what} must be square, got {p.rows} x {p.cols}")
+    require_finite(p)
+    sub = _substituted(p.coeffs, driver_matrix(kind))
+    residual, norm = array_norm(sub - star(p.coeffs)), array_norm(p.coeffs)
+    if not residual <= 1e-12 * norm:
+        raise StructureError(
+            f"{what} is not {kind.value} (residual {residual:.3e} at norm {norm:.3e})"
+        )
+    if residual == 0.0:
+        return p, 0.0
+    return MatrixPolynomial(_average(p.coeffs, sub)), math.nextafter(0.5 * residual, math.inf)
 
 
 def structure_project(p: MatrixPolynomial, kind) -> MatrixPolynomial:
     """Average P with its substituted adjoint; idempotent, fixes structured inputs."""
     if not p.is_square:
         raise StructureError("structure projection requires a square polynomial")
-    return MatrixPolynomial(_projected(p.coeffs, driver_matrix(kind)))
+    return MatrixPolynomial(_average(p.coeffs, _substituted(p.coeffs, driver_matrix(kind))))
 
 
-def _projected(coeffs: np.ndarray, a: MobiusMatrix) -> np.ndarray:
-    """`structure_project` by the driver ``a`` of a square coefficient stack."""
-    return (coeffs + star(_substituted(coeffs, a))) * 0.5
+def _average(coeffs: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """The structure projection of a square coefficient stack, given its
+    substituted stack ``sub``."""
+    return (coeffs + star(sub)) * 0.5
 
 
 def random_structured(
@@ -505,7 +518,7 @@ def random_structured(
         raw = rng.standard_normal((g + 1, n, n))
         if field == COMPLEX:
             raw = raw + 1j * rng.standard_normal((g + 1, n, n))
-        proj = _projected(raw, driver_matrix(kind))
+        proj = _average(raw, _substituted(raw, driver_matrix(kind)))
         nrm = array_norm(proj)
         if nrm > 1e-8:
             return MatrixPolynomial(proj * (target_norm / nrm))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import minbases
+from . import minbases, polycore
 from .errors import ConvergenceError, ThresholdError
 from .linearize import BlockKroneckerPencil, natural_blocks
 from .polycore import array_norm, driver_matrix, min_norm_solve, star
@@ -42,8 +42,7 @@ class StarSylvesterOperator:
     (2, kn, (k+1)n) coefficient stack ``a21``, whose shape fixes k and n; at
     zero perturbation it is L_k (x) I_n = -E + l*F. G0 + l*G1 is the kind's
     Mobius image of ehat + l*fhat: the rule that fixes a structured pencil's
-    (1,2) block from its (2,1) block. At grade 1 that image is
-    G0 = d*ehat + b*fhat and G1 = c*ehat + a*fhat for the driver [[a, b], [c, d]].
+    (1,2) block from its (2,1) block.
 
     The blocks are stored stacked, G = [G0; G1] and H = [ehat; fhat], each
     2kn x (k+1)n, with their adjoints; g0, g1, ehat and fhat are row-block
@@ -54,12 +53,11 @@ class StarSylvesterOperator:
         _, kn, width = a21.shape
         self.n = width - kn
         self.k = kn // self.n
-        a = self.driver = driver_matrix(kind)
+        self.driver = driver_matrix(kind)
         self.h = np.vstack(a21)
-        ehat, fhat = self.h[:kn], self.h[kn:]
-        self.g = np.vstack([a.d * ehat + a.b * fhat, a.c * ehat + a.a * fhat])
+        self.g = np.vstack(polycore._substituted(a21, self.driver))
         self.gs, self.hs = star(self.g), star(self.h)
-        self.ehat, self.fhat = ehat, fhat
+        self.ehat, self.fhat = self.h[:kn], self.h[kn:]
         self.g0, self.g1 = self.g[:kn], self.g[kn:]
 
     @classmethod

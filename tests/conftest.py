@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from strukt import StructureKind, from_coeff_list, is_structured
+from strukt import StructureKind, from_coeff_list, random_structured, random_structured_perturbation
 from strukt.backward import StructuredPerturbation
-from strukt.linearize import natural_blocks
+from strukt.linearize import BlockKroneckerPencil, build_linearization, natural_blocks
 from strukt.polycore import MatrixPolynomial
+
+from oracles import is_structured
 
 ALL_KINDS = list(StructureKind)
 
@@ -74,6 +76,22 @@ def with_scaled_22_block(pert, scale):
     return StructuredPerturbation.from_pencil(
         MatrixPolynomial(coeffs), pert.k, pert.n, pert.kind
     )
+
+
+def noisy_22_pencil(kind, draw, scale):
+    """(P, L, dL, A = L + dL) at k = n = 2 for a drawn dL of norm 1e-6 whose
+    (2,2) block is scaled by ``scale`` and then given Gaussian noise of
+    3e-14 ||dL|| per entry: dL is structured only to rounding, as a dL read
+    back from a file may be."""
+    k, n, norm = 2, 2, 1e-6
+    p = random_structured(n, 2 * k + 1, kind, 1.0, seed=draw)
+    pencil = build_linearization(p, kind)
+    coeffs = random_structured_perturbation(k, n, kind, norm, seed=100 + draw).pencil.coeffs.copy()
+    *_, d22 = natural_blocks(coeffs, k, n)
+    d22 *= scale
+    d22 += 3e-14 * norm * np.random.default_rng(draw).standard_normal(d22.shape)
+    dl = MatrixPolynomial(coeffs)
+    return p, pencil, dl, BlockKroneckerPencil(pencil.poly + dl, k, n, kind)
 
 
 def expected_tridiagonal_grade5(c, kind, n):

@@ -8,7 +8,8 @@ eigenvalues and infinite count of a spectrum report, the spectral pairings
 tabulated per kind, report rows read back from CSV and JSON, and reference
 kernels: the Frobenius norm, polynomial product, structure projection and
 dual-row sandwich written out plainly, which the library's kernels must
-match bit for bit."""
+match bit for bit, and a boolean structure test with an adjustable
+tolerance."""
 
 import csv
 import json
@@ -44,6 +45,11 @@ def compose(a: MobiusMatrix, b: MobiusMatrix) -> MobiusMatrix:
     """The Mobius matrix A B: substituting by it is substituting by A, then B."""
     m = a.array @ b.array
     return MobiusMatrix(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+
+
+def is_structured(p: MatrixPolynomial, kind, tol: float = 1e-12) -> bool:
+    """True when P's structure residual is at most tol * max(1, ||P||_F)."""
+    return polycore.structure_residual(p, kind) <= tol * max(1.0, frob_norm(p))
 
 
 def is_coninvolutory(a: MobiusMatrix, tol: float = 1e-14) -> bool:

@@ -20,7 +20,6 @@ from strukt import (
     compare_spectra,
     frob_norm,
     from_coeff_list,
-    is_structured,
     minimal_indices,
     mobius,
     pencil_eigs,
@@ -50,7 +49,14 @@ from conftest import (
     integer_structured_coeffs,
     with_scaled_22_block,
 )
-from oracles import MOBIUS_REVERSAL, compose, iterate_norm_cap, tridiagonal_form, x_norm_bound
+from oracles import (
+    MOBIUS_REVERSAL,
+    compose,
+    is_structured,
+    iterate_norm_cap,
+    tridiagonal_form,
+    x_norm_bound,
+)
 
 
 @contextmanager

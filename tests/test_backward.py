@@ -17,7 +17,6 @@ from strukt import (
     StructureKind,
     congruence_zero_block,
     frob_norm,
-    is_structured,
     pair_norm,
     random_structured,
     random_structured_perturbation,
@@ -30,8 +29,8 @@ from strukt.backward import StructuredPerturbation
 from strukt.errors import GradeError, StruktError, ThresholdError
 from strukt.linearize import build_linearization
 
-from conftest import ALL_KINDS, perturbation_blocks, with_entry
-from oracles import reports_from_csv, reports_from_json, x_norm_bound
+from conftest import ALL_KINDS, noisy_22_pencil, perturbation_blocks, with_entry
+from oracles import is_structured, reports_from_csv, reports_from_json, x_norm_bound
 
 
 def make_case(kind, seed=0, g=5, n=2, norm=1e-8, placement="tridiagonal"):
@@ -273,13 +272,79 @@ def test_no_solve_shortcut_reads_the_perturbed_pencil(monkeypatch, kind, field):
         assert (frob_norm(rec.poly - p) > 1e-6) == moves
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_recover_takes_a_pencil_whose_perturbation_is_structured_to_rounding(kind):
+    """A structured X cannot remove the unstructured part of a (2,2) block,
+    so a dL that is structured only to rounding must be admitted by its
+    projection. With the (2,2) block scaled by 1, 1e-3 or 0 plus noise of
+    3e-14 ||dL|| per entry, each pencil recovers within its certified bound
+    and its spectrum is the recovered polynomial's."""
+    for draw in range(3):
+        for scale in (1.0, 1e-3, 0.0):
+            p, pencil, dl, a = noisy_22_pencil(kind, draw, scale)
+            got = linearize.recover(a)
+            tb = theorem_bound(p, pencil)
+            assert frob_norm(got - p) / tb.norm_p <= tb.ratio_bound(frob_norm(dl))
+            want = spectra.reference_polyeigs(got)
+            assert spectra.compare_spectra(spectra.pencil_eigs(a.l0, a.l1), want).max_distance <= 1e-13
+
+
+@pytest.mark.parametrize("norm", [0.0, 1e-6])
+def test_recover_takes_a_pencil_whose_11_block_is_structured_to_rounding(norm):
+    """`assemble` judges A11's own defect against ||A11||, so dL is admitted
+    with its (1,1) block zeroed: a one-ulp asymmetry of A11 stays far below
+    1e-12 ||A11|| but would not be below 1e-12 ||dL||."""
+    k, n, kind = 2, 2, StructureKind.symmetric
+    p, pencil, pert = make_case(kind, norm=norm)
+    coeffs = pert.perturbed(pencil).poly.coeffs.copy()
+    coeffs[1, 0, 1] = np.nextafter(coeffs[1, 0, 1], math.inf)
+    a = linearize.BlockKroneckerPencil(polycore.MatrixPolynomial(coeffs), k, n, kind)
+    assert polycore.structure_residual(a.m_pencil, kind) > 0.0
+    got = linearize.recover(a)
+    tb = theorem_bound(p, pencil)
+    assert frob_norm(got - p) / tb.norm_p <= max(tb.ratio_bound(norm), 1e-14)
+
+
+def test_from_pencil_stores_the_projection_of_a_noisy_perturbation():
+    """dL off its structure by rounding is stored as its exactly structured
+    projection, and the stored norm, ||projection|| plus the projection
+    distance, bounds ||dL||; an exactly structured dL is stored as it is."""
+    for kind in ALL_KINDS:
+        *_, dl, _ = noisy_22_pencil(kind, 0, 1.0)
+        assert polycore.structure_residual(dl, kind) > 0.0
+        pert = StructuredPerturbation.from_pencil(dl, 2, 2, kind)
+        assert polycore.structure_residual(pert.pencil, kind) == 0.0
+        assert pert.norm >= frob_norm(dl)
+        exact = pert.pencil
+        assert StructuredPerturbation.from_pencil(exact, 2, 2, kind).pencil is exact
+
+
+def test_the_congruence_gate_has_no_absolute_floor(monkeypatch):
+    """At ||dL|| = 1e-10 an X off by a relative 1e-6 leaves a (2,2) block
+    far below 1e-12 but far above 4e-12 theta; the gate is relative to
+    theta alone, so it refuses that X."""
+    _, pencil, pert = make_case(StructureKind.symmetric, norm=1e-10)
+    a = pert.perturbed(pencil)
+    congruence_zero_block(a)  # the fixed point's own X passes
+    fixed_point = sylvester.quadratic_fixed_point
+
+    def off_by_a_millionth(a):
+        state = fixed_point(a)
+        state.x = state.x * (1.0 + 1e-6)
+        return state
+
+    monkeypatch.setattr(sylvester, "quadratic_fixed_point", off_by_a_millionth)
+    with pytest.raises(StruktError, match=r"\(2,2\) block residual"):
+        congruence_zero_block(a)
+
+
 @pytest.mark.parametrize(
     "block, value, error",
     [
         ("11", math.nan, "finite"),
         ("11", math.inf, "finite"),
         ("12", math.nan, "finite"),
-        ("12", 5.0, "not structured"),
+        ("12", 5.0, "perturbation is not symmetric"),
     ],
 )
 def test_recover_refuses_a_nonfinite_or_unstructured_pencil(block, value, error):
@@ -301,18 +366,21 @@ def test_recover_refuses_a_nonfinite_or_unstructured_pencil(block, value, error)
 
 def test_a_trial_checks_the_pencils_structure_once(monkeypatch):
     """The perturbed pencil A = L + dL is finite and structured by
-    construction, so a trial takes the structure residual of a (2k+1)n
-    pencil once, at dL's gate, and never of A."""
+    construction, so a trial gates the structure of a (2k+1)n pencil once,
+    at dL's `admit_structured`, and never takes the structure residual of A."""
     callers = []
-    residual = polycore.structure_residual
 
-    def counting_residual(p, kind):
-        if p.shape == (10, 10):  # (2k+1)n at k = n = 2
-            callers.append(sys._getframe(1).f_code.co_name)
-        return residual(p, kind)
+    def counting(check):
+        def counted(p, kind, *what):
+            if p.shape == (10, 10):  # (2k+1)n at k = n = 2
+                callers.append(sys._getframe(1).f_code.co_name)
+            return check(p, kind, *what)
 
-    monkeypatch.setattr(polycore, "structure_residual", counting_residual)
-    monkeypatch.setattr(backward, "structure_residual", counting_residual)
+        return counted
+
+    for name in ("admit_structured", "structure_residual"):
+        monkeypatch.setattr(polycore, name, counting(getattr(polycore, name)))
+    monkeypatch.setattr(backward, "structure_residual", polycore.structure_residual)
     kind = StructureKind.even
     p = random_structured(2, 5, kind, 1.0, seed=8)
     [rep] = run_certification(p, kind, "tridiagonal", [1e-6], trials=1, seed=9)

@@ -23,6 +23,9 @@ from strukt.cli import (
     build_parser,
     main,
 )
+
+from conftest import noisy_22_pencil
+from oracles import is_structured
 from strukt.errors import StruktError
 
 
@@ -52,6 +55,18 @@ def test_linearize_even_grade_exits_2(tmp_path, capsys):
     save_polynomial(p, path)
     assert main(["linearize", str(path), "--kind", "symmetric"]) == EXIT_USAGE
     assert "odd grade required" in capsys.readouterr().err
+
+
+def test_linearize_refuses_a_small_polynomial_with_a_relative_defect(tmp_path, capsys):
+    """The structure gate is relative to ||P|| with no floor at 1: a P of
+    norm 1e-6 off its structure by 1.4e-10 of that norm is refused."""
+    p = random_structured(2, 5, StructureKind.symmetric, 1e-6, seed=3)
+    coeffs = p.coeffs.copy()
+    coeffs[0, 0, 1] += 1e-16
+    path = tmp_path / "small.json"
+    save_polynomial(polycore.MatrixPolynomial(coeffs), path)
+    assert main(["linearize", str(path), "--kind", "symmetric"]) == EXIT_USAGE
+    assert "input polynomial is not symmetric" in _assert_one_error_line(capsys)
 
 
 def test_linearize_missing_file_exits_2(tmp_path):
@@ -186,6 +201,20 @@ def test_recover_zero_pencil_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", list(StructureKind))
+def test_recover_takes_a_pencil_file_whose_perturbation_is_structured_to_rounding(
+    tmp_path, kind, capsys
+):
+    """A pencil file whose dL has an unstructured (2,2) part at rounding
+    level, with the drawn (2,2) block zeroed, recovers: the gate admits dL
+    by its projection, which a structured X can rezero."""
+    p, _, _, a = noisy_22_pencil(kind, 1, 0.0)
+    path, out = tmp_path / "a.json", tmp_path / "r.json"
+    linearize.save_pencil(a, path)
+    assert main(["recover", str(path), "--output", str(out)]) == EXIT_OK
+    assert frob_norm(load_polynomial(out) - p) <= 1e-4
+
+
 @pytest.mark.parametrize("field", [polycore.REAL, polycore.COMPLEX])
 @pytest.mark.parametrize("kind", list(StructureKind))
 def test_recover_replays_perturbed_pencil(tmp_path, kind, field):
@@ -225,7 +254,7 @@ def test_perturb_writes_pencil(tmp_path, poly_file):
         assert main(["perturb", str(pencil_path), "--norm", "1e-6", "--seed", "4", "--output", str(out)]) == EXIT_OK
         dl = load_polynomial(out) - load_polynomial(pencil_path)
         assert abs(frob_norm(dl) - 1e-6) <= 1e-16
-        assert polycore.is_structured(dl, StructureKind.symmetric, tol=1e-10)
+        assert is_structured(dl, StructureKind.symmetric, tol=1e-10)
         assert np.any(dl.coeffs.imag != 0.0) == (field == polycore.COMPLEX)
         sidecar, pencil_sidecar = linearize.sidecar_path(out), linearize.sidecar_path(pencil_path)
         assert sidecar.read_bytes() == pencil_sidecar.read_bytes()
@@ -250,6 +279,22 @@ def test_sigma_min_passes(capsys):
     rows = [line.split() for line in out.splitlines()[1:]]
     assert len(rows) == 3 * 2 * 2
     assert {(row[1], row[2]) for row in rows} == {(n, kind) for n in "12" for kind in ("even", "odd")}
+
+
+def test_sigma_min_reads_the_n1_rows_off_one_svd(monkeypatch, capsys):
+    """An n = 1 row is the reduced form itself: its SVD is taken once, and
+    its red_diff, a comparison with itself, prints as "-"."""
+    svd, calls = np.linalg.svd, []
+
+    def counting_svd(a, **kw):
+        calls.append(a.shape)
+        return svd(a, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert main(["sigma-min", "--kmax", "2", "--kinds", "palindromic,odd"]) == EXIT_OK
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(calls) == len(rows) == 2 * 2 * 2
+    assert [row[-1] == "-" for row in rows] == [row[1] == "1" for row in rows]
 
 
 @pytest.mark.parametrize("kmax", ["0", "-2"])

@@ -8,7 +8,6 @@ from strukt import (
     assemble,
     build_Lk,
     frob_norm,
-    is_structured,
     mobius,
     placement_stacked,
     placement_tridiagonal,
@@ -22,7 +21,7 @@ from strukt.errors import GradeError, StructureError, StruktError
 from strukt.linearize import build_linearization
 
 from conftest import ALL_KINDS, expected_tridiagonal_grade5, integer_structured_poly, with_entry
-from oracles import check_placement, permutation_to_tridiagonal, tridiagonal_form
+from oracles import check_placement, is_structured, permutation_to_tridiagonal, tridiagonal_form
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -14,7 +14,6 @@ from strukt import (
     evaluate,
     frob_norm,
     from_coeff_list,
-    is_structured,
     mobius,
     pair_norm,
     poly_matmul,
@@ -27,7 +26,7 @@ from strukt import polycore
 from strukt.errors import GradeError, NumericalError, StructureError, StruktError
 
 from conftest import ALL_KINDS, integer_structured_poly
-from oracles import MOBIUS_IDENTITY, MOBIUS_REVERSAL, compose, is_coninvolutory
+from oracles import MOBIUS_IDENTITY, MOBIUS_REVERSAL, compose, is_coninvolutory, is_structured
 
 
 def random_poly(rng, rows, cols, grade, complex_field=False):
