@@ -344,7 +344,7 @@ def test_the_congruence_gate_has_no_absolute_floor(monkeypatch):
         ("11", math.nan, "finite"),
         ("11", math.inf, "finite"),
         ("12", math.nan, "finite"),
-        ("12", 5.0, "perturbation is not symmetric"),
+        pytest.param("12", 5.0, "perturbation is not symmetric", id="12-5.0-not structured"),
     ],
 )
 def test_recover_refuses_a_nonfinite_or_unstructured_pencil(block, value, error):
