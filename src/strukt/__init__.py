@@ -55,7 +55,6 @@ from .sylvester import (
 )
 from .backward import (
     BackwardErrorReport,
-    StructuredPerturbation,
     congruence_zero_block,
     random_structured_perturbation,
     reconstruct_perturbed_polynomial,

@@ -1,14 +1,15 @@
 """End-to-end certification that structured pencil perturbations map back to
 structured polynomial perturbations within explicit bounds.
 
-Pipeline per trial: draw a structured perturbation dL of the assembled pencil
-L, form A = L + dL once (`StructuredPerturbation.perturbed`), recover the
-polynomial A linearizes from A alone (`recover_perturbed`: rezero its trailing
-block by a structure-preserving congruence, a quadratic star-Sylvester fixed
-point; complete its rezeroed (2,1) block to a dual basis of degree k; sandwich
-its (1,1) block with it), and compare the achieved backward error against the
-certified multiplier. `linearize.recover` runs the same recovery on a pencil
-read from a file.
+Pipeline per trial: draw a perturbation dL of the assembled pencil L, which
+is exactly structured by construction and so passes no gate; form A = L + dL
+once (`BlockKroneckerPencil.perturbed`); recover the polynomial A linearizes
+from A alone (`recover_perturbed`: rezero its trailing block by a
+structure-preserving congruence, a quadratic star-Sylvester fixed point;
+complete its rezeroed (2,1) block to a dual basis of degree k; sandwich its
+(1,1) block with it); and compare the achieved backward error against the
+certified multiplier. `linearize.recover` admits the dL of a pencil read from
+a file by `polycore.admit_structured` and runs the same recovery.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import linearize, minbases, polycore, spectra, sylvester
-from .errors import GradeError, StructureError, StruktError, ThresholdError
+from .errors import GradeError, StruktError, ThresholdError
 from .linearize import BlockKroneckerPencil
 from .polycore import (
     MatrixPolynomial,
@@ -38,43 +39,6 @@ from .polycore import (
 # Structured perturbations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class StructuredPerturbation:
-    """A structured pencil perturbation dL of a (2k+1)n block Kronecker pencil.
-
-    `from_pencil` admits dL by `polycore.admit_structured` and stores its
-    projection with ``norm`` = ||projection||_F plus the projection distance,
-    which bounds ||dL||_F. `perturbed` forms A = L + dL, the one pencil
-    recovery reads.
-    """
-
-    pencil: MatrixPolynomial
-    kind: StructureKind
-    k: int
-    n: int
-    norm: float
-
-    @classmethod
-    def from_pencil(
-        cls, dl: MatrixPolynomial, k: int, n: int, kind: StructureKind
-    ) -> "StructuredPerturbation":
-        size = (2 * k + 1) * n
-        if dl.shape != (size, size) or dl.grade != 1:
-            raise StructureError(
-                f"expected a {size} x {size} pencil of grade 1, "
-                f"got {dl.rows} x {dl.cols} of grade {dl.grade}"
-            )
-        pencil, distance = polycore.admit_structured(dl, kind, "perturbation")
-        return cls(pencil, kind, k, n, frob_norm(pencil) + distance)
-
-    def perturbed(self, pencil: BlockKroneckerPencil) -> BlockKroneckerPencil:
-        """The perturbed pencil A = L + dL of the pencil L; a pencil of another
-        kind or other block sizes is refused with `StructureError`."""
-        if (self.kind, self.k, self.n) != (pencil.kind, pencil.k, pencil.n):
-            raise StructureError("perturbation kind or block sizes differ from the pencil's")
-        return BlockKroneckerPencil(pencil.poly + self.pencil, self.k, self.n, self.kind)
-
-
 def random_structured_perturbation(
     k: int,
     n: int,
@@ -82,8 +46,9 @@ def random_structured_perturbation(
     target_norm: float,
     seed,
     field_tag: str = polycore.REAL,
-) -> StructuredPerturbation:
-    """Random structured pencil perturbation with the requested Frobenius norm.
+) -> MatrixPolynomial:
+    """Random structured perturbation dL of a (2k+1)n block Kronecker pencil,
+    with the requested Frobenius norm.
 
     A unit-norm structured pencil, scaled; the kind's involution only
     permutes, negates or conjugates entries, so the draw is exactly
@@ -94,7 +59,7 @@ def random_structured_perturbation(
     unit = polycore.random_structured(
         (2 * k + 1) * n, 1, kind, target_norm=1.0, seed=seed, field=field_tag
     )
-    return StructuredPerturbation.from_pencil(unit * target_norm, k, n, kind)
+    return unit * target_norm
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +146,9 @@ def recover_perturbed(a: BlockKroneckerPencil) -> Recovery:
     `congruence_zero_block`, then `reconstruct_perturbed_polynomial` of A's
     (1,1) block and the rezeroed (2,1) block.
 
-    Precondition, not checked here: A is a built pencil plus a dL that
-    `StructuredPerturbation.from_pencil` admitted, so it is finite and
-    structured. A trial's `perturbed` and `linearize.recover` ensure it.
+    Precondition, not checked here: A is a built pencil plus a finite,
+    structured dL. A trial's draw is exactly structured by construction, and
+    `linearize.recover` admits the dL of a pencil from outside the library.
 
     When A22 is zero and A21 is exactly L_k (x) I_n, as in a built pencil,
     the congruence is X = 0 and the completion N = Lambda exactly, so
@@ -315,17 +280,17 @@ def _run_single_trial(
                 value=norm_dl_target,
                 bound=tb.threshold,
             )
-        pert = random_structured_perturbation(
+        dl = random_structured_perturbation(
             pencil.k, pencil.n, pencil.kind, norm_dl_target, trial_seed, field_tag=p.field
         )
-        a = pert.perturbed(pencil)
+        a = pencil.perturbed(dl)
         rec = recover_perturbed(a)
         dp = rec.poly - p
         report.norm_X = rec.norm_x
         report.norm_dR = rec.norm_dr
         report.norm_dP = frob_norm(dp)
         report.ratio = report.norm_dP / norm_p
-        report.bound = tb.ratio_bound(pert.norm)
+        report.bound = tb.ratio_bound(frob_norm(dl))
         report.ratio_le_bound = bool(report.ratio <= report.bound)
         report.structure_ok = bool(
             structure_residual(dp, pencil.kind) <= 1e-11 * max(1.0, norm_p)

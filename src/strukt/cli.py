@@ -121,12 +121,12 @@ def cmd_recover(args) -> int:
 
 def cmd_perturb(args) -> int:
     pencil = linearize.load_pencil(args.pencil)
-    pert = backward.random_structured_perturbation(
+    dl = backward.random_structured_perturbation(
         pencil.k, pencil.n, pencil.kind, args.norm, args.seed, field_tag=pencil.poly.field
     )
     out = args.output or (str(Path(args.pencil).with_suffix("")) + ".perturbed.json")
-    linearize.save_pencil(pert.perturbed(pencil), out)
-    print(f"norm_dL={pert.norm!r}")
+    linearize.save_pencil(pencil.perturbed(dl), out)
+    print(f"norm_dL={polycore.frob_norm(dl)!r}")
     print(f"wrote {out} and {linearize.sidecar_path(out)}")
     return EXIT_OK
 

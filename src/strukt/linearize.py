@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import minbases, polycore
-from .errors import GradeError, StruktError
+from .errors import GradeError, StructureError, StruktError
 from .polycore import MatrixPolynomial, StructureKind, star, structure_project
 
 
@@ -73,6 +73,17 @@ class BlockKroneckerPencil:
     def m_pencil(self) -> MatrixPolynomial:
         """The (1,1) natural-partition block as a pencil."""
         return MatrixPolynomial(natural_blocks(self.poly.coeffs, self.k, self.n)[0])
+
+    def perturbed(self, dl: MatrixPolynomial) -> "BlockKroneckerPencil":
+        """A = L + dL, the one pencil recovery reads; a dL of another size or
+        grade is refused with `StructureError`, its structure is the caller's."""
+        size = self.size
+        if dl.shape != (size, size) or dl.grade != 1:
+            raise StructureError(
+                f"expected a {size} x {size} pencil of grade 1, "
+                f"got {dl.rows} x {dl.cols} of grade {dl.grade}"
+            )
+        return BlockKroneckerPencil(self.poly + dl, self.k, self.n, self.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +272,7 @@ def recover(pencil: BlockKroneckerPencil) -> MatrixPolynomial:
 
     `assemble` of A's (1,1) block admits that block and gives the skeleton.
     dL = A - skeleton, its (1,1) block zeroed since `assemble` judged A11,
-    must pass `backward.StructuredPerturbation.from_pencil`; then
+    is admitted by `polycore.admit_structured`; then
     `backward.recover_perturbed` maps the skeleton plus the admitted dL back,
     as a trial does. A built pencil recovers by the monomial sandwich alone,
     the inverse of the builder. A (1,1) block or dL that is not finite and
@@ -272,10 +283,10 @@ def recover(pencil: BlockKroneckerPencil) -> MatrixPolynomial:
 
     k, n, kind = pencil.k, pencil.n, pencil.kind
     skeleton = assemble(pencil.m_pencil, k, n, kind)
-    dl = pencil.poly.coeffs - skeleton.poly.coeffs
-    natural_blocks(dl, k, n)[0][...] = 0.0
-    pert = backward.StructuredPerturbation.from_pencil(MatrixPolynomial(dl), k, n, kind)
-    return backward.recover_perturbed(pert.perturbed(skeleton)).poly
+    coeffs = pencil.poly.coeffs - skeleton.poly.coeffs
+    natural_blocks(coeffs, k, n)[0][...] = 0.0
+    dl, _ = polycore.admit_structured(MatrixPolynomial(coeffs), kind, "perturbation")
+    return backward.recover_perturbed(skeleton.perturbed(dl)).poly
 
 
 # ---------------------------------------------------------------------------

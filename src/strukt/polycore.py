@@ -508,21 +508,22 @@ def random_structured(
 
     Deterministic per seed: coefficients are i.i.d. standard normal draws from
     a counter-based generator, projected onto the structure class and rescaled.
+    A zero structure class (say n = 1, skew-symmetric, odd grade) annihilates
+    the one draw and is refused with `StruktError`.
     """
     if not 0 < target_norm < math.inf:
         raise ValueError(f"target_norm must be positive and finite, got {target_norm!r}")
     if field not in (REAL, COMPLEX):
         raise ValueError(f"unknown field tag {field!r}")
     rng = np.random.Generator(np.random.Philox(seed))
-    for _ in range(8):
-        raw = rng.standard_normal((g + 1, n, n))
-        if field == COMPLEX:
-            raw = raw + 1j * rng.standard_normal((g + 1, n, n))
-        proj = _average(raw, _substituted(raw, driver_matrix(kind)))
-        nrm = array_norm(proj)
-        if nrm > 1e-8:
-            return MatrixPolynomial(proj * (target_norm / nrm))
-    raise StruktError("structure projection annihilated every sample")
+    raw = rng.standard_normal((g + 1, n, n))
+    if field == COMPLEX:
+        raw = raw + 1j * rng.standard_normal((g + 1, n, n))
+    proj = _average(raw, _substituted(raw, driver_matrix(kind)))
+    nrm = array_norm(proj)
+    if not nrm > 1e-8:
+        raise StruktError("structure projection annihilated the sample: the class is zero")
+    return MatrixPolynomial(proj * (target_norm / nrm))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .errors import SingularPolynomialError, SpectrumMismatchError, StruktError
 from .polycore import MatrixPolynomial, StructureKind
 
 INFINITE_BETA_TOL = 1e-12
+REGULARITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -98,13 +99,14 @@ def _regularity_samples(p: MatrixPolynomial):
     return [1.1 * np.exp(2j * np.pi * t / count) for t in range(count)]
 
 
-def is_regular(p: MatrixPolynomial, tol: float = 1e-10) -> bool:
-    """Probabilistic regularity test by full-rank evaluation on a circle."""
+def is_regular(p: MatrixPolynomial) -> bool:
+    """Probabilistic regularity test: sigma_min > REGULARITY_TOL sigma_max
+    for P at some point of a circle."""
     if not p.is_square:
         return False
     for pt in _regularity_samples(p):
         s = np.linalg.svd(polycore.evaluate(p, pt), compute_uv=False)
-        if s[0] > 0 and s[-1] > tol * s[0]:
+        if s[0] > 0 and s[-1] > REGULARITY_TOL * s[0]:
             return True
     return False
 

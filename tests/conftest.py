@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from strukt import StructureKind, from_coeff_list, random_structured, random_structured_perturbation
-from strukt.backward import StructuredPerturbation
-from strukt.linearize import BlockKroneckerPencil, build_linearization, natural_blocks
+from strukt.linearize import build_linearization, natural_blocks
 from strukt.polycore import MatrixPolynomial
 
 from oracles import is_structured
@@ -61,21 +60,20 @@ def integer_structured_poly(kind, g, n, rng):
     return p
 
 
-def perturbation_blocks(pert):
-    """(dA11, dB11, dA21, dB21, dA22, dB22), views of the perturbation's pencil."""
-    d11, d21, _, d22 = natural_blocks(pert.pencil.coeffs, pert.k, pert.n)
+def perturbation_blocks(dl, k, n):
+    """(dA11, dB11, dA21, dB21, dA22, dB22), views of the perturbation dL of a
+    (2k+1)n pencil."""
+    d11, d21, _, d22 = natural_blocks(dl.coeffs, k, n)
     return (*d11, *d21, *d22)
 
 
-def with_scaled_22_block(pert, scale):
-    """The perturbation with its (2,2) block times ``scale``; still structured,
-    because the kind's involution maps the (2,2) block to itself."""
-    coeffs = pert.pencil.coeffs.copy()
-    *_, d22 = natural_blocks(coeffs, pert.k, pert.n)
+def with_scaled_22_block(dl, k, n, scale):
+    """The perturbation dL with its (2,2) block times ``scale``; still
+    structured, because the kind's involution maps the (2,2) block to itself."""
+    coeffs = dl.coeffs.copy()
+    *_, d22 = natural_blocks(coeffs, k, n)
     d22 *= scale
-    return StructuredPerturbation.from_pencil(
-        MatrixPolynomial(coeffs), pert.k, pert.n, pert.kind
-    )
+    return MatrixPolynomial(coeffs)
 
 
 def noisy_22_pencil(kind, draw, scale):
@@ -86,12 +84,12 @@ def noisy_22_pencil(kind, draw, scale):
     k, n, norm = 2, 2, 1e-6
     p = random_structured(n, 2 * k + 1, kind, 1.0, seed=draw)
     pencil = build_linearization(p, kind)
-    coeffs = random_structured_perturbation(k, n, kind, norm, seed=100 + draw).pencil.coeffs.copy()
+    coeffs = random_structured_perturbation(k, n, kind, norm, seed=100 + draw).coeffs.copy()
     *_, d22 = natural_blocks(coeffs, k, n)
     d22 *= scale
     d22 += 3e-14 * norm * np.random.default_rng(draw).standard_normal(d22.shape)
     dl = MatrixPolynomial(coeffs)
-    return p, pencil, dl, BlockKroneckerPencil(pencil.poly + dl, k, n, kind)
+    return p, pencil, dl, pencil.perturbed(dl)
 
 
 def expected_tridiagonal_grade5(c, kind, n):

@@ -262,12 +262,12 @@ def test_criterion_5_backward_certification():
                 assert norm_dl < tb.threshold
                 for trial in range(100):
                     seed = np.random.SeedSequence(entropy=555, spawn_key=(ni, trial))
-                    pert = random_structured_perturbation(k, n, kind, norm_dl, seed)
-                    a = pert.perturbed(pencil)
+                    dl = random_structured_perturbation(k, n, kind, norm_dl, seed)
+                    a = pencil.perturbed(dl)
                     cong = congruence_zero_block(a)
                     theta = cong.state.theta
                     assert cong.state.residuals[-1] <= 1e-12 * theta
-                    assert np.linalg.norm(cong.state.x) <= x_norm_bound(k, pert.norm)
+                    assert np.linalg.norm(cong.state.x) <= x_norm_bound(k, frob_norm(dl))
                     recon = reconstruct_perturbed_polynomial(a.m_pencil, cong.b21, kind)
                     norm_dtilde21 = frob_norm(cong.b21 - build_Lk(k, n))
                     assert recon.norm_dr <= dr_factor * norm_dtilde21
@@ -275,7 +275,7 @@ def test_criterion_5_backward_certification():
                     dp = recon.poly - p
                     assert polycore.structure_residual(dp, kind) <= 1e-11
                     ratio = frob_norm(dp) / frob_norm(p)
-                    assert ratio <= tb.ratio_bound(pert.norm)
+                    assert ratio <= tb.ratio_bound(frob_norm(dl))
         assert time.perf_counter() - start <= 300.0
 
 
@@ -389,8 +389,8 @@ def test_criterion_9_fixed_point_theory():
             p = random_structured(n, 2 * k + 1, kind, 1.0, seed=3000 + trial)
             pencil = build_linearization(p, kind, "tridiagonal")
             norm_dl = float(rng.uniform(1e-8, 3e-2))
-            pert = random_structured_perturbation(k, n, kind, norm_dl, seed=trial)
-            state = sylvester.quadratic_fixed_point(pert.perturbed(pencil))
+            dl = random_structured_perturbation(k, n, kind, norm_dl, seed=trial)
+            state = sylvester.quadratic_fixed_point(pencil.perturbed(dl))
             assert state.residuals[-1] <= 1e-12 * state.theta
             assert state.kappa1 < 0.25
             cap = iterate_norm_cap(state)
@@ -399,8 +399,8 @@ def test_criterion_9_fixed_point_theory():
         kind = StructureKind.palindromic
         p = random_structured(n, 5, kind, 1.0, seed=4000)
         pencil = build_linearization(p, kind, "tridiagonal")
-        pert = random_structured_perturbation(k, n, kind, 1e-4, seed=4001)
-        forced = with_scaled_22_block(pert, 1e7)
+        dl = random_structured_perturbation(k, n, kind, 1e-4, seed=4001)
+        forced = with_scaled_22_block(dl, k, n, 1e7)
         with pytest.raises(ThresholdError) as err:
-            sylvester.quadratic_fixed_point(forced.perturbed(pencil))
+            sylvester.quadratic_fixed_point(pencil.perturbed(forced))
         assert err.value.value >= 0.25 and err.value.bound == 0.25

@@ -25,7 +25,6 @@ from strukt import (
     theorem_bound,
 )
 from strukt import backward, errors, linearize, minbases, polycore, spectra, sylvester
-from strukt.backward import StructuredPerturbation
 from strukt.errors import GradeError, StruktError, ThresholdError
 from strukt.linearize import build_linearization
 
@@ -37,8 +36,8 @@ def make_case(kind, seed=0, g=5, n=2, norm=1e-8, placement="tridiagonal"):
     k = (g - 1) // 2
     p = random_structured(n, g, kind, 1.0, seed=seed)
     pencil = build_linearization(p, kind, placement)
-    pert = random_structured_perturbation(k, n, kind, norm, seed=seed + 1)
-    return p, pencil, pert
+    dl = random_structured_perturbation(k, n, kind, norm, seed=seed + 1)
+    return p, pencil, dl
 
 
 # ---------------------------------------------------------------------------
@@ -47,28 +46,38 @@ def make_case(kind, seed=0, g=5, n=2, norm=1e-8, placement="tridiagonal"):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_perturbation_is_structured_with_exact_norm(kind):
-    pert = random_structured_perturbation(2, 2, kind, 3e-4, seed=5)
-    assert polycore.structure_residual(pert.pencil, kind) == 0.0
-    assert abs(frob_norm(pert.pencil) - 3e-4) <= 1e-14 * 3e-4
-    *_, da22, db22 = perturbation_blocks(pert)
-    assert np.linalg.norm(da22) > 0 or np.linalg.norm(db22) > 0
+    """A trial adds its draw to L with no structure gate, so the draw must be
+    exactly structured, in both fields and at every size and norm: the kind's
+    involution only permutes, negates or conjugates entries, and scaling
+    keeps the residual at 0.0. Its (2,2) block is nonzero."""
+    for field_tag in (polycore.REAL, polycore.COMPLEX):
+        for k, n in ((1, 2), (2, 3), (4, 4)):
+            for norm in (0.0, 1e-10, 1e-6, 0.3):
+                for seed in range(4):
+                    dl = random_structured_perturbation(k, n, kind, norm, seed, field_tag)
+                    assert polycore.structure_residual(dl, kind) == 0.0
+                    assert abs(frob_norm(dl) - norm) <= 1e-14 * norm
+                    *_, da22, db22 = perturbation_blocks(dl, k, n)
+                    assert (pair_norm(da22, db22) > 0) == (norm > 0)
 
 
 def test_perturbation_blocks_roundtrip_bit_exact():
+    """An exact draw passes the structure gate as itself at distance 0.0,
+    and A = L + dL holds dL's (2,2) block, where L is zero, bit for bit."""
     kind = StructureKind.anti_palindromic
-    pert = random_structured_perturbation(2, 2, kind, 1e-3, seed=9)
-    again = StructuredPerturbation.from_pencil(pert.pencil, 2, 2, kind)
-    assert (again.kind, again.k, again.n) == (kind, 2, 2)
-    assert np.array_equal(again.pencil.coeffs, pert.pencil.coeffs)
+    _, pencil, dl = make_case(kind, seed=8, norm=1e-3)
+    again, distance = polycore.admit_structured(dl, kind, "perturbation")
+    assert again is dl and distance == 0.0
+    a22 = linearize.natural_blocks(pencil.perturbed(dl).poly.coeffs, 2, 2)[3]
+    assert np.array_equal(a22, linearize.natural_blocks(dl.coeffs, 2, 2)[3])
 
 
 def test_array_values_compare_by_identity_and_hash():
-    """A polynomial, a pencil and a perturbation each equal themselves only:
-    an equal-coefficient copy compares unequal, and each value hashes."""
-    p, pencil, pert = make_case(StructureKind.even, seed=2)
-    copies = (polycore.MatrixPolynomial(p.coeffs.copy()), dataclasses.replace(pencil),
-              dataclasses.replace(pert))
-    for value, copy in zip((p, pencil, pert), copies):
+    """A polynomial and a pencil each equal themselves only: an
+    equal-coefficient copy compares unequal, and each value hashes."""
+    p, pencil, _ = make_case(StructureKind.even, seed=2)
+    copies = (polycore.MatrixPolynomial(p.coeffs.copy()), dataclasses.replace(pencil))
+    for value, copy in zip((p, pencil), copies):
         assert value == value and value != copy
         assert len({value, value, copy}) == 2
 
@@ -81,16 +90,19 @@ def test_array_values_compare_by_identity_and_hash():
     ids=["unstructured-11", "unstructured-22", "tiny-arbitrary-12"],
 )
 def test_from_pencil_rejects_inconsistent_offdiagonal(block, norm, kind, field_tag, rng):
-    """A structured draw with one natural-partition block replaced by random
-    entries of the same norm is refused, however small ||dL|| is: an
-    unstructured (1,1) or (2,2) block, or an arbitrary (1,2) block at
-    ||dL|| = 1e-11."""
+    """A pencil L + dL whose structured draw dL has one natural-partition
+    block replaced by random entries of the same norm is refused by
+    `linearize.recover`, however small ||dL|| is: an unstructured (1,1) or
+    (2,2) block, or an arbitrary (1,2) block at ||dL|| = 1e-11. The gate
+    refuses such a dL itself too."""
     k, n = 2, 2
     top = (k + 1) * n
     head, tail = slice(0, top), slice(top, None)
     rows, cols = {"11": (head, head), "22": (tail, tail), "12": (head, tail)}[block]
-    pert = random_structured_perturbation(k, n, kind, norm, seed=3, field_tag=field_tag)
-    coeffs = pert.pencil.coeffs.copy()
+    p = random_structured(n, 2 * k + 1, kind, 1.0, seed=2, field=field_tag)
+    pencil = build_linearization(p, kind)
+    dl = random_structured_perturbation(k, n, kind, norm, seed=3, field_tag=field_tag)
+    coeffs = dl.coeffs.copy()
     old = coeffs[:, rows, cols]
     noise = rng.standard_normal(old.shape)
     if field_tag == polycore.COMPLEX:
@@ -98,17 +110,30 @@ def test_from_pencil_rejects_inconsistent_offdiagonal(block, norm, kind, field_t
     coeffs[:, rows, cols] = noise * (np.linalg.norm(old) / np.linalg.norm(noise))
     dl = polycore.MatrixPolynomial(coeffs)
     assert polycore.structure_residual(dl, kind) > 0.1 * frob_norm(dl)
-    with pytest.raises(errors.StructureError):
-        StructuredPerturbation.from_pencil(dl, k, n, kind)
+    with pytest.raises(errors.StructureError, match=f"is not {kind.value}"):
+        polycore.admit_structured(dl, kind, "perturbation")
+    with pytest.raises(errors.StructureError, match=f"is not {kind.value}"):
+        linearize.recover(pencil.perturbed(dl))
 
 
 @pytest.mark.parametrize("size, grade", [(9, 1), (10, 2)], ids=["9x9-pencil", "grade-2"])
-def test_from_pencil_refuses_a_pencil_of_the_wrong_size_or_grade(size, grade):
+def test_perturbed_refuses_a_perturbation_of_the_wrong_size_or_grade(size, grade):
     """At (k, n) = (2, 2) only a 10 x 10 pencil of grade 1 is a perturbation;
     anything else is a typed `StructureError`, not a bare `ValueError`."""
+    _, pencil, _ = make_case(StructureKind.symmetric)
     dl = polycore.zeros(size, size, grade)
     with pytest.raises(errors.StructureError, match="10 x 10 pencil of grade 1"):
-        StructuredPerturbation.from_pencil(dl, 2, 2, StructureKind.symmetric)
+        pencil.perturbed(dl)
+
+
+def test_recover_refuses_a_perturbation_of_another_kind():
+    """A dL carries no kind of its own: an odd dL added to an even pencil is
+    refused where a pencil enters from outside, by `linearize.recover`'s
+    admissions."""
+    _, pencil, _ = make_case(StructureKind.even)
+    dl = random_structured_perturbation(2, 2, StructureKind.odd, 1e-8, seed=4)
+    with pytest.raises(errors.StructureError, match="is not even"):
+        linearize.recover(pencil.perturbed(dl))
 
 
 # ---------------------------------------------------------------------------
@@ -126,27 +151,13 @@ def dense_congruence(a, x):
 def test_congruence_zero_perturbation_is_identity():
     kind = StructureKind.symmetric
     p, pencil, _ = make_case(kind, seed=3)
-    zero = StructuredPerturbation.from_pencil(polycore.zeros(10, 10, 1), 2, 2, kind)
-    a = zero.perturbed(pencil)
+    a = pencil.perturbed(polycore.zeros(10, 10, 1))
     res = congruence_zero_block(a)
     assert not res.state.x.any()
     assert a.m_pencil.coeffs.tobytes() == pencil.m_pencil.coeffs.tobytes()
     # Bit for bit but for the sign of zeros: adding dL = 0 turns the -0.0
     # entries of L_k's -I blocks into +0.0.
     assert np.array_equal(res.b21.coeffs, minbases.build_Lk(2, 2).coeffs)
-
-
-@pytest.mark.parametrize(
-    "kind, k, n", [(StructureKind.odd, 1, 6), (StructureKind.even, 4, 2)], ids=["kind", "sizes"]
-)
-def test_perturbed_refuses_a_perturbation_of_another_kind_or_shape(kind, k, n):
-    """dL must have the pencil's kind, k and n: an odd dL of an even pencil
-    is refused, and so is a (k, n) = (4, 2) dL of a (1, 6) pencil of the
-    same size 18."""
-    p, pencil, _ = make_case(StructureKind.even, seed=3, g=3, n=6)
-    pert = random_structured_perturbation(k, n, kind, 1e-8, seed=4)
-    with pytest.raises(errors.StructureError, match="kind or block sizes"):
-        pert.perturbed(pencil)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -157,8 +168,8 @@ def test_congruence_blocks_match_the_dense_congruence(kind, field, placement):
     is structured and whose (2,2) block has the reported residual."""
     p = random_structured(2, 5, kind, 1.0, seed=17, field=field)
     pencil = build_linearization(p, kind, placement)
-    pert = random_structured_perturbation(2, 2, kind, 1e-6, seed=18, field_tag=field)
-    a = pert.perturbed(pencil)
+    dl = random_structured_perturbation(2, 2, kind, 1e-6, seed=18, field_tag=field)
+    a = pencil.perturbed(dl)
     res = congruence_zero_block(a)
     dense = dense_congruence(a, res.state.x)
     assert is_structured(dense, kind, tol=1e-12)
@@ -172,15 +183,16 @@ def test_congruence_blocks_match_the_dense_congruence(kind, field, placement):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_congruence_pipeline_small_perturbation(kind):
-    p, pencil, pert = make_case(kind, seed=17, norm=1e-8)
-    res = congruence_zero_block(pert.perturbed(pencil))
+    p, pencil, dl = make_case(kind, seed=17, norm=1e-8)
+    norm_dl = frob_norm(dl)
+    res = congruence_zero_block(pencil.perturbed(dl))
     assert res.residual22 <= 1e-14
-    assert np.linalg.norm(res.state.x) <= x_norm_bound(2, pert.norm)
+    assert np.linalg.norm(res.state.x) <= x_norm_bound(2, norm_dl)
     # growth of the (2,1) defect obeys the stated amplification factor
-    grow = pert.norm * (
+    grow = norm_dl * (
         1.0
-        + 3.0 * 2 / (1.0 - 3.0 * 2 * pert.norm)
-        * (frob_norm(pencil.m_pencil) + pert.norm)
+        + 3.0 * 2 / (1.0 - 3.0 * 2 * norm_dl)
+        * (frob_norm(pencil.m_pencil) + norm_dl)
     )
     assert frob_norm(res.b21 - minbases.build_Lk(2, 2)) <= grow + 1e-15
 
@@ -192,7 +204,7 @@ def test_congruence_threshold_certified_mode():
     p, pencil, _ = make_case(kind, seed=23)
     big = random_structured_perturbation(2, 2, kind, 0.5, seed=2)
     with pytest.raises(ThresholdError) as err:
-        congruence_zero_block(big.perturbed(pencil))
+        congruence_zero_block(pencil.perturbed(big))
     assert err.value.bound == 0.25
 
 
@@ -227,15 +239,15 @@ def test_reconstruct_refuses_defect_at_the_completion_bound(rng):
 def test_reconstruct_structure_and_norm_bound(kind, g):
     k = (g - 1) // 2
     for trial in range(10):
-        p, pencil, pert = make_case(kind, seed=trial * 7, g=g, norm=1e-6)
-        a = pert.perturbed(pencil)
+        p, pencil, dl = make_case(kind, seed=trial * 7, g=g, norm=1e-6)
+        a = pencil.perturbed(dl)
         cong = congruence_zero_block(a)
         recon = reconstruct_perturbed_polynomial(a.m_pencil, cong.b21, kind)
         assert is_structured(recon.poly, kind, tol=1e-11)
         dp = recon.poly - p
         assert polycore.structure_residual(dp, kind) <= 1e-11
         # stated perturbation bound in terms of the (1,1) defect and the dual correction
-        d11 = polycore.from_coeff_list(perturbation_blocks(pert)[:2])
+        d11 = polycore.from_coeff_list(perturbation_blocks(dl, k, 2)[:2])
         cap = math.sqrt(k + 1) * (
             5.0 * frob_norm(d11)
             + 4.0 * frob_norm(pencil.m_pencil) * recon.norm_dr
@@ -263,7 +275,7 @@ def test_no_solve_shortcut_reads_the_perturbed_pencil(monkeypatch, kind, field):
     monkeypatch.setattr(minbases, "dual_basis_complete", refuse)
     zero = polycore.zeros(pencil.size, pencil.size, 1)
     for dl, moves in ((zero, False), (polycore.MatrixPolynomial(coeffs), True)):
-        a = StructuredPerturbation.from_pencil(dl, k, n, kind).perturbed(pencil)
+        a = pencil.perturbed(dl)
         want = linearize.recover_from_m(a.m_pencil, minbases.build_Lambda(k, n), kind)
         rec = backward.recover_perturbed(a)
         assert rec.poly.coeffs.tobytes() == want.coeffs.tobytes()
@@ -295,8 +307,8 @@ def test_recover_takes_a_pencil_whose_11_block_is_structured_to_rounding(norm):
     with its (1,1) block zeroed: a one-ulp asymmetry of A11 stays far below
     1e-12 ||A11|| but would not be below 1e-12 ||dL||."""
     k, n, kind = 2, 2, StructureKind.symmetric
-    p, pencil, pert = make_case(kind, norm=norm)
-    coeffs = pert.perturbed(pencil).poly.coeffs.copy()
+    p, pencil, dl = make_case(kind, norm=norm)
+    coeffs = pencil.perturbed(dl).poly.coeffs.copy()
     coeffs[1, 0, 1] = np.nextafter(coeffs[1, 0, 1], math.inf)
     a = linearize.BlockKroneckerPencil(polycore.MatrixPolynomial(coeffs), k, n, kind)
     assert polycore.structure_residual(a.m_pencil, kind) > 0.0
@@ -305,26 +317,26 @@ def test_recover_takes_a_pencil_whose_11_block_is_structured_to_rounding(norm):
     assert frob_norm(got - p) / tb.norm_p <= max(tb.ratio_bound(norm), 1e-14)
 
 
-def test_from_pencil_stores_the_projection_of_a_noisy_perturbation():
-    """dL off its structure by rounding is stored as its exactly structured
-    projection, and the stored norm, ||projection|| plus the projection
-    distance, bounds ||dL||; an exactly structured dL is stored as it is."""
+def test_admit_structured_returns_the_projection_of_a_noisy_perturbation():
+    """dL off its structure by rounding is admitted as its exactly structured
+    projection, and ||projection|| plus the projection distance bounds
+    ||dL||; an exactly structured dL is admitted as it is."""
     for kind in ALL_KINDS:
         *_, dl, _ = noisy_22_pencil(kind, 0, 1.0)
         assert polycore.structure_residual(dl, kind) > 0.0
-        pert = StructuredPerturbation.from_pencil(dl, 2, 2, kind)
-        assert polycore.structure_residual(pert.pencil, kind) == 0.0
-        assert pert.norm >= frob_norm(dl)
-        exact = pert.pencil
-        assert StructuredPerturbation.from_pencil(exact, 2, 2, kind).pencil is exact
+        exact, distance = polycore.admit_structured(dl, kind, "perturbation")
+        assert polycore.structure_residual(exact, kind) == 0.0
+        assert frob_norm(exact) + distance >= frob_norm(dl)
+        again, distance = polycore.admit_structured(exact, kind, "perturbation")
+        assert again is exact and distance == 0.0
 
 
 def test_the_congruence_gate_has_no_absolute_floor(monkeypatch):
     """At ||dL|| = 1e-10 an X off by a relative 1e-6 leaves a (2,2) block
     far below 1e-12 but far above 4e-12 theta; the gate is relative to
     theta alone, so it refuses that X."""
-    _, pencil, pert = make_case(StructureKind.symmetric, norm=1e-10)
-    a = pert.perturbed(pencil)
+    _, pencil, dl = make_case(StructureKind.symmetric, norm=1e-10)
+    a = pencil.perturbed(dl)
     congruence_zero_block(a)  # the fixed point's own X passes
     fixed_point = sylvester.quadratic_fixed_point
 
@@ -350,7 +362,7 @@ def test_the_congruence_gate_has_no_absolute_floor(monkeypatch):
 def test_recover_refuses_a_nonfinite_or_unstructured_pencil(block, value, error):
     """A built pencil with one entry of its (1,1) or (1,2) block made
     non-finite or unstructured is refused by `linearize.recover`'s two
-    admissions, the (1,1) block's `assemble` and dL's `from_pencil`, without
+    admissions, the (1,1) block's `assemble` and dL's, without
     forming inf - inf, instead of being returned through the no-solve
     shortcut."""
     k, n, kind = 2, 2, StructureKind.symmetric
@@ -365,9 +377,10 @@ def test_recover_refuses_a_nonfinite_or_unstructured_pencil(block, value, error)
 
 
 def test_a_trial_checks_the_pencils_structure_once(monkeypatch):
-    """The perturbed pencil A = L + dL is finite and structured by
-    construction, so a trial gates the structure of a (2k+1)n pencil once,
-    at dL's `admit_structured`, and never takes the structure residual of A."""
+    """A trial's draw dL, and so A = L + dL, is finite and structured by
+    construction, so a trial neither gates nor takes the structure residual
+    of a (2k+1)n pencil. `linearize.recover` gates one, the dL of a pencil
+    from outside the library, once."""
     callers = []
 
     def counting(check):
@@ -385,7 +398,10 @@ def test_a_trial_checks_the_pencils_structure_once(monkeypatch):
     p = random_structured(2, 5, kind, 1.0, seed=8)
     [rep] = run_certification(p, kind, "tridiagonal", [1e-6], trials=1, seed=9)
     assert rep.error is None and rep.ratio_le_bound and rep.structure_ok
-    assert callers == ["from_pencil"]
+    assert callers == []
+    pencil = build_linearization(p, kind)
+    linearize.recover(pencil.perturbed(random_structured_perturbation(2, 2, kind, 1e-6, seed=9)))
+    assert callers == ["recover"]
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +795,7 @@ def test_minimal_index_shift_under_perturbation():
     n, g, k = 3, 5, 2
     p = random_structured(n, g, kind, 1.0, seed=8)
     pencil = build_linearization(p, kind, "tridiagonal")
-    a = random_structured_perturbation(k, n, kind, 1e-8, seed=9).perturbed(pencil)
+    a = pencil.perturbed(random_structured_perturbation(k, n, kind, 1e-8, seed=9))
     cong = congruence_zero_block(a)
     recon = reconstruct_perturbed_polynomial(a.m_pencil, cong.b21, kind)
     rep_poly = minimal_indices(recon.poly)
@@ -793,9 +809,9 @@ def test_complex_field_pipeline():
     kind = StructureKind.palindromic
     p = random_structured(2, 5, kind, 1.0, seed=3, field=polycore.COMPLEX)
     pencil = build_linearization(p, kind, "tridiagonal")
-    a = random_structured_perturbation(
-        2, 2, kind, 1e-8, seed=5, field_tag=polycore.COMPLEX
-    ).perturbed(pencil)
+    a = pencil.perturbed(
+        random_structured_perturbation(2, 2, kind, 1e-8, seed=5, field_tag=polycore.COMPLEX)
+    )
     cong = congruence_zero_block(a)
     recon = reconstruct_perturbed_polynomial(a.m_pencil, cong.b21, kind)
     dp = recon.poly - p
@@ -824,8 +840,7 @@ def test_ratio_bound_monotone_in_perturbation_norm():
 def test_every_trial_certifies_or_names_a_typed_error(kind, k, n, field_tag, norm):
     """k = 0 is refused with `GradeError`. Otherwise a trial below the
     theorem's threshold certifies, and any other trial records the name of
-    a `StruktError` subclass. The draw is exactly structured and passes
-    through `from_pencil` bit-exactly."""
+    a `StruktError` subclass. The draw is exactly structured."""
     # A real skew-symmetric 1 x 1 polynomial is zero and cannot be normalized.
     assume(not (kind == StructureKind.skew_symmetric and n == 1 and field_tag == polycore.REAL))
     p = random_structured(n, 2 * k + 1, kind, 1.0, seed=k + 7 * n, field=field_tag)
@@ -835,10 +850,8 @@ def test_every_trial_certifies_or_names_a_typed_error(kind, k, n, field_tag, nor
         return
     [row] = run_certification(p, kind, "tridiagonal", [norm], trials=1, seed=5)
     trial_seed = np.random.SeedSequence(entropy=5, spawn_key=(0, 0))
-    pert = random_structured_perturbation(k, n, kind, norm, trial_seed, field_tag=field_tag)
-    assert polycore.structure_residual(pert.pencil, kind) == 0.0
-    again = StructuredPerturbation.from_pencil(pert.pencil, k, n, kind)
-    assert np.array_equal(again.pencil.coeffs, pert.pencil.coeffs)
+    dl = random_structured_perturbation(k, n, kind, norm, trial_seed, field_tag=field_tag)
+    assert polycore.structure_residual(dl, kind) == 0.0
     if row.threshold_ok:
         assert row.error is None and row.ratio_le_bound and row.structure_ok, row.error
     else:

@@ -357,6 +357,13 @@ def test_random_structured_rejects_bad_norm():
             random_structured(2, 3, StructureKind.symmetric, target_norm=bad, seed=1)
 
 
+def test_random_structured_refuses_a_zero_structure_class():
+    """No nonzero real 1 x 1 skew-symmetric polynomial has odd grade, so the
+    projection annihilates the one draw and the draw is refused."""
+    with pytest.raises(StruktError, match="annihilated the sample"):
+        random_structured(1, 3, StructureKind.skew_symmetric, 1.0, seed=1)
+
+
 def test_random_structured_rejects_an_unknown_field():
     with pytest.raises(ValueError, match="field"):
         random_structured(2, 3, StructureKind.symmetric, seed=1, field="quaternion")

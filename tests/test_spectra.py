@@ -348,7 +348,7 @@ for kind in (StructureKind.symmetric, StructureKind.palindromic):
     p = random_structured(2, 5, kind, 1.0, seed=8)
     assert run_certification(p, kind, "tridiagonal", [1e-6], trials=1, seed=9)[0].error is None
 pencil = build_linearization(p, kind)
-a = random_structured_perturbation(2, 2, kind, 1e-8, seed=1).perturbed(pencil)
+a = pencil.perturbed(random_structured_perturbation(2, 2, kind, 1e-8, seed=1))
 linearize.recover(a)
 poly = tmp / "p.json"
 save_polynomial(p, poly)

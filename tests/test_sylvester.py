@@ -198,8 +198,8 @@ def test_operator_gram_apply_adjoint_and_solve_match_dense_oracles(kind, field_t
     product, and the minimum-norm solve is lstsq's."""
     k, n = 2, 2
     kn = k * n
-    pert = backward.random_structured_perturbation(k, n, kind, 0.05, seed=7, field_tag=field_tag)
-    _, _, da21, db21, _, _ = perturbation_blocks(pert)
+    dl = backward.random_structured_perturbation(k, n, kind, 0.05, seed=7, field_tag=field_tag)
+    _, _, da21, db21, _, _ = perturbation_blocks(dl, k, n)
     op = operator_for(da21, db21, kind)
     t = op.matrix()
 
@@ -231,10 +231,10 @@ def test_weyl_bound_is_below_sigma_min_and_agrees_with_the_gap(kind, field_tag):
         for n in range(1, 4):
             for seed, frac in enumerate((0.0, 1e-8, 1e-3, 0.3, 0.9)):
                 nrm = frac / (3.0 * k)
-                pert = backward.random_structured_perturbation(
+                dl = backward.random_structured_perturbation(
                     k, n, kind, nrm, seed=seed, field_tag=field_tag
                 )
-                _, _, da21, db21, _, _ = perturbation_blocks(pert)
+                _, _, da21, db21, _, _ = perturbation_blocks(dl, k, n)
                 op = operator_for(da21, db21, kind)
                 delta = _MinNormSolver(op).delta
                 sigma = np.linalg.svd(op.matrix(), compute_uv=False)[-1]
@@ -269,10 +269,10 @@ def test_one_svd_gap_against_two_svds(field_tag, rng):
         for n in range(1, 4):
             for seed, kind in enumerate(ALL_KINDS):
                 nrm = (1e-8, 0.3, 0.9)[seed % 3] / (3.0 * k)
-                pert = backward.random_structured_perturbation(
+                dl = backward.random_structured_perturbation(
                     k, n, kind, nrm, seed=seed, field_tag=field_tag
                 )
-                _, _, da21, db21, _, _ = perturbation_blocks(pert)
+                _, _, da21, db21, _, _ = perturbation_blocks(dl, k, n)
                 op = operator_for(da21, db21, kind)
                 assert abs(_MinNormSolver(op).delta - _two_svd_delta(op)) <= 1e-15
             shape = (k * n, (k + 1) * n)
@@ -300,10 +300,10 @@ def test_gap_is_never_optimistic(kind, field_tag):
     driver = driver_matrix(kind)
     for k, n in ((1, 3), (2, 2), (3, 1)):
         for seed, frac in enumerate((1e-8, 0.3, 0.9)):
-            pert = backward.random_structured_perturbation(
+            dl = backward.random_structured_perturbation(
                 k, n, kind, frac / (3.0 * k), seed=seed, field_tag=field_tag
             )
-            _, _, da21, db21, _, _ = perturbation_blocks(pert)
+            _, _, da21, db21, _, _ = perturbation_blocks(dl, k, n)
             op = operator_for(da21, db21, kind)
             base = StarSylvesterOperator.unperturbed(k, n, kind)
             delta = _MinNormSolver(op).delta
@@ -331,10 +331,10 @@ def test_delta_lower_bound_is_a_lower_bound(k, rng):
         kind = ALL_KINDS[trial % 6]
         field_tag = (REAL, COMPLEX)[trial // 20]
         nrm = float(rng.uniform(0.0, 0.99 / (3.0 * k)))
-        pert = backward.random_structured_perturbation(
+        dl = backward.random_structured_perturbation(
             k, 2, kind, nrm, seed=trial, field_tag=field_tag
         )
-        _, _, da21, db21, _, _ = perturbation_blocks(pert)
+        _, _, da21, db21, _, _ = perturbation_blocks(dl, k, 2)
         op = operator_for(da21, db21, kind)
         t = op.matrix()
         weyl = sigma_min_formula(k) - np.linalg.norm(t - build_TA(k, 2, kind), 2)
@@ -394,8 +394,8 @@ def test_warm_started_solve_matches_lstsq(kind, field_tag, rng):
     iterations) and for an unrelated one."""
     k, n = 2, 2
     kn = k * n
-    pert = backward.random_structured_perturbation(k, n, kind, 0.05, seed=7, field_tag=field_tag)
-    _, _, da21, db21, _, _ = perturbation_blocks(pert)
+    dl = backward.random_structured_perturbation(k, n, kind, 0.05, seed=7, field_tag=field_tag)
+    _, _, da21, db21, _, _ = perturbation_blocks(dl, k, n)
     op = operator_for(da21, db21, kind)
     solver = _MinNormSolver(op)
     t = op.matrix()
@@ -545,15 +545,14 @@ def _pencil_blocks(kind, seed, norm=1e-6, k=2, n=2):
     from strukt.linearize import build_linearization
 
     pencil = build_linearization(p, kind, "tridiagonal")
-    pert = backward.random_structured_perturbation(k, n, kind, norm, seed=seed + 1)
-    return pencil, pert
+    dl = backward.random_structured_perturbation(k, n, kind, norm, seed=seed + 1)
+    return pencil, dl
 
 
 def test_fixed_point_zero_perturbation():
     kind = StructureKind.symmetric
-    pencil, pert = _pencil_blocks(kind, 21)
-    zero = backward.StructuredPerturbation.from_pencil(zeros(10, 10, 1), 2, 2, kind)
-    state = quadratic_fixed_point(zero.perturbed(pencil))
+    pencil, _ = _pencil_blocks(kind, 21)
+    state = quadratic_fixed_point(pencil.perturbed(zeros(10, 10, 1)))
     assert not state.x.any()
     assert state.iterations == 1
     assert state.residuals[-1] <= 1e-12 * state.theta
@@ -561,10 +560,10 @@ def test_fixed_point_zero_perturbation():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_fixed_point_small_perturbation(kind):
-    pencil, pert = _pencil_blocks(kind, 31)
-    *_, da22, db22 = perturbation_blocks(pert)
+    pencil, dl = _pencil_blocks(kind, 31)
+    *_, da22, db22 = perturbation_blocks(dl, 2, 2)
     theta = pair_norm(da22, db22)
-    state = quadratic_fixed_point(pert.perturbed(pencil))
+    state = quadratic_fixed_point(pencil.perturbed(dl))
     assert state.residuals[-1] <= 1e-12 * theta
     assert np.linalg.norm(state.x) <= 2.0 * state.theta / state.delta
     assert len(state.solve_iterations) == state.iterations
@@ -573,8 +572,8 @@ def test_fixed_point_small_perturbation(kind):
 
 def test_fixed_point_congruence_zeroes_block(rng):
     kind = StructureKind.symmetric
-    pencil, pert = _pencil_blocks(kind, 41)
-    a = pert.perturbed(pencil)
+    pencil, dl = _pencil_blocks(kind, 41)
+    a = pencil.perturbed(dl)
     state = quadratic_fixed_point(a)
     x = state.x
     g = np.eye(10)
@@ -588,8 +587,8 @@ def test_fixed_point_congruence_zeroes_block(rng):
 
 def test_fixed_point_iterate_norms_bounded():
     for seed, kind in enumerate(ALL_KINDS):
-        pencil, pert = _pencil_blocks(kind, 100 + seed, norm=2e-2)
-        state = quadratic_fixed_point(pert.perturbed(pencil))
+        pencil, dl = _pencil_blocks(kind, 100 + seed, norm=2e-2)
+        state = quadratic_fixed_point(pencil.perturbed(dl))
         cap = iterate_norm_cap(state) + 1e-12
         assert max(state.x_norms) <= cap
 
@@ -600,18 +599,18 @@ def test_later_sweeps_start_from_the_previous_solve(kind, norm):
     """The second sweep's right-hand side differs from the first's by the
     change in q, so CG started from the first sweep's w needs fewer
     iterations."""
-    pencil, pert = _pencil_blocks(kind, 31, norm=norm)
-    state = quadratic_fixed_point(pert.perturbed(pencil))
+    pencil, dl = _pencil_blocks(kind, 31, norm=norm)
+    state = quadratic_fixed_point(pencil.perturbed(dl))
     assert state.residuals[-1] <= 1e-12 * state.theta and state.iterations >= 2
     assert state.solve_iterations[1] < state.solve_iterations[0]
 
 
 def test_fixed_point_inadmissible_raises():
     kind = StructureKind.even
-    pencil, pert = _pencil_blocks(kind, 51, norm=1e-3)
-    forced = with_scaled_22_block(pert, 1e6)
+    pencil, dl = _pencil_blocks(kind, 51, norm=1e-3)
+    forced = with_scaled_22_block(dl, 2, 2, 1e6)
     with pytest.raises(ThresholdError) as err:
-        quadratic_fixed_point(forced.perturbed(pencil))
+        quadratic_fixed_point(pencil.perturbed(forced))
     assert err.value.bound == 0.25
 
 
@@ -619,7 +618,7 @@ def test_fixed_point_gates_every_solve(monkeypatch):
     """A solve that misses its right-hand side by 1e-9 relative is refused at
     the sweep where it happens, not after the sweeps run out."""
     kind = StructureKind.palindromic
-    pencil, pert = _pencil_blocks(kind, 61)
+    pencil, dl = _pencil_blocks(kind, 61)
     exact = polycore.pcg
     calls = []
 
@@ -630,5 +629,5 @@ def test_fixed_point_gates_every_solve(monkeypatch):
 
     monkeypatch.setattr(polycore, "pcg", slightly_wrong)
     with pytest.raises(NumericalError, match="solve residual"):
-        quadratic_fixed_point(pert.perturbed(pencil))
+        quadratic_fixed_point(pencil.perturbed(dl))
     assert len(calls) == 1
