@@ -113,15 +113,14 @@ def reconstruct_perturbed_polynomial(
     """Grade 2k+1 polynomial strongly linearized by the rezeroed pencil with
     (1,1) block ``m11`` and (2,1) block ``b21``.
 
-    The kn x (k+1)n shape of ``b21`` fixes k and n. Completes ``b21`` to a
+    The kn x (k+1)n shape of ``b21`` fixes k and n, by `minbases.lk_dims`,
+    which refuses any other shape with `StructureError`. Completes ``b21`` to a
     dual basis pair and sandwiches ``m11`` with `linearize.recover_from_m`,
     the completed basis taking the place of the monomial row. The completion
     refuses a (2,1) defect at or above `minbases.completion_threshold(k)`
     with `ThresholdError`.
     """
-    kn, width = b21.shape
-    n = width - kn
-    k = kn // n
+    k, n = minbases.lk_dims(*b21.shape)
     pair = minbases.dual_basis_complete(b21, k, n)
     return ReconstructionResult(
         poly=linearize.recover_from_m(m11, pair.N, kind),

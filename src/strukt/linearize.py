@@ -212,10 +212,9 @@ def assemble(
     """Embed a structured (k+1)n pencil into the full block Kronecker pencil."""
     if m.shape != ((k + 1) * n, (k + 1) * n):
         raise ValueError(f"expected a {(k + 1) * n} square pencil, got {m.shape}")
-    mp = polycore.pad_to_grade(m, 1)
-    if mp.grade != 1:
+    if m.grade > 1:
         raise GradeError("the (1,1) block must be a pencil")
-    mp, _ = polycore.admit_structured(mp, kind, "the (1,1) block")
+    mp, _ = polycore.admit_structured(polycore.pad_to_grade(m, 1), kind, "the (1,1) block")
 
     size = (2 * k + 1) * n
     coeffs = np.zeros((2, size, size), dtype=mp.coeffs.dtype)

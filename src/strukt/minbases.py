@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polycore
-from .errors import ThresholdError
+from .errors import StructureError, ThresholdError
 from .polycore import MatrixPolynomial
 
 #: A perturbed pencil within this bound of L_k (x) I_n is guaranteed to admit a
@@ -40,6 +40,15 @@ def build_Lk(k: int, n: int) -> MatrixPolynomial:
     if k < 0 or n < 1:
         raise ValueError("build_Lk requires k >= 0 and n >= 1")
     return polycore.from_coeff_list([-np.eye(k * n, (k + 1) * n), np.eye(k * n, (k + 1) * n, n)])
+
+
+def lk_dims(rows: int, cols: int) -> tuple[int, int]:
+    """(k, n) of a block of the shape of L_k (x) I_n, kn x (k+1)n with
+    k >= 1 and n >= 1; any other shape is refused with `StructureError`."""
+    n = cols - rows
+    if rows < 1 or n < 1 or rows % n:
+        raise StructureError(f"expected a kn x (k+1)n block with k, n >= 1, got {rows} x {cols}")
+    return rows // n, n
 
 
 @functools.lru_cache(maxsize=None)

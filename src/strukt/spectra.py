@@ -100,15 +100,9 @@ def _regularity_samples(p: MatrixPolynomial):
 
 
 def is_regular(p: MatrixPolynomial) -> bool:
-    """Probabilistic regularity test: sigma_min > REGULARITY_TOL sigma_max
-    for P at some point of a circle."""
-    if not p.is_square:
-        return False
-    for pt in _regularity_samples(p):
-        s = np.linalg.svd(polycore.evaluate(p, pt), compute_uv=False)
-        if s[0] > 0 and s[-1] > REGULARITY_TOL * s[0]:
-            return True
-    return False
+    """Probabilistic regularity test: P is square and `normal_rank` finds a
+    point of a circle where sigma_min > REGULARITY_TOL sigma_max."""
+    return p.is_square and normal_rank(p, REGULARITY_TOL) == p.rows
 
 
 def reference_polyeigs(p: MatrixPolynomial) -> SpectrumReport:
@@ -361,10 +355,13 @@ def _numerical_rank(mat: np.ndarray, tol: float) -> int:
 
 
 def normal_rank(p: MatrixPolynomial, tol: float = 1e-10) -> int:
-    """Largest evaluation rank over a deterministic sample sweep."""
-    best = 0
+    """Largest evaluation rank over a deterministic sample sweep, which stops
+    at the first sample of full rank min(rows, cols)."""
+    best, full = 0, min(p.shape)
     for pt in _regularity_samples(p):
         best = max(best, _numerical_rank(polycore.evaluate(p, pt), tol))
+        if best == full:
+            break
     return best
 
 

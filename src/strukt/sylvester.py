@@ -4,14 +4,15 @@ block of a perturbed pencil A, read from A's own blocks.
 The linear step vectorizes a pair of coupled Sylvester equations into one
 underdetermined system whose matrix has exact 0/+-1 entries and minimum
 singular value 2*sin(pi/(4k)) for every structure kind and every block size.
-`StarSylvesterOperator.matrix` is that system's one dense form. The
-minimum-norm solver never forms T or T T^*. It computes the certified gap
-delta once, by Weyl's inequality on the operator's own blocks, with
-sigma_min of the unperturbed system taken from the n = 1 Gram matrix
-T_A T_A^*, T_A = `build_TA(k, 1, kind)`, and solves through
-`polycore.min_norm_solve` preconditioned with that matrix's inverse. The
-quadratic step wraps the linear solve in a fixed-point iteration whose
-convergence is certified by delta > 0 and theta*omega/delta^2 < 1/4.
+`StarSylvesterOperator.matrix` is that system's one dense form. Nothing
+else forms T or T T^*. `certified_gap` bounds sigma_min(T) from below by
+Weyl's inequality on the operator's own blocks, with sigma_min of the
+unperturbed system taken from the n = 1 Gram matrix T_A T_A^*,
+T_A = `build_TA(k, 1, kind)`. `StarSylvesterOperator.solve` is one
+`polycore.min_norm_solve` call preconditioned with that matrix's inverse,
+and keeps no state between calls. The quadratic step wraps the linear solve
+in a fixed-point iteration whose convergence is certified by delta > 0 and
+theta*omega/delta^2 < 1/4.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ class StarSylvesterOperator:
     """
 
     def __init__(self, a21: np.ndarray, kind):
-        _, kn, width = a21.shape
-        self.n = width - kn
-        self.k = kn // self.n
+        self.k, self.n = minbases.lk_dims(*a21.shape[1:])
+        kn = self.k * self.n
         self.driver = driver_matrix(kind)
         self.h = np.vstack(a21)
         self.g = np.vstack(polycore._substituted(a21, self.driver))
@@ -77,6 +77,26 @@ class StarSylvesterOperator:
         _, kn, _ = c.shape
         return c.swapaxes(0, 1).reshape(kn, 2 * kn) @ self.g, self.hs @ c.reshape(2 * kn, kn)
 
+    @functools.cached_property
+    def _grams(self):  # lazy: the gap gate must refuse huge blocks before they overflow
+        return self.g @ self.gs, self.h @ self.hs
+
+    def gram(self, c: np.ndarray) -> np.ndarray:
+        """T T^* on a (2, kn, kn) stack: [c0 c1] G G^* split into its two
+        halves, plus H H^* [c0; c1]. The 2kn-square G G^* and H H^* are formed
+        once per operator; nothing of size m x m, m = 2k^2n^2, is formed."""
+        _, kn, _ = c.shape
+        gg, hh = self._grams
+        rows = c.swapaxes(0, 1).reshape(kn, 2 * kn) @ gg
+        return rows.reshape(kn, 2, kn).swapaxes(0, 1) + (hh @ c.reshape(2 * kn, kn)).reshape(2, kn, kn)
+
+    def solve(self, c: np.ndarray, w: np.ndarray | None = None):
+        """((Y, Z^*), w, iterations): the minimum Frobenius norm pair with
+        apply(Y, Z^*) = c, a (2, kn, kn) stack, by `polycore.min_norm_solve`
+        from the start ``w``; ||(Y, Z)||_F <= ||c||_F / `certified_gap`."""
+        pinv = _reference(self.k, self.driver).pinv
+        return min_norm_solve(lambda x: self.apply(*x), self.adjoint, self.gram, pinv, self.n, c, w)
+
     def matrix(self) -> np.ndarray:
         """Vectorized 2k^2n^2 x 2k(k+1)n^2 matrix acting on [vec Y; vec Z^*],
         each vec row-major: vec(Y G0^*) = (I (x) conj(G0)) vec Y and
@@ -84,9 +104,9 @@ class StarSylvesterOperator:
         order (equation, row block, column block) of the channels of
         `polycore.kron_precondition`.
 
-        Only `build_TA`, `strukt sigma-min`, the solver's cached n = 1 Gram
-        matrix and test oracles form it; a solve reads the gap off the
-        operator's blocks and runs through `apply` and `adjoint`.
+        Only `build_TA`, `strukt sigma-min`, `_reference` and test oracles
+        form it; `certified_gap` reads the gap off the operator's blocks and
+        `solve` runs through `apply`, `adjoint` and `gram`.
         """
         eye = np.eye(self.ehat.shape[0])
         top = np.hstack([np.kron(eye, np.conj(self.g0)), np.kron(self.ehat, eye)])
@@ -106,12 +126,12 @@ def build_TA(k: int, n: int, kind) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Minimum-norm solves
+# The reference system and the certified gap
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Reference:
-    """What the solver needs of the unperturbed system T_A and the driver,
+    """What a solve and the gap need of the unperturbed system T_A and the driver,
     for every block size n. T_A(n) is a row and column permutation of
     T_A(1) (x) I_{n^2}, so its Gram inverse and its sigma_min are those of
     T_A(1) = `build_TA(k, 1, driver)`."""
@@ -148,69 +168,38 @@ def _reference(k: int, driver) -> _Reference:
     )
 
 
-class _MinNormSolver:
-    """Minimum-norm solves with the wide operator T of a
-    `StarSylvesterOperator`, and the certified gap of T.
+def certified_gap(op: StarSylvesterOperator) -> float:
+    """The certified lower bound delta on sigma_min(T), T the wide operator
+    of ``op``, that Weyl's inequality gives on the operator's own blocks:
+    sigma_min(T) >= sigma_min(T_A) - ||dT||_2 >= delta.
 
-    ``delta`` is the certified lower bound on sigma_min(T) that Weyl's
-    inequality gives on the operator's own blocks:
-    sigma_min(T) >= sigma_min(T_A) - ||dT||_2 >= delta. sigma_min(T_A) comes
-    from an eigvalsh of the unperturbed n = 1 Gram matrix, less an allowance
-    for its rounding, not from `sigma_min_formula`. The two block columns of
-    dT = T - T_A are row permutations of [dG0; dG1] (x) I and I (x) [dH0; dH1],
-    and [dG0; dG1] = ([[d, b], [c, a]] (x) I) [dH0; dH1] for the driver
+    sigma_min(T_A) comes from an eigvalsh of the unperturbed n = 1 Gram
+    matrix, less an allowance for its rounding, not from `sigma_min_formula`.
+    The two block columns of dT = T - T_A are row permutations of
+    [dG0; dG1] (x) I and I (x) [dH0; dH1], and
+    [dG0; dG1] = ([[d, b], [c, a]] (x) I) [dH0; dH1] for the driver
     [[a, b], [c, d]], so ||dT||_2 <= s*hypot(||A||_2, 1) with
     s = ||[dH0; dH1]||_2: one SVD of O(kn) size, its result rounded up by
-    rows*eps*s. For the six kinds each row block of G is +-ehat or +-fhat,
-    so that identity holds exactly for the computed G; for another driver,
-    up to the rounding of G. A gap delta <= 0 is refused with `ThresholdError`.
-
-    The Gram matrices G G^* and H H^*, each 2kn square, are formed once, so
-    T T^* applies as two products; nothing of size m x m, m = 2k^2n^2, is
-    formed.
+    rows*eps*s. For the six kinds each row block of G is +-ehat or +-fhat, so
+    that identity holds exactly for the computed G; for another driver, up to
+    the rounding of G. A gap delta <= 0 is refused with `ThresholdError`
+    before any Gram product is formed.
     """
-
-    def __init__(self, op: StarSylvesterOperator):
-        ref = _reference(op.k, op.driver)
-        # H - L_k is exact by Sterbenz's lemma: dH is the operator's own.
-        dh = op.h - minbases.build_Lk(op.k, op.n).coeffs.reshape(op.h.shape)
-        s = np.linalg.svd(dh, compute_uv=False)[0] * (1.0 + len(dh) * _EPS)
-        # ||dT||_2 rounds up and the difference down, so delta never exceeds
-        # the exact sigma_min - ||dT||_2 of these inputs.
-        self.delta = math.nextafter(
-            ref.sigma_min - math.nextafter(s * ref.dt_factor, math.inf), -math.inf
+    ref = _reference(op.k, op.driver)
+    # H - L_k is exact by Sterbenz's lemma: dH is the operator's own.
+    dh = op.h - minbases.build_Lk(op.k, op.n).coeffs.reshape(op.h.shape)
+    s = np.linalg.svd(dh, compute_uv=False)[0] * (1.0 + len(dh) * _EPS)
+    # ||dT||_2 rounds up and the difference down, so delta never exceeds
+    # the exact sigma_min - ||dT||_2 of these inputs.
+    delta = math.nextafter(ref.sigma_min - math.nextafter(s * ref.dt_factor, math.inf), -math.inf)
+    if delta <= 0:
+        raise ThresholdError(
+            "perturbed system matrix may be rank deficient "
+            f"(singular value gap {delta:.3e} <= 0)",
+            value=delta,
+            bound=0.0,
         )
-        if self.delta <= 0:
-            raise ThresholdError(
-                "perturbed system matrix may be rank deficient "
-                f"(singular value gap {self.delta:.3e} <= 0)",
-                value=self.delta,
-                bound=0.0,
-            )
-        self.op = op
-        self.pinv = ref.pinv
-        self.gg = op.g @ op.gs
-        self.hh = op.h @ op.hs
-        #: CG iterations and Gram-space solution w of the latest `solve`.
-        self.iterations = 0
-        self.w = None
-
-    def gram(self, c: np.ndarray) -> np.ndarray:
-        """T T^* on a (2, kn, kn) stack: [c0 c1] G G^* split into its two
-        halves, plus H H^* [c0; c1]."""
-        _, kn, _ = c.shape
-        rows = c.swapaxes(0, 1).reshape(kn, 2 * kn) @ self.gg
-        return rows.reshape(kn, 2, kn).swapaxes(0, 1) + (self.hh @ c.reshape(2 * kn, kn)).reshape(2, kn, kn)
-
-    def solve(self, c: np.ndarray, w: np.ndarray | None = None):
-        """Minimum Frobenius norm (Y, Z^*) with op.apply(Y, Z^*) = c, a
-        (2, kn, kn) stack, by `polycore.min_norm_solve` from the start ``w``
-        and behind its gate; the solution obeys ||(Y, Z)||_F <= ||c||_F / `delta`."""
-        op = self.op
-        x, self.w, self.iterations = min_norm_solve(
-            lambda x: op.apply(*x), op.adjoint, self.gram, self.pinv, op.n, c, w
-        )
-        return x
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +227,16 @@ def quadratic_fixed_point(a: BlockKroneckerPencil) -> FixedPointState:
     of the perturbed pencil A.
 
     Its natural-partition blocks are read as views: the (2,1) block fixes the
-    operator, W = A11 and theta = ||A22||. Each sweep solves the linearized
-    coupled system at minimum norm and averages; admissibility requires
-    delta > 0 and theta*omega/delta^2 < 1/4, omega = ||W||. Averaging is
-    exact because every sweep's right-hand pencil carries the structure. A
-    solve residual above 1e-12 relative raises `NumericalError` at its
-    sweep; the iteration stops once the fixed-point residual is at most
-    1e-12*theta (at theta = 0 the first sweep's residual is exactly 0) and
-    raises `ConvergenceError` after 100 sweeps.
+    operator, W = A11 and theta = ||A22||. `certified_gap` gives delta
+    before any Gram product is formed; admissibility requires delta > 0 and
+    theta*omega/delta^2 < 1/4, omega = ||W||. Each sweep solves the
+    linearized coupled system at minimum norm with `op.solve`, started from
+    the previous sweep's w, and averages. Averaging is exact because every
+    sweep's right-hand pencil carries the structure. A solve residual above
+    1e-12 relative raises `NumericalError` at its sweep; the iteration stops
+    once the fixed-point residual is at most 1e-12*theta (at theta = 0 the
+    first sweep's residual is exactly 0) and raises `ConvergenceError` after
+    100 sweeps.
     """
     a11, a21, _, a22 = natural_blocks(a.poly.coeffs, a.k, a.n)
     op = StarSylvesterOperator(a21, a.kind)
@@ -255,8 +246,7 @@ def quadratic_fixed_point(a: BlockKroneckerPencil) -> FixedPointState:
     theta = array_norm(a22)
     omega = array_norm(w)
 
-    solver = _MinNormSolver(op)
-    delta = solver.delta
+    delta = certified_gap(op)
     kappa1 = theta * omega / delta**2
     if kappa1 >= 0.25:
         raise ThresholdError(
@@ -272,9 +262,9 @@ def quadratic_fixed_point(a: BlockKroneckerPencil) -> FixedPointState:
     # q = (X W0 X^*, X W1 X^*) at the current iterate, shared by its residual
     # and the next right-hand side. Each sweep's CG starts from the previous
     # sweep's solution, whose right-hand side differs by the change in q.
-    q = np.zeros_like(a22)
+    q, start = np.zeros_like(a22), None
     for it in range(1, 101):
-        y, zs = solver.solve(-a22 - q, solver.w)
+        (y, zs), start, cg = op.solve(-a22 - q, start)
         x = (y + star(zs)) / 2.0
         xs = star(x)
         q = (x @ w).reshape(kn, 2, width).swapaxes(0, 1) @ xs
@@ -282,7 +272,7 @@ def quadratic_fixed_point(a: BlockKroneckerPencil) -> FixedPointState:
         state.x = x
         state.residuals.append(resid)
         state.x_norms.append(array_norm(x))
-        state.solve_iterations.append(solver.iterations)
+        state.solve_iterations.append(cg)
         state.iterations = it
         if resid <= tol:
             return state

@@ -1,6 +1,6 @@
 """Oracles that only the tests read: dense reductions and a-priori bounds of
 the star-Sylvester system (the paper's proof objects, checked against the
-library's operator and solver), the star-Sylvester operator of a (2,1)
+library's operator, gap and solve), the star-Sylvester operator of a (2,1)
 perturbation, the matrix of a linear map probed with unit arrays, the
 placement condition, the permuted tridiagonal form, a
 minimality test, two fixed Mobius matrices and their product, the finite

@@ -551,7 +551,7 @@ def test_certification_never_forms_the_dense_system(monkeypatch):
 
 
 def test_certification_checks_the_gap_independently_of_the_formula(monkeypatch):
-    """The solver computes sigma_min(T_A) itself: with `sigma_min_formula`
+    """`certified_gap` computes sigma_min(T_A) itself: with `sigma_min_formula`
     made to raise, every row still certifies and equals the unpatched one."""
     p = random_structured(2, 5, StructureKind.even, 1.0, seed=8)
 

@@ -70,6 +70,19 @@ def test_placement_rejects_wrong_structure(rng):
         placement_stacked(p, StructureKind.palindromic)
 
 
+def test_assemble_refuses_a_grade_2_block_and_pads_a_grade_0_one():
+    """A (1,1) block of grade 2 is refused as not a pencil, before padding
+    could report it as a grade it cannot pad down to; a constant block is
+    padded to a pencil with a zero l coefficient."""
+    kind = StructureKind.symmetric
+    with pytest.raises(GradeError, match="the \\(1,1\\) block must be a pencil"):
+        assemble(random_structured(6, 2, kind, 1.0, seed=4), 2, 2, kind)
+    m0 = random_structured(6, 0, kind, 1.0, seed=4)
+    pencil = assemble(m0, 2, 2, kind)
+    assert np.array_equal(pencil.m_pencil.coefficient(0), m0.coefficient(0))
+    assert not pencil.m_pencil.coefficient(1).any()
+
+
 def test_assemble_rejects_unstructured_block(rng):
     raw = polycore.MatrixPolynomial(rng.standard_normal((2, 6, 6)))
     with pytest.raises(StructureError):

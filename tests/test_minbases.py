@@ -15,10 +15,37 @@ from strukt import (
     transpose_poly,
 )
 from strukt import minbases, polycore
-from strukt.errors import NumericalError, ThresholdError
+from strukt.errors import NumericalError, StructureError, ThresholdError
 
 from conftest import ALL_KINDS
 from oracles import is_minimal_basis
+
+
+@pytest.mark.parametrize(
+    "shape", [(4, 4), (3, 5), (0, 2), (5, 3)], ids=["square", "n-not-dividing", "zero-rows", "tall"]
+)
+def test_every_reader_of_k_and_n_refuses_a_block_not_shaped_like_L_k(shape):
+    """A (2,1) block must be kn x (k+1)n with k, n >= 1. A square block, one
+    whose rows n does not divide and a zero-row one are refused with
+    `StructureError` by `lk_dims` and by both of its callers, the operator
+    and the reconstruction, not read as some k and n."""
+    from strukt import StructureKind, backward
+    from strukt.sylvester import StarSylvesterOperator
+
+    kind = StructureKind.symmetric
+    b21 = polycore.MatrixPolynomial(np.ones((2, *shape)))
+    with pytest.raises(StructureError, match="kn x \\(k\\+1\\)n"):
+        minbases.lk_dims(*shape)
+    with pytest.raises(StructureError, match="kn x \\(k\\+1\\)n"):
+        StarSylvesterOperator(b21.coeffs, kind)
+    with pytest.raises(StructureError, match="kn x \\(k\\+1\\)n"):
+        backward.reconstruct_perturbed_polynomial(polycore.zeros(6, 6, 1), b21, kind)
+
+
+def test_lk_dims_reads_k_and_n_off_L_k():
+    for k in range(1, 5):
+        for n in range(1, 4):
+            assert minbases.lk_dims(*build_Lk(k, n).shape) == (k, n)
 
 
 def test_build_Lk_scalar_cases():

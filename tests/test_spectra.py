@@ -322,6 +322,36 @@ def test_normal_rank():
     assert spectra.normal_rank(polycore.zeros(2, 2, 1)) == 0
 
 
+def _count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_a_regular_polynomial_takes_one_svd(monkeypatch):
+    """`normal_rank` stops at the first sample of full rank, so
+    `is_regular`, and the regularity check of `reference_polyeigs`, cost a
+    regular P one SVD; a singular P is sampled at every point."""
+    p = random_structured(3, 5, StructureKind.symmetric, 1.0, seed=6)
+    calls = _count_svds(monkeypatch)
+    assert spectra.is_regular(p)
+    assert calls == [(3, 3)]
+    calls.clear()
+    reference_polyeigs(p)
+    assert calls == [(3, 3)]
+    calls.clear()
+    singular = polycore.from_coeff_list([np.diag([1.0, 0.0]), np.eye(2) * [1.0, 0.0]])
+    assert not spectra.is_regular(singular)
+    assert len(calls) == len(spectra._regularity_samples(singular))
+    assert not spectra.is_regular(polycore.zeros(2, 3, 1))
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_reference_polyeigs_refuses_non_finite_coefficients(bad):
     p = with_entry(random_structured(2, 3, StructureKind.even, seed=2), bad)

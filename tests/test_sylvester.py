@@ -24,7 +24,7 @@ from strukt.polycore import (
     star,
     zeros,
 )
-from strukt.sylvester import StarSylvesterOperator, _MinNormSolver
+from strukt.sylvester import StarSylvesterOperator, certified_gap
 
 from conftest import ALL_KINDS, perturbation_blocks, with_scaled_22_block
 from oracles import (
@@ -129,13 +129,13 @@ def test_exact_sign_reduction_identities(k):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_zero_perturbation_gives_the_law_and_build_TA(kind, k):
-    """At zero perturbation the solver's gap is sigma_min(T_A), computed from
+    """At zero perturbation the certified gap is sigma_min(T_A), computed from
     an eigvalsh of the n = 1 Gram matrix less its rounding allowance, so it
     never exceeds the law and is within 1e-12 of it for every block size."""
     law = sigma_min_formula(k)
     for n in range(1, 4):
         op = StarSylvesterOperator.unperturbed(k, n, kind)
-        assert 0.0 <= law - _MinNormSolver(op).delta <= 1e-12
+        assert 0.0 <= law - certified_gap(op) <= 1e-12
     op = StarSylvesterOperator.unperturbed(k, 2, kind)
     assert np.array_equal(op.matrix(), build_TA(k, 2, kind))
     # Its zeros are +0.0: L_k's -0.0 entries move `strukt sigma-min` rows.
@@ -215,14 +215,14 @@ def test_operator_gram_apply_adjoint_and_solve_match_dense_oracles(kind, field_t
     assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
     want = np.linalg.lstsq(t, _vec_pair(c0, c1), rcond=None)[0]
-    got = _vec_pair(*_MinNormSolver(op).solve(np.stack([c0, c1])))
+    got = _vec_pair(*op.solve(np.stack([c0, c1]))[0])
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_weyl_bound_is_below_sigma_min_and_agrees_with_the_gap(kind, field_tag):
-    """The solver's gap, computed from the operator's own blocks, never
+    """The certified gap, computed from the operator's own blocks, never
     exceeds the dense sigma_min of matrix() and equals the paper's bound
     sigma_min_formula(k) - hypot(||[A; C]||_2, ||[dA21; dB21]||_2), (A, C) the
     Mobius image of (dA21, dB21), to rounding, up to ||dL|| = 0.9/(3k)."""
@@ -236,7 +236,7 @@ def test_weyl_bound_is_below_sigma_min_and_agrees_with_the_gap(kind, field_tag):
                 )
                 _, _, da21, db21, _, _ = perturbation_blocks(dl, k, n)
                 op = operator_for(da21, db21, kind)
-                delta = _MinNormSolver(op).delta
+                delta = certified_gap(op)
                 sigma = np.linalg.svd(op.matrix(), compute_uv=False)[-1]
                 image = mobius(from_coeff_list([da21, db21]), driver).coeffs
                 paper = sigma_min_formula(k) - math.hypot(
@@ -274,13 +274,13 @@ def test_one_svd_gap_against_two_svds(field_tag, rng):
                 )
                 _, _, da21, db21, _, _ = perturbation_blocks(dl, k, n)
                 op = operator_for(da21, db21, kind)
-                assert abs(_MinNormSolver(op).delta - _two_svd_delta(op)) <= 1e-15
+                assert abs(certified_gap(op) - _two_svd_delta(op)) <= 1e-15
             shape = (k * n, (k + 1) * n)
             for drv in _NON_UNITARY:
                 op = operator_for(
                     _draw(rng, shape, field_tag, 0.03 / k), _draw(rng, shape, field_tag, 0.03 / k), drv
                 )
-                assert _MinNormSolver(op).delta <= _two_svd_delta(op)
+                assert certified_gap(op) <= _two_svd_delta(op)
 
 
 @pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
@@ -306,7 +306,7 @@ def test_gap_is_never_optimistic(kind, field_tag):
             _, _, da21, db21, _, _ = perturbation_blocks(dl, k, n)
             op = operator_for(da21, db21, kind)
             base = StarSylvesterOperator.unperturbed(k, n, kind)
-            delta = _MinNormSolver(op).delta
+            delta = certified_gap(op)
             sigma = sylvester._reference(k, driver).sigma_min
             with mpmath.workdps(40):
                 norm_dt = mpmath.hypot(exact_norm(op.g, base.g), exact_norm(op.h, base.h))
@@ -339,7 +339,7 @@ def test_delta_lower_bound_is_a_lower_bound(k, rng):
         t = op.matrix()
         weyl = sigma_min_formula(k) - np.linalg.norm(t - build_TA(k, 2, kind), 2)
         sigma = np.linalg.svd(t, compute_uv=False)[-1]
-        delta = _MinNormSolver(op).delta
+        delta = certified_gap(op)
         assert delta_lower_bound(k, nrm) <= delta + 1e-12
         assert delta <= weyl + 1e-12
         assert weyl <= sigma + 1e-12
@@ -349,11 +349,6 @@ def test_delta_lower_bound_is_a_lower_bound(k, rng):
 # solves
 # ---------------------------------------------------------------------------
 
-def _solver(kind, k, n):
-    op = StarSylvesterOperator.unperturbed(k, n, kind)
-    return op, _MinNormSolver(op)
-
-
 def _star_residual(op, x, c0, c1):
     """Relative residual of the averaged X in both star equations."""
     r0, r1 = op.apply(x, star(x))
@@ -361,17 +356,17 @@ def _star_residual(op, x, c0, c1):
 
 
 def test_min_norm_solve_zero_rhs():
-    _, solver = _solver(StructureKind.symmetric, 2, 2)
-    y, zs = solver.solve(np.zeros((2, 4, 4)))
+    op = StarSylvesterOperator.unperturbed(2, 2, StructureKind.symmetric)
+    (y, zs), _, iterations = op.solve(np.zeros((2, 4, 4)))
     assert not y.any() and not zs.any()
-    assert solver.iterations == 0
+    assert iterations == 0
 
 
 @pytest.mark.parametrize("field_tag", [REAL, COMPLEX])
 @pytest.mark.parametrize("kind", ALL_KINDS + [pytest.param(_INVOLUTORY, id="involutory")])
 def test_fused_gram_is_apply_after_adjoint(kind, field_tag, rng):
-    """The solver's T T^*, two products with G G^* and H H^* formed once,
-    is apply after adjoint to 1e-14 relative."""
+    """The operator's T T^*, two products with G G^* and H H^* formed once
+    per operator, is apply after adjoint to 1e-14 relative."""
     for k in range(1, 4):
         for n in range(1, 4):
             kn = k * n
@@ -381,7 +376,7 @@ def test_fused_gram_is_apply_after_adjoint(kind, field_tag, rng):
             )
             c = _draw(rng, (2, kn, kn), field_tag)
             want = op.apply(*op.adjoint(c))
-            got = _MinNormSolver(op).gram(c)
+            got = op.gram(c)
             assert got.shape == (2, kn, kn)
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
@@ -397,18 +392,16 @@ def test_warm_started_solve_matches_lstsq(kind, field_tag, rng):
     dl = backward.random_structured_perturbation(k, n, kind, 0.05, seed=7, field_tag=field_tag)
     _, _, da21, db21, _, _ = perturbation_blocks(dl, k, n)
     op = operator_for(da21, db21, kind)
-    solver = _MinNormSolver(op)
     t = op.matrix()
     c = _draw(rng, (2, kn, kn), field_tag)
-    solver.solve(c)
-    start, cold = solver.w, solver.iterations
+    _, start, cold = op.solve(c)
     nearby = c + _draw(rng, c.shape, field_tag, 1e-6)
     for new in (nearby, _draw(rng, c.shape, field_tag)):
-        got = _vec_pair(*solver.solve(new, start))
+        x, _, iterations = op.solve(new, start)
         want = np.linalg.lstsq(t, _vec_pair(*new), rcond=None)[0]
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(_vec_pair(*x) - want) <= 1e-12 * np.linalg.norm(want)
         if new is nearby:
-            assert solver.iterations < cold
+            assert iterations < cold
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -416,7 +409,7 @@ def test_reduced_gram_is_the_matrix_free_gram(kind):
     """T T^* of `build_TA(k, 1, kind)` is, bit for bit, the Gram matrix of
     the unperturbed n = 1 operator applied to unit (2, k, k) stacks in
     row-major order: the n = 1 matrix's rows are in `kron_precondition`'s
-    channel order, so the solver's preconditioner may be read off it. The
+    channel order, so the solve's preconditioner may be read off it. The
     same holds for the completion: C C^T, C = `convolution_matrix(L_k, k)`
     at n = 1, is the Gram matrix of D -> L_k D on unit (k+2, k, 1) stacks."""
     for k in range(1, 9):
@@ -449,39 +442,58 @@ def test_preconditioner_is_the_unperturbed_gram_inverse(kind, field_tag, rng):
     non-real driver too, whose G0 and G1 enter T_A conjugated."""
     for k in range(1, 5):
         for n in range(1, 4):
-            op, solver = _solver(kind, k, n)
+            op = StarSylvesterOperator.unperturbed(k, n, kind)
             c = _draw(rng, (2, k * n, k * n), field_tag)
             t = op.matrix()
             gram = t @ t.conj().T
             want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), _vec_pair(*c))
-            got = _vec_pair(*polycore.kron_precondition(solver.pinv, n, c))
+            pinv = sylvester._reference(k, op.driver).pinv
+            got = _vec_pair(*polycore.kron_precondition(pinv, n, c))
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-            solver.solve(c)
-            assert solver.iterations == 1
+            assert op.solve(c)[2] == 1
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_min_norm_solve_bound_and_consistency(kind, rng):
     k, n = 2, 2
-    op, solver = _solver(kind, k, n)
+    op = StarSylvesterOperator.unperturbed(k, n, kind)
     a = kind.mobius
     c0 = rng.standard_normal((k * n, k * n))
     c1 = rng.standard_normal((k * n, k * n))
-    y, zs = solver.solve(np.stack([c0, c1]))
+    (y, zs), _, _ = op.solve(np.stack([c0, c1]))
     assert pair_norm(y, zs) <= pair_norm(c0, c1) / sigma_min_formula(k) + 1e-12
     r0 = y @ (a.b * op.fhat + a.d * op.ehat).T + op.ehat @ zs - c0
     r1 = y @ (a.a * op.fhat + a.c * op.ehat).T + op.fhat @ zs - c1
     assert pair_norm(r0, r1) <= 1e-12 * pair_norm(c0, c1)
 
 
+def test_a_solve_keeps_no_state_between_calls(rng):
+    """A cold solve gives the same bytes and CG count before and after a
+    warm-started solve of another right-hand side on the same operator."""
+    k, n = 2, 2
+    dl = backward.random_structured_perturbation(k, n, StructureKind.odd, 0.05, seed=3)
+    _, _, da21, db21, _, _ = perturbation_blocks(dl, k, n)
+    op = operator_for(da21, db21, StructureKind.odd)
+    c = rng.standard_normal((2, k * n, k * n))
+    (y, zs), w, iterations = op.solve(c)
+    op.solve(rng.standard_normal(c.shape), w)
+    (y2, zs2), w2, iterations2 = op.solve(c)
+    assert (y2.tobytes(), zs2.tobytes(), w2.tobytes()) == (y.tobytes(), zs.tobytes(), w.tobytes())
+    assert iterations2 == iterations
+
+
 def test_min_norm_solve_rank_risk(rng):
+    """The gap gate refuses a large perturbation; building the operator forms
+    no Gram product, so blocks whose squares overflow reach the gate too and
+    are refused without a RuntimeWarning (an error in this suite)."""
     k, n = 2, 1
-    huge = rng.standard_normal((k * n, (k + 1) * n)) * 10.0
-    op = operator_for(huge, huge, StructureKind.symmetric)
-    with pytest.raises(ThresholdError) as err:
-        _MinNormSolver(op)
-    assert err.value.bound == 0.0
-    assert err.value.value < 0.0
+    for scale in (10.0, 1e200):
+        huge = rng.standard_normal((k * n, (k + 1) * n)) * scale
+        op = operator_for(huge, huge, StructureKind.symmetric)
+        with pytest.raises(ThresholdError) as err:
+            certified_gap(op)
+        assert err.value.bound == 0.0
+        assert err.value.value < 0.0
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -489,19 +501,19 @@ def test_star_from_sylvester_structured_rhs(kind, rng):
     """For a structured right-hand pencil l*c1 + c0, averaging the two halves
     of the minimum-norm solution gives X with op.apply(X, X^*) = (c0, c1)."""
     k, n = 2, 2
-    op, solver = _solver(kind, k, n)
+    op = StarSylvesterOperator.unperturbed(k, n, kind)
     rhs = random_structured(k * n, 1, kind, 0.7, seed=13)
     c0, c1 = rhs.coefficient(0), rhs.coefficient(1)
-    y, zs = solver.solve(np.stack([c0, c1]))
+    (y, zs), _, _ = op.solve(np.stack([c0, c1]))
     x = (y + star(zs)) / 2.0
     assert x.shape == (k * n, (k + 1) * n)
     assert _star_residual(op, x, c0, c1) <= 1e-12
 
 
 def test_star_from_sylvester_trivial_cases():
-    op, solver = _solver(StructureKind.even, 2, 2)
+    op = StarSylvesterOperator.unperturbed(2, 2, StructureKind.even)
     z4 = np.zeros((4, 4))
-    y, zs = solver.solve(np.stack([z4, z4]))
+    (y, zs), _, _ = op.solve(np.stack([z4, z4]))
     x = (y + star(zs)) / 2.0
     assert not x.any()
     assert _star_residual(op, x, z4, z4) == 0.0
@@ -510,10 +522,10 @@ def test_star_from_sylvester_trivial_cases():
 def test_averaging_needs_a_structured_rhs(rng):
     """An unstructured right-hand side still solves the coupled system, but
     its averaged halves miss the star equations by far more than rounding."""
-    op, solver = _solver(StructureKind.symmetric, 2, 2)
+    op = StarSylvesterOperator.unperturbed(2, 2, StructureKind.symmetric)
     c0 = rng.standard_normal((4, 4))
     c1 = rng.standard_normal((4, 4))
-    y, zs = solver.solve(np.stack([c0, c1]))
+    (y, zs), _, _ = op.solve(np.stack([c0, c1]))
     assert _star_residual(op, (y + star(zs)) / 2.0, c0, c1) > 1e-3
 
 
@@ -530,7 +542,7 @@ def test_star_from_sylvester_random_involutory(rng):
     raw = MatrixPolynomial(rng.standard_normal((2, k * n, k * n)))
     rhs = structure_project(raw, drv)
     c0, c1 = rhs.coefficient(0), rhs.coefficient(1)
-    y, zs = _MinNormSolver(op).solve(np.stack([c0, c1]))
+    (y, zs), _, _ = op.solve(np.stack([c0, c1]))
     x = (y + star(zs)) / 2.0
     assert _star_residual(op, x, c0, c1) <= 1e-12
     assert np.linalg.norm(x) <= pair_norm(c0, c1) / sigma + 1e-12
