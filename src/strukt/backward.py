@@ -98,7 +98,7 @@ def congruence_zero_block(a: BlockKroneckerPencil) -> CongruenceResult:
         raise StruktError(
             f"(2,2) block residual {residual22:.3e} above tolerance after congruence"
         )
-    return CongruenceResult(b21=MatrixPolynomial(b21), state=state, residual22=residual22)
+    return CongruenceResult(b21=MatrixPolynomial._adopt(b21), state=state, residual22=residual22)
 
 
 @dataclass

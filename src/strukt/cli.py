@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import backward, linearize, polycore, spectra, sylvester
-from .errors import StruktError
+from .errors import NumericalError, SingularPolynomialError, StruktError
 from .polycore import StructureKind
 
 EXIT_OK = 0
@@ -174,10 +174,14 @@ def cmd_eigs(args) -> int:
     kind = polycore.parse_kind(args.kind) if args.kind else None
     if linearize.sidecar_path(path).exists():
         pencil = linearize.load_pencil(path)
+        if not spectra.is_regular(pencil.poly):
+            raise SingularPolynomialError("pencil is singular; its eigenvalues are not defined")
         spec = spectra.pencil_eigs(pencil.l0, pencil.l1)
         kind = kind or pencil.kind
     else:
         spec = spectra.reference_polyeigs(polycore.load_polynomial(path))
+    if not (np.isfinite(spec.alpha).all() and np.isfinite(spec.beta).all()):
+        raise NumericalError("QZ returned eigenvalue pairs that are not finite")
     rows = [
         {
             "alpha": [float(a.real), float(a.imag)],
@@ -190,7 +194,7 @@ def cmd_eigs(args) -> int:
     if kind is not None:
         doc["kind"] = kind.value
         doc["symmetry_score"] = spectra.symmetry_check(spec, kind)
-    text = json.dumps(doc)
+    text = json.dumps(doc, allow_nan=False)
     if args.output:
         Path(args.output).write_text(text)
         print(f"wrote {args.output}")

@@ -91,34 +91,18 @@ class BlockKroneckerPencil:
 # ---------------------------------------------------------------------------
 
 def _placement_preamble(p: MatrixPolynomial, kind: StructureKind):
-    """The admitted P, its grade g = 2k+1, k and n."""
+    """The admitted P, g = 2k+1, k, a zero (k+1)n pencil stack m, and
+    put(power, i, j, block), which adds an n x n block to m[power] at (i, j)."""
     if p.grade % 2 == 0:
         raise GradeError("odd grade required")
     p, _ = polycore.admit_structured(p, kind, "input polynomial")
-    return p, p.grade, (p.grade - 1) // 2, p.rows
+    k, n = (p.grade - 1) // 2, p.rows
+    m = np.zeros((2, (k + 1) * n, (k + 1) * n), dtype=p.coeffs.dtype)
 
+    def put(power, i, j, block):
+        m[power, (i - 1) * n:i * n, (j - 1) * n:j * n] += block
 
-class _PencilBuilder:
-    """Accumulates n x n blocks of a (k+1)n square pencil, 1-based indices."""
-
-    def __init__(self, k: int, n: int, dtype):
-        self.n = n
-        size = (k + 1) * n
-        self.m0 = np.zeros((size, size), dtype=dtype)
-        self.m1 = np.zeros((size, size), dtype=dtype)
-
-    def put(self, target: np.ndarray, i: int, j: int, block: np.ndarray):
-        n = self.n
-        target[(i - 1) * n:i * n, (j - 1) * n:j * n] += block
-
-    def const(self, i, j, block):
-        self.put(self.m0, i, j, block)
-
-    def lam(self, i, j, block):
-        self.put(self.m1, i, j, block)
-
-    def pencil(self) -> MatrixPolynomial:
-        return MatrixPolynomial(np.stack([self.m0, self.m1]))
+    return p, p.grade, k, m, put
 
 
 def placement_tridiagonal(p: MatrixPolynomial, kind: StructureKind) -> MatrixPolynomial:
@@ -128,69 +112,67 @@ def placement_tridiagonal(p: MatrixPolynomial, kind: StructureKind) -> MatrixPol
     palindromic-family kinds on the antidiagonal, alternating kinds alternate
     the sign along the diagonal.
     """
-    p, g, k, n = _placement_preamble(p, kind)
-    b = _PencilBuilder(k, n, p.coeffs.dtype)
+    p, g, k, m, put = _placement_preamble(p, kind)
     family = kind.condition_family
     for j in range(1, k + 2):
         if family == "sum":
-            b.lam(j, j, p.coefficient(g + 2 - 2 * j))
-            b.const(j, j, p.coefficient(g + 1 - 2 * j))
+            put(1, j, j, p.coefficient(g + 2 - 2 * j))
+            put(0, j, j, p.coefficient(g + 1 - 2 * j))
         elif family == "diff":
             col = k + 2 - j
-            b.lam(j, col, p.coefficient(2 * j - 1))
-            b.const(j, col, p.coefficient(2 * j - 2))
+            put(1, j, col, p.coefficient(2 * j - 1))
+            put(0, j, col, p.coefficient(2 * j - 2))
         else:
             s = (-1) ** (k + 1 - j)
-            b.lam(j, j, s * p.coefficient(g + 2 - 2 * j))
-            b.const(j, j, s * p.coefficient(g + 1 - 2 * j))
-    return b.pencil()
+            put(1, j, j, s * p.coefficient(g + 2 - 2 * j))
+            put(0, j, j, s * p.coefficient(g + 1 - 2 * j))
+    return MatrixPolynomial._adopt(m)
 
 
 def placement_stacked(p: MatrixPolynomial, kind: StructureKind) -> MatrixPolynomial:
     """Staircase placement: head rows carry the leading coefficients, a single
     interior row carries the mid-range run, and the trailing column collects
     the low-order coefficients."""
-    p, g, k, n = _placement_preamble(p, kind)
-    b = _PencilBuilder(k, n, p.coeffs.dtype)
+    p, g, k, m, put = _placement_preamble(p, kind)
     family = kind.condition_family
 
     if family == "sum":
-        b.lam(1, 1, p.coefficient(g))
-        b.lam(2, 1, p.coefficient(g - 1))
-        b.const(2, 1, p.coefficient(g - 2))
+        put(1, 1, 1, p.coefficient(g))
+        put(1, 2, 1, p.coefficient(g - 1))
+        put(0, 2, 1, p.coefficient(g - 2))
         for j in range(2, k + 1):
-            b.const(2, j, p.coefficient(g - 1 - j))
+            put(0, 2, j, p.coefficient(g - 1 - j))
         for i in range(3, k + 2):
-            b.const(i, k, p.coefficient(k + 2 - i))
-        b.const(k + 1, k + 1, p.coefficient(0))
+            put(0, i, k, p.coefficient(k + 2 - i))
+        put(0, k + 1, k + 1, p.coefficient(0))
     elif family == "diff":
         # Walk the staircase path from block (k+1, 1) up to (1, k+1); the cell
         # at path position t sits on diagonal offset k - t.
         cells = [((k + 1) - (t + 1) // 2, 1 + t // 2) for t in range(2 * k + 1)]
         for ell in range(k + 2, g + 1):
             i, j = cells[2 * k + 1 - ell]
-            b.lam(i, j, p.coefficient(ell))
+            put(1, i, j, p.coefficient(ell))
         for ell in range(0, k + 2):
             i, j = cells[2 * k - ell]
-            b.const(i, j, p.coefficient(ell))
+            put(0, i, j, p.coefficient(ell))
     else:
         if k == 1:
-            b.lam(1, 1, -p.coefficient(3))
-            b.const(1, 1, -p.coefficient(2))
-            b.lam(2, 2, p.coefficient(1))
-            b.const(2, 2, p.coefficient(0))
+            put(1, 1, 1, -p.coefficient(3))
+            put(0, 1, 1, -p.coefficient(2))
+            put(1, 2, 2, p.coefficient(1))
+            put(0, 2, 2, p.coefficient(0))
         else:
-            b.lam(1, 1, (-1) ** k * p.coefficient(g))
-            b.lam(2, 1, (-1) ** (k - 1) * p.coefficient(g - 1))
-            b.lam(2, 2, (-1) ** (k - 1) * p.coefficient(g - 2))
-            b.const(2, 2, (-1) ** (k - 1) * p.coefficient(g - 3))
+            put(1, 1, 1, (-1) ** k * p.coefficient(g))
+            put(1, 2, 1, (-1) ** (k - 1) * p.coefficient(g - 1))
+            put(1, 2, 2, (-1) ** (k - 1) * p.coefficient(g - 2))
+            put(0, 2, 2, (-1) ** (k - 1) * p.coefficient(g - 3))
             for j in range(3, k + 1):
-                b.const(2, j, (-1) ** (k - 1) * p.coefficient(g - 1 - j))
+                put(0, 2, j, (-1) ** (k - 1) * p.coefficient(g - 1 - j))
             for i in range(3, k + 1):
-                b.const(i, k, (-1) ** (k - i + 1) * p.coefficient(g + 1 - i - k))
-            b.lam(k + 1, k + 1, p.coefficient(1))
-            b.const(k + 1, k + 1, p.coefficient(0))
-    return b.pencil()
+                put(0, i, k, (-1) ** (k - i + 1) * p.coefficient(g + 1 - i - k))
+            put(1, k + 1, k + 1, p.coefficient(1))
+            put(0, k + 1, k + 1, p.coefficient(0))
+    return MatrixPolynomial._adopt(m)
 
 
 PLACEMENTS = {
@@ -209,22 +191,26 @@ def assemble(
     n: int,
     kind: StructureKind,
 ) -> BlockKroneckerPencil:
-    """Embed a structured (k+1)n pencil into the full block Kronecker pencil."""
+    """Embed a structured (k+1)n pencil, admitted first, into the full block
+    Kronecker pencil."""
     if m.shape != ((k + 1) * n, (k + 1) * n):
         raise ValueError(f"expected a {(k + 1) * n} square pencil, got {m.shape}")
     if m.grade > 1:
         raise GradeError("the (1,1) block must be a pencil")
     mp, _ = polycore.admit_structured(polycore.pad_to_grade(m, 1), kind, "the (1,1) block")
+    return _embed(mp.coeffs, k, n, kind)
 
+
+def _embed(m11: np.ndarray, k: int, n: int, kind: StructureKind) -> BlockKroneckerPencil:
+    """The block Kronecker pencil with a finite, structured (1,1) block ``m11``."""
     size = (2 * k + 1) * n
-    coeffs = np.zeros((2, size, size), dtype=mp.coeffs.dtype)
+    coeffs = np.zeros((2, size, size), dtype=m11.dtype)
     c11, c21, c12, _ = natural_blocks(coeffs, k, n)
-    c11[...] = mp.coeffs
-    if k >= 1:
-        lk = minbases.build_Lk(k, n)
-        c12[...] = star(polycore._substituted(lk.coeffs, kind.mobius))
-        c21[...] = lk.coeffs
-    return BlockKroneckerPencil(MatrixPolynomial(coeffs), k, n, kind)
+    c11[...] = m11
+    lk = minbases.build_Lk(k, n)
+    c12[...] = star(polycore._substituted(lk.coeffs, kind.mobius))
+    c21[...] = lk.coeffs
+    return BlockKroneckerPencil(MatrixPolynomial._adopt(coeffs), k, n, kind)
 
 
 def build_linearization(
@@ -235,7 +221,7 @@ def build_linearization(
     """placement -> symmetrize -> assemble, the standard forward pipeline.
 
     A grade below 3 (k = 0, no dual basis to embed) is refused with
-    `GradeError`: `load_pencil` reads no pencil with k < 1 back.
+    `GradeError`, an M whose structure projection overflows with `StruktError`.
     """
     try:
         place = PLACEMENTS[placement]
@@ -243,11 +229,12 @@ def build_linearization(
         raise ValueError(f"unknown placement {placement!r}") from None
     if p.grade < 3:
         raise GradeError(f"a linearization needs grade >= 3 (k >= 1), got {p.grade}")
-    # The average of two pencils satisfying the placement condition still
-    # satisfies it, and now carries the structure.
+    # The average of two pencils satisfying the placement condition satisfies
+    # it too; it is exactly structured, as the substitutions permute and negate.
     m = structure_project(place(p, kind), kind)
-    k = (p.grade - 1) // 2
-    return assemble(m, k, p.rows, kind)
+    if not np.isfinite(m.coeffs).all():
+        raise StruktError("the structure projection of the placed coefficients overflowed")
+    return _embed(m.coeffs, (p.grade - 1) // 2, p.rows, kind)
 
 
 def recover_from_m(
@@ -263,7 +250,7 @@ def recover_from_m(
     left = star(polycore._substituted(col, kind.mobius))
     m1 = polycore.pad_to_grade(m, 1).coeffs
     raw = polycore._coeff_product(polycore._coeff_product(left, m1), col)
-    return MatrixPolynomial(kind.recovery_sign(row.grade) * raw)
+    return MatrixPolynomial._adopt(kind.recovery_sign(row.grade) * raw)
 
 
 def recover(pencil: BlockKroneckerPencil) -> MatrixPolynomial:
@@ -284,7 +271,7 @@ def recover(pencil: BlockKroneckerPencil) -> MatrixPolynomial:
     skeleton = assemble(pencil.m_pencil, k, n, kind)
     coeffs = pencil.poly.coeffs - skeleton.poly.coeffs
     natural_blocks(coeffs, k, n)[0][...] = 0.0
-    dl, _ = polycore.admit_structured(MatrixPolynomial(coeffs), kind, "perturbation")
+    dl, _ = polycore.admit_structured(MatrixPolynomial._adopt(coeffs), kind, "perturbation")
     return backward.recover_perturbed(skeleton.perturbed(dl)).poly
 
 

@@ -136,9 +136,9 @@ class MatrixPolynomial:
     """Dense matrix polynomial with an explicit grade.
 
     ``coeffs`` has shape (grade + 1, rows, cols) in ascending powers.  The
-    coefficient stack is copied in row-major order, to complex128 when it is
-    complex and to float64 otherwise, and frozen, so instances are safe to
-    share between workers.
+    constructor copies the coefficient stack in row-major order, to
+    complex128 when it is complex and to float64 otherwise, and freezes the
+    copy, so instances are safe to share between workers.
     """
 
     coeffs: np.ndarray
@@ -152,6 +152,18 @@ class MatrixPolynomial:
         arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "MatrixPolynomial":
+        """Wrap and freeze, without a copy, a fresh stack that nothing else holds.
+        Any other array is refused (`ValueError`): its earlier views stay writable."""
+        fresh = arr.flags.c_contiguous and arr.flags.owndata and arr.flags.writeable
+        if not (fresh and arr.ndim == 3 and arr.dtype in (np.float64, np.complex128)):
+            raise ValueError("only a fresh C-contiguous float64 or complex128 stack is adopted")
+        arr.setflags(write=False)
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", arr)
+        return poly
 
     @property
     def field(self) -> str:
@@ -196,22 +208,22 @@ class MatrixPolynomial:
             return NotImplemented
         g = max(self.grade, other.grade)
         a, b = pad_to_grade(self, g), pad_to_grade(other, g)
-        return MatrixPolynomial(a.coeffs + b.coeffs)
+        return MatrixPolynomial._adopt(a.coeffs + b.coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, MatrixPolynomial):
             return NotImplemented
         g = max(self.grade, other.grade)
         a, b = pad_to_grade(self, g), pad_to_grade(other, g)
-        return MatrixPolynomial(a.coeffs - b.coeffs)
+        return MatrixPolynomial._adopt(a.coeffs - b.coeffs)
 
     def __neg__(self):
-        return MatrixPolynomial(-self.coeffs)
+        return MatrixPolynomial._adopt(-self.coeffs)
 
     def __mul__(self, scalar):
         if isinstance(scalar, MatrixPolynomial):
             return NotImplemented
-        return MatrixPolynomial(self.coeffs * scalar)
+        return MatrixPolynomial._adopt(self.coeffs * scalar)
 
     __rmul__ = __mul__
 
@@ -232,7 +244,7 @@ def pad_to_grade(p: MatrixPolynomial, grade: int) -> MatrixPolynomial:
     if grade == p.grade:
         return p
     extra = np.zeros((grade - p.grade, p.rows, p.cols), dtype=p.coeffs.dtype)
-    return MatrixPolynomial(np.concatenate([p.coeffs, extra]))
+    return MatrixPolynomial._adopt(np.concatenate([p.coeffs, extra]))
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +492,15 @@ def admit_structured(p: MatrixPolynomial, kind: StructureKind, what: str):
         )
     if residual == 0.0:
         return p, 0.0
-    return MatrixPolynomial(_average(p.coeffs, sub)), math.nextafter(0.5 * residual, math.inf)
+    projection = MatrixPolynomial._adopt(_average(p.coeffs, sub))
+    return projection, math.nextafter(0.5 * residual, math.inf)
 
 
 def structure_project(p: MatrixPolynomial, kind) -> MatrixPolynomial:
     """Average P with its substituted adjoint; idempotent, fixes structured inputs."""
     if not p.is_square:
         raise StructureError("structure projection requires a square polynomial")
-    return MatrixPolynomial(_average(p.coeffs, _substituted(p.coeffs, driver_matrix(kind))))
+    return MatrixPolynomial._adopt(_average(p.coeffs, _substituted(p.coeffs, driver_matrix(kind))))
 
 
 def _average(coeffs: np.ndarray, sub: np.ndarray) -> np.ndarray:
@@ -523,7 +536,7 @@ def random_structured(
     nrm = array_norm(proj)
     if not nrm > 1e-8:
         raise StruktError("structure projection annihilated the sample: the class is zero")
-    return MatrixPolynomial(proj * (target_norm / nrm))
+    return MatrixPolynomial._adopt(proj * (target_norm / nrm))
 
 
 # ---------------------------------------------------------------------------

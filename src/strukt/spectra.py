@@ -18,6 +18,7 @@ the non-spectral paths never load scipy at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,12 +64,44 @@ def _normalize_pairs(alpha: np.ndarray, beta: np.ndarray) -> SpectrumReport:
     return SpectrumReport(alpha=alpha[order], beta=beta[order])
 
 
+def _binary_scaled(*arrays):
+    """``arrays`` times one power of two 2^s, exact but for underflow. s = 0,
+    and the arrays themselves come back, while the largest entry lies in
+    [2^-500, 2^500) or is 0 or not finite; else s is the multiple of 1000
+    that brings it there. QZ is not bitwise scale-invariant, so in-range
+    input keeps its bytes, and 2^+-1000 P gives the pairs of P bit for bit."""
+    peak = max(
+        float(np.max(np.abs(part), initial=0.0))
+        for a in arrays
+        for part in ((a.real, a.imag) if a.dtype.kind == "c" else (a,))
+    )
+    s = -1000 * ((math.frexp(peak)[1] + 499) // 1000)
+    return arrays if s == 0 else tuple(_ldexp(a, s) for a in arrays)
+
+
+def _ldexp(a: np.ndarray, s: int) -> np.ndarray:
+    """``a`` times 2^s, real and imaginary parts apart."""
+    if a.dtype.kind != "c":
+        return np.ldexp(a, s)
+    out = np.empty_like(a)
+    out.real, out.imag = np.ldexp(a.real, s), np.ldexp(a.imag, s)
+    return out
+
+
+def _scaled_poly(p: MatrixPolynomial) -> MatrixPolynomial:
+    """P by `_binary_scaled`: P itself when in range."""
+    (coeffs,) = _binary_scaled(p.coeffs)
+    return p if coeffs is p.coeffs else MatrixPolynomial(coeffs)
+
+
 def pencil_eigs(l0: np.ndarray, l1: np.ndarray) -> SpectrumReport:
-    """Projective eigenvalues of the pencil l*L1 + L0 via the QZ backend."""
+    """Projective eigenvalues of the pencil l*L1 + L0 via the QZ backend,
+    run on the pencil brought into range by `_binary_scaled`."""
     l0 = np.asarray(l0)
     l1 = np.asarray(l1)
     if l0.shape != l1.shape or l0.shape[0] != l0.shape[1]:
         raise ValueError("pencil coefficients must be square and equally sized")
+    l0, l1 = _binary_scaled(l0, l1)
     # deferred: only the spectral checks need scipy, and importing it at
     # module level cost every process ~0.5 s and ~40 MB (2-vCPU host)
     import scipy.linalg
@@ -110,10 +143,13 @@ def reference_polyeigs(p: MatrixPolynomial) -> SpectrumReport:
 
     Counts finite plus infinite eigenvalues at grade times size; raises for
     (numerically) singular polynomials, whose spectra are not well posed.
+    P is brought into range by `_binary_scaled` before the regularity test,
+    as the companion form's identity blocks would not scale with it.
     """
     if not p.is_square:
         raise ValueError("polynomial eigenvalues require a square polynomial")
     polycore.require_finite(p)
+    p = _scaled_poly(p)
     if not is_regular(p):
         raise SingularPolynomialError(
             "polynomial is singular; use minimal_indices instead"
@@ -356,7 +392,9 @@ def _numerical_rank(mat: np.ndarray, tol: float) -> int:
 
 def normal_rank(p: MatrixPolynomial, tol: float = 1e-10) -> int:
     """Largest evaluation rank over a deterministic sample sweep, which stops
-    at the first sample of full rank min(rows, cols)."""
+    at the first sample of full rank min(rows, cols). P is evaluated brought
+    into range by `_binary_scaled`, so no evaluation overflows."""
+    p = _scaled_poly(p)
     best, full = 0, min(p.shape)
     for pt in _regularity_samples(p):
         best = max(best, _numerical_rank(polycore.evaluate(p, pt), tol))

@@ -668,6 +668,31 @@ def test_shared_constants_give_the_rows_of_fresh_processes():
             assert repr([(r.error, dict(r.row(), wall_ms=0.0)) for r in reports]) == fresh[kind]
 
 
+@pytest.mark.parametrize("field", [polycore.REAL, polycore.COMPLEX])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_warm_operations_copy_only_the_views_they_wrap(kind, field, monkeypatch):
+    """The library wraps the stacks it computes without a copy, so once the
+    shared bases are built a single-trial certification copies three stacks,
+    all views: the (1,1) blocks of the built and the perturbed pencil and the
+    completion's transpose. Building and recovering a pencil copies two."""
+    copies = []
+    post_init = polycore.MatrixPolynomial.__post_init__
+
+    def counted(self):
+        copies.append(np.shape(self.coeffs))
+        post_init(self)
+
+    p = random_structured(3, 5, kind, 1.0, seed=2, field=field)
+    run_certification(p, kind, "tridiagonal", [1e-8], 1, 3)
+    monkeypatch.setattr(polycore.MatrixPolynomial, "__post_init__", counted)
+    [report] = run_certification(p, kind, "tridiagonal", [1e-8], 1, 4)
+    assert report.error is None and report.iters > 0
+    assert len(copies) <= 3
+    copies.clear()
+    linearize.recover(build_linearization(p, kind, "tridiagonal"))
+    assert len(copies) <= 2
+
+
 def test_shared_constants_and_built_pencils_are_read_only():
     kind = StructureKind.even
     pencil = build_linearization(random_structured(2, 5, kind, 1.0, seed=1), kind)

@@ -327,6 +327,46 @@ def test_eigs_on_pencil_file(tmp_path, poly_file, capsys):
     assert doc["kind"] == "symmetric"
 
 
+def test_eigs_refuses_a_singular_pencil_file(tmp_path, capsys):
+    """A real skew-symmetric pencil of odd size (2k+1)n = 15 is singular:
+    `strukt eigs` refuses it, as it refuses its polynomial, and writes
+    nothing."""
+    kind = StructureKind.skew_symmetric
+    p = random_structured(3, 5, kind, 1.0, seed=2)
+    path, pencil_path, out = tmp_path / "p.json", tmp_path / "pencil.json", tmp_path / "e.json"
+    save_polynomial(p, path)
+    assert main(["linearize", str(path), "--kind", kind.value, "--output", str(pencil_path)]) == EXIT_OK
+    capsys.readouterr()
+    for target in (path, pencil_path):
+        assert main(["eigs", str(target), "--output", str(out)]) == EXIT_USAGE
+        assert "singular" in _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_eigs_refuses_a_pair_that_is_not_finite(tmp_path, poly_file, monkeypatch, capsys):
+    """A non-finite eigenvalue pair ends in a typed error and writes no file:
+    the output is strict JSON, never a NaN."""
+    path, _ = poly_file
+    nan_pair = spectra.SpectrumReport(alpha=np.array([np.nan + 0j]), beta=np.array([1 + 0j]))
+    monkeypatch.setattr(spectra, "reference_polyeigs", lambda p: nan_pair)
+    out = tmp_path / "e.json"
+    assert main(["eigs", str(path), "--output", str(out)]) == EXIT_USAGE
+    assert "not finite" in _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("peak", [1e-310, 1.7e308])
+def test_eigs_of_extreme_but_finite_coefficients_is_strict_json(peak, tmp_path, capsys):
+    raw = np.random.default_rng(5).standard_normal((4, 3, 3))
+    path = tmp_path / "p.json"
+    save_polynomial(polycore.MatrixPolynomial(raw * (peak / np.abs(raw).max())), path)
+    assert main(["eigs", str(path)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the output"))
+    assert doc["count"] == 9 and not any(pair["infinite"] for pair in doc["pairs"])
+    assert err == ""
+
+
 def test_certify_default_config(tmp_path, capsys):
     out = tmp_path / "rep.csv"
     assert main(["certify", "--output", str(out)]) == EXIT_OK

@@ -357,6 +357,49 @@ def test_build_linearization_refuses_non_finite_coefficients(bad, placement):
         build_linearization(p, StructureKind.symmetric, placement)
 
 
+@pytest.mark.parametrize("field", [polycore.REAL, polycore.COMPLEX])
+@pytest.mark.parametrize("placement", sorted(linearize.PLACEMENTS))
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_projected_placements_are_exactly_structured_and_embedded_as_they_are(
+    kind, placement, field
+):
+    """The kinds' substitutions only permute and negate coefficients, so the
+    projected placement has a structure residual of exactly 0.0, and
+    `build_linearization` embeds it without a second structure gate."""
+    for g in (3, 5, 7):
+        p = random_structured(2, g, kind, 1.0, seed=g, field=field)
+        m = structure_project(linearize.PLACEMENTS[placement](p, kind), kind)
+        assert polycore.structure_residual(m, kind) == 0.0
+        pencil = build_linearization(p, kind, placement)
+        assert pencil.m_pencil.coeffs.tobytes() == m.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("placement", sorted(linearize.PLACEMENTS))
+def test_build_linearization_admits_only_the_input_polynomial(placement, monkeypatch):
+    calls = []
+    admit = polycore.admit_structured
+
+    def counted(p, kind, what):
+        calls.append(what)
+        return admit(p, kind, what)
+
+    monkeypatch.setattr(polycore, "admit_structured", counted)
+    kind = StructureKind.odd
+    build_linearization(random_structured(2, 5, kind, 1.0, seed=3), kind, placement)
+    assert calls == ["input polynomial"]
+
+
+@pytest.mark.parametrize("placement", sorted(linearize.PLACEMENTS))
+def test_build_linearization_names_a_structure_projection_that_overflows(placement):
+    """A finite symmetric P with entries of 1e308 passes the input gate, but
+    (M + M^T)/2 overflows. The refusal names the projection, not the input's
+    finiteness."""
+    p = polycore.MatrixPolynomial(np.full((4, 2, 2), 1e308))
+    with np.errstate(over="ignore"):
+        with pytest.raises(StruktError, match="structure projection .* overflowed"):
+            build_linearization(p, StructureKind.symmetric, placement)
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_recover_refuses_a_non_finite_12_block(bad):
     """Recovery never reads the (1,2) block, so the dL gate is all that sees

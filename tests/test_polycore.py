@@ -394,6 +394,30 @@ def test_constructor_copies_to_a_c_contiguous_frozen_stack():
     assert np.array_equal(p.coeffs, np.swapaxes(raw, 1, 2))
 
 
+def test_adopt_freezes_a_fresh_stack_in_place_and_refuses_any_other():
+    """`MatrixPolynomial._adopt` wraps a fresh float64 or complex128 stack
+    without a copy. It refuses a view, a frozen stack, a stack that is not
+    in row-major order, another dtype and another rank, and leaves them
+    as they were."""
+    for dtype in (np.float64, np.complex128):
+        fresh = np.ones((2, 3, 3), dtype=dtype)
+        p = MatrixPolynomial._adopt(fresh)
+        assert p.coeffs is fresh and not fresh.flags.writeable
+    raw = np.arange(18.0).reshape(2, 3, 3)
+    refused = [
+        raw[1:],
+        random_structured(3, 1, StructureKind.even, 1.0, seed=1).coeffs,
+        np.asfortranarray(raw),
+        raw.astype(np.float32),
+        raw.astype(np.int64),
+        np.ones((3, 3)),
+    ]
+    for arr in refused:
+        with pytest.raises(ValueError, match="fresh C-contiguous"):
+            MatrixPolynomial._adopt(arr)
+    assert raw.flags.writeable
+
+
 def test_complex_record_with_zero_imaginary_parts_loads_as_complex(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +351,43 @@ def test_a_regular_polynomial_takes_one_svd(monkeypatch):
     assert not spectra.is_regular(singular)
     assert len(calls) == len(spectra._regularity_samples(singular))
     assert not spectra.is_regular(polycore.zeros(2, 3, 1))
+
+
+def _pairs_bytes(spec):
+    return spec.alpha.tobytes(), spec.beta.tobytes()
+
+
+@pytest.mark.parametrize("field", [polycore.REAL, polycore.COMPLEX])
+@pytest.mark.parametrize("kind", [StructureKind.symmetric, StructureKind.palindromic])
+def test_spectra_of_far_out_of_range_scalings_are_those_of_the_unscaled_input(kind, field):
+    """`pencil_eigs` and `reference_polyeigs` bring an input whose largest
+    entry lies outside [2^-500, 2^500) back by a power of two 2^(1000 j),
+    so 2^-1000 P and 2^1000 P give the pairs of P bit for bit. The scalings
+    are exact here: no entry of P is so small that 2^-1000 P is subnormal."""
+    p = random_structured(3, 3, kind, 1.0, seed=11, field=field)
+    pencil = build_linearization(p, kind, "tridiagonal").poly
+    for poly, eigs in ((p, reference_polyeigs), (pencil, lambda q: pencil_eigs(*q.coeffs))):
+        want = _pairs_bytes(eigs(poly))
+        for s in (-1000, 1000):
+            scaled = polycore.MatrixPolynomial(spectra._ldexp(poly.coeffs, s))
+            assert np.array_equal(spectra._ldexp(scaled.coeffs, -s), poly.coeffs)
+            assert _pairs_bytes(eigs(scaled)) == want
+
+
+@pytest.mark.parametrize("peak", [1e-310, 1.7e308])
+def test_extreme_but_finite_coefficients_give_finite_pairs_without_warnings(peak):
+    """A regular real 3 x 3 P of grade 3 whose entries are subnormal, or
+    reach 1.7e308, has nine finite eigenvalues: the QZ input and the
+    regularity test's evaluations are scaled into range first, so no NaN
+    pair, no spurious infinite flag and no overflow warning appear."""
+    raw = np.random.default_rng(5).standard_normal((4, 3, 3))
+    p = polycore.MatrixPolynomial(raw * (peak / np.abs(raw).max()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectra.is_regular(p)
+        spec = reference_polyeigs(p)
+    assert len(spec) == 9 and not spec.infinite_mask.any()
+    assert np.isfinite(spec.alpha).all() and np.isfinite(spec.beta).all()
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
