@@ -169,14 +169,34 @@ def cmd_sigma_min(args) -> int:
     return EXIT_OK
 
 
+def _balanced(pencil: linearize.BlockKroneckerPencil):
+    """(alpha, D L D) with D = diag(I_(k+1)n, alpha I_kn), alpha = max|L11| /
+    max|L21|, or 1 when either block is 0. The congruence keeps regularity and
+    the eigenvalues, and brings the +-1 entries of L_k to the scale of M, so
+    the relative rank test of `spectra.is_regular` reads the pencil of c P as
+    it reads that of P."""
+    top = (pencil.k + 1) * pencil.n
+    coeffs = pencil.poly.coeffs
+    m = np.abs(coeffs[:, :top, :top]).max(initial=0.0)
+    b = np.abs(coeffs[:, top:, :top]).max(initial=0.0)
+    alpha = m / b if m > 0 and b > 0 else 1.0
+    d = np.ones(pencil.size)
+    d[top:] = alpha
+    return alpha, polycore.MatrixPolynomial(coeffs * d[:, None] * d)
+
+
 def cmd_eigs(args) -> int:
     path = Path(args.input)
     kind = polycore.parse_kind(args.kind) if args.kind else None
     if linearize.sidecar_path(path).exists():
         pencil = linearize.load_pencil(path)
-        if not spectra.is_regular(pencil.poly):
+        alpha, balanced = _balanced(pencil)
+        if not spectra.is_regular(balanced):
             raise SingularPolynomialError("pencil is singular; its eigenvalues are not defined")
-        spec = spectra.pencil_eigs(pencil.l0, pencil.l1)
+        # QZ reads the pencil as written, so in-range files keep the bytes of
+        # their pairs, unless M and L_k lie more than 2^500 apart
+        qz = pencil.poly if 2.0**-500 <= alpha < 2.0**500 else balanced
+        spec = spectra.pencil_eigs(*qz.coeffs)
         kind = kind or pencil.kind
     else:
         spec = spectra.reference_polyeigs(polycore.load_polynomial(path))

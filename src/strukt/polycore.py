@@ -223,7 +223,11 @@ class MatrixPolynomial:
     def __mul__(self, scalar):
         if isinstance(scalar, MatrixPolynomial):
             return NotImplemented
-        return MatrixPolynomial._adopt(self.coeffs * scalar)
+        out = self.coeffs * scalar
+        # a scalar numpy promotes past float64/complex128 (np.longdouble,
+        # Fraction) gives a product the copying constructor rounds back
+        fresh = out.dtype in (np.float64, np.complex128)
+        return MatrixPolynomial._adopt(out) if fresh else MatrixPolynomial(out)
 
     __rmul__ = __mul__
 

@@ -6,6 +6,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,27 @@ def test_eigs_of_extreme_but_finite_coefficients_is_strict_json(peak, tmp_path, 
     doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the output"))
     assert doc["count"] == 9 and not any(pair["infinite"] for pair in doc["pairs"])
     assert err == ""
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", list(StructureKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("scale", [1e-12, 1e-310])
+def test_eigs_takes_a_small_polynomial_and_its_pencil(scale, kind, field, tmp_path, capsys):
+    """The pencil's regularity test reads it balanced, so the +-1 entries of
+    L_k do not make the pencil of a small regular P look singular: at norm
+    1e-12 and at entries near 1e-310, `strukt eigs` takes P and its pencil
+    and prints as many finite pairs for each, with no warning."""
+    p = random_structured(2, 3, kind, 1.0, seed=3, field=field) * scale
+    path, pencil_path = tmp_path / "p.json", tmp_path / "pencil.json"
+    save_polynomial(p, path)
+    assert main(["linearize", str(path), "--kind", kind.value, "--output", str(pencil_path)]) == EXIT_OK
+    capsys.readouterr()
+    for target in (path, pencil_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eigs", str(target)]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out, parse_constant=lambda name: pytest.fail(name))
+        assert doc["count"] == 6 and not any(pair["infinite"] for pair in doc["pairs"])
 
 
 def test_certify_default_config(tmp_path, capsys):

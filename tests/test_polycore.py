@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -416,6 +417,18 @@ def test_adopt_freezes_a_fresh_stack_in_place_and_refuses_any_other():
         with pytest.raises(ValueError, match="fresh C-contiguous"):
             MatrixPolynomial._adopt(arr)
     assert raw.flags.writeable
+
+
+def test_a_scalar_promoted_past_float64_gives_a_rounded_product():
+    """`p * s` for a scalar that numpy promotes past float64/complex128 goes
+    through the copying constructor, which rounds the product back; a
+    float64 product is adopted as it is."""
+    p = MatrixPolynomial(np.arange(8.0).reshape(2, 2, 2))
+    for s in (np.longdouble(3), Fraction(1, 3), np.clongdouble(1j), 2.5):
+        expect = MatrixPolynomial(p.coeffs * s).coeffs
+        for q in (p * s, s * p):
+            assert q.coeffs.dtype == expect.dtype and np.array_equal(q.coeffs, expect)
+            assert not q.coeffs.flags.writeable
 
 
 def test_complex_record_with_zero_imaginary_parts_loads_as_complex(tmp_path):
