@@ -321,7 +321,8 @@ def run_certification(
     another and are deterministic per (seed, norm index, trial index);
     per-trial failures are recorded in the report, never raised. A grade
     below 3, a non-finite coefficient, a computed ||P||_F of zero (P = 0, or
-    so small that its squares underflow), fewer than one trial, an empty
+    so small that its squares underflow; a P whose norm exceeds the largest
+    double is first scaled by 2^-1000), fewer than one trial, an empty
     ``pert_norms``, a norm outside [0, inf) or a ``mode`` other than
     "certified" and "empirical" is refused with a `StruktError` before any
     trial.
@@ -339,6 +340,10 @@ def run_certification(
     if not all(0 <= nrm < math.inf for nrm in pert_norms):
         raise StruktError("perturbation norms must be finite and nonnegative")
     norm_p = frob_norm(p)
+    if norm_p == math.inf:
+        # an exact power of two brings ||P||_F back into range
+        p = p * 2.0**-1000
+        norm_p = frob_norm(p)
     if norm_p == 0.0:
         raise StruktError("cannot scale P to unit norm: its computed Frobenius norm is 0")
     p = p * (1.0 / norm_p)

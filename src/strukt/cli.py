@@ -170,15 +170,16 @@ def cmd_sigma_min(args) -> int:
 
 
 def _balanced(pencil: linearize.BlockKroneckerPencil):
-    """(alpha, D L D) with D = diag(I_(k+1)n, alpha I_kn), alpha = max|L11| /
-    max|L21|, or 1 when either block is 0. The congruence keeps regularity and
-    the eigenvalues, and brings the +-1 entries of L_k to the scale of M, so
-    the relative rank test of `spectra.is_regular` reads the pencil of c P as
-    it reads that of P."""
+    """(alpha, D L D) with D = diag(I_(k+1)n, alpha I_kn), alpha the ratio of
+    the largest real or imaginary parts of L11 and L21 (`polycore._peak`,
+    which cannot overflow), or 1 when either block is 0. The congruence keeps
+    regularity and the eigenvalues, and brings the +-1 entries of L_k to the
+    scale of M, so the relative rank test of `spectra.is_regular` reads the
+    pencil of c P as it reads that of P."""
     top = (pencil.k + 1) * pencil.n
     coeffs = pencil.poly.coeffs
-    m = np.abs(coeffs[:, :top, :top]).max(initial=0.0)
-    b = np.abs(coeffs[:, top:, :top]).max(initial=0.0)
+    m = polycore._peak(coeffs[:, :top, :top])
+    b = polycore._peak(coeffs[:, top:, :top])
     alpha = m / b if m > 0 and b > 0 else 1.0
     d = np.ones(pencil.size)
     d[top:] = alpha

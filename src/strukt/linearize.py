@@ -221,7 +221,7 @@ def build_linearization(
     """placement -> symmetrize -> assemble, the standard forward pipeline.
 
     A grade below 3 (k = 0, no dual basis to embed) is refused with
-    `GradeError`, an M whose structure projection overflows with `StruktError`.
+    `GradeError`.
     """
     try:
         place = PLACEMENTS[placement]
@@ -232,8 +232,6 @@ def build_linearization(
     # The average of two pencils satisfying the placement condition satisfies
     # it too; it is exactly structured, as the substitutions permute and negate.
     m = structure_project(place(p, kind), kind)
-    if not np.isfinite(m.coeffs).all():
-        raise StruktError("the structure projection of the placed coefficients overflowed")
     return _embed(m.coeffs, (p.grade - 1) // 2, p.rows, kind)
 
 

@@ -276,8 +276,7 @@ def array_norm(a: np.ndarray) -> float:
     """
     nrm = _plain_norm(a)
     if nrm == math.inf:
-        with np.errstate(over="ignore"):  # |z| of a complex entry may overflow
-            scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(a))))[1])
+        scale = math.ldexp(1.0, -math.frexp(_peak(a))[1])
         nrm = _plain_norm(a * scale) / scale
     return nrm
 
@@ -509,8 +508,22 @@ def structure_project(p: MatrixPolynomial, kind) -> MatrixPolynomial:
 
 def _average(coeffs: np.ndarray, sub: np.ndarray) -> np.ndarray:
     """The structure projection of a square coefficient stack, given its
-    substituted stack ``sub``."""
+    substituted stack ``sub``. Operands with a part of 2^1022 or more are
+    halved before they are added, so the sum cannot overflow; below that the
+    sum is halved, which keeps the signed zeros of complex parts."""
+    if _peak(coeffs, sub) >= 2.0**1022:
+        return coeffs * 0.5 + star(sub) * 0.5
     return (coeffs + star(sub)) * 0.5
+
+
+def _peak(*arrays) -> float:
+    """Largest magnitude of a real or imaginary part of ``arrays``; unlike
+    the complex modulus, it cannot overflow."""
+    return max(
+        float(np.abs(part).max(initial=0.0))
+        for a in arrays
+        for part in ((a.real, a.imag) if a.dtype.kind == "c" else (a,))
+    )
 
 
 def random_structured(
@@ -625,8 +638,11 @@ def from_json_dict(doc: dict) -> MatrixPolynomial:
 
 
 def save_polynomial(p: MatrixPolynomial, path) -> None:
+    """Write ``p`` as strict JSON; a non-finite ``p`` is refused with
+    `StruktError` before the file is opened."""
+    require_finite(p)
     with open(path, "w") as fh:
-        json.dump(to_json_dict(p), fh)
+        json.dump(to_json_dict(p), fh, allow_nan=False)
 
 
 def load_polynomial(path) -> MatrixPolynomial:

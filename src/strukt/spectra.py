@@ -11,7 +11,11 @@ Spectra are matched by `_assign`, a numpy transcription of the assignment
 solver that scipy.optimize.linear_sum_assignment runs (Crouse, "On implementing
 2D rectangular assignment algorithms", IEEE TAES 52(4), 2016). It returns
 scipy's columns on every input, so matchings and their distances are the ones
-scipy gives, bit for bit. scipy.linalg, imported on first use inside
+scipy gives, bit for bit. It has two layers: a row settles from its cached
+first step when that step has a unique minimum on a free column, and any
+other row runs the generic augmenting path. Cached first steps are valid
+while the column duals are unchanged, so an augment that moves a dual
+rescans all later rows. scipy.linalg, imported on first use inside
 `pencil_eigs` (QZ), is the only scipy module strukt loads: `import strukt` and
 the non-spectral paths never load scipy at all.
 """
@@ -70,12 +74,7 @@ def _binary_scaled(*arrays):
     [2^-500, 2^500) or is 0 or not finite; else s is the multiple of 1000
     that brings it there. QZ is not bitwise scale-invariant, so in-range
     input keeps its bytes, and 2^+-1000 P gives the pairs of P bit for bit."""
-    peak = max(
-        float(np.max(np.abs(part), initial=0.0))
-        for a in arrays
-        for part in ((a.real, a.imag) if a.dtype.kind == "c" else (a,))
-    )
-    s = -1000 * ((math.frexp(peak)[1] + 499) // 1000)
+    s = -1000 * ((math.frexp(polycore._peak(*arrays))[1] + 499) // 1000)
     return arrays if s == 0 else tuple(_ldexp(a, s) for a in arrays)
 
 
@@ -190,18 +189,16 @@ def _assign(cost: np.ndarray) -> np.ndarray:
     expression ((minVal + c_ij) - u_i) - v_j, the remaining columns are
     scanned from n-1 down to 0 with swap-removes, and among equal minima the
     last free column in that order wins, else the first. So it returns
-    scipy's columns on every input. Three layers keep it fast on the
+    scipy's columns on every input. Two layers keep it fast on the
     near-permutation matrices of matched spectra:
 
-    - A row whose unique first-step minimum lies on a free column is a
+    - A row whose first step has a unique minimum on a free column is a
       one-step augment that sets u_i and leaves v alone. One argmin pass
-      over the matrix (`_first_steps`) finds these minima for all rows, and
-      while v stays put it settles every such row.
-    - A row whose unique minimum sits on a taken column tries `_two_step`,
-      which settles the collisions of double eigenvalues.
-    - Any other row runs the generic `_augment`. After an augment that moves
-      v, only later rows whose cached minimum sat on a moved column, or that
-      a raised column now undercuts, are rescanned.
+      (`_first_steps`) caches the first step of every row.
+    - Any other row runs the generic `_augment`.
+
+    The one invariant: a cached first step is valid while v is unchanged, so
+    an augment that moves a column dual rescans all later rows.
     """
     cost = np.asarray(cost, dtype=float)
     n = cost.shape[0]
@@ -209,76 +206,29 @@ def _assign(cost: np.ndarray) -> np.ndarray:
         raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix must be finite")
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
     u = [0.0] * n
     v = np.zeros(n)
     row4col = [-1] * n
     col4row = [-1] * n
-    if n == 0:
-        return np.array(col4row, dtype=np.intp)
-    best, low, unique = _first_steps(cost)
-    best_l, low_l, unique_l = best.tolist(), low.tolist(), unique.tolist()
+    best, low, unique = (a.tolist() for a in _first_steps(cost))
     for i in range(n):
-        j = best_l[i]
-        moved = None
-        if unique_l[i]:
-            if row4col[j] < 0:
-                row4col[j], col4row[i] = i, j
-                u[i] = 0.0 + low_l[i]
-                continue
-            moved = _two_step(cost, u, v, row4col, col4row, i, j, low_l[i])
-        if moved is None:
-            moved = _augment(cost, u, v, row4col, col4row, i)
-        rest = slice(i + 1, n)
-        for j, raised in moved:
-            # v_j fell: column j's reduced costs rose, which unseats only the
-            # rows whose minimum sat on j. v_j rose: they fell, so every row
-            # they now tie or undercut, its minimum on j included, is stale.
-            if raised:
-                stale = cost[rest, j] - v[j] <= low[rest]
-            else:
-                stale = best[rest] == j
-            rows = i + 1 + stale.nonzero()[0]
-            if rows.size:
-                scan = _first_steps(cost[rows] - v)
-                best[rows], low[rows], unique[rows] = scan
-                for r, *cached in zip(rows.tolist(), *(a.tolist() for a in scan)):
-                    best_l[r], low_l[r], unique_l[r] = cached
+        j = best[i]
+        if unique[i] and row4col[j] < 0:
+            row4col[j], col4row[i] = i, j
+            u[i] = 0.0 + low[i]
+        elif _augment(cost, u, v, row4col, col4row, i):
+            best[i + 1:], low[i + 1:], unique[i + 1:] = (
+                a.tolist() for a in _first_steps(cost[i + 1:] - v)
+            )
     return np.array(col4row, dtype=np.intp)
 
 
-def _two_step(cost, u, v, row4col, col4row, i, j1, m1):
-    """Augment row i through the row that holds j1, its unique first-step
-    minimum m1, if the second step ends on a unique free column. Returns the
-    moved duals as for `_augment`, or None, changing nothing, otherwise."""
-    i2 = row4col[j1]
-    r1 = cost[i] - v
-    r2 = m1 + cost[i2]
-    r2 -= u[i2]
-    r2 -= v
-    spc = np.minimum(r1, r2)
-    spc[j1] = np.inf
-    j2 = int(spc.argmin())
-    # the minimum is unique when the last one, found from the back, is j2
-    if row4col[j2] >= 0 or spc[::-1].argmin() != spc.size - 1 - j2:
-        return None
-    lowest = float(spc[j2])
-    step = lowest - m1
-    u[i] = 0.0 + lowest
-    u[i2] += step
-    old = v[j1]
-    v[j1] -= step
-    if r2[j2] < r1[j2]:
-        row4col[j2], col4row[i2] = i2, j2
-        row4col[j1], col4row[i] = i, j1
-    else:
-        row4col[j2], col4row[i] = i, j2
-    return [] if v[j1] == old else [(j1, v[j1] > old)]
-
-
-def _augment(cost, u, v, row4col, col4row, cur):
+def _augment(cost, u, v, row4col, col4row, cur) -> bool:
     """Scipy's augmenting path step for row cur, then its dual update and
     augmentation. Shortest-path costs and paths are kept aligned with the
-    remaining columns. Returns (column, raised) for each v that moved."""
+    remaining columns. Returns whether any column dual v moved."""
     n = v.size
     remaining = np.arange(n - 1, -1, -1)
     spc = np.full(n, np.inf)
@@ -304,15 +254,14 @@ def _augment(cost, u, v, row4col, col4row, cur):
             break
         i = row4col[j]
     u[cur] += min_val
-    moved = []
+    moved = False
     # the sink's own dual moves by min_val - min_val = 0
     for j, cost_j, _ in reached[:-1]:
         step = min_val - cost_j
         u[row4col[j]] += step
         old = v[j]
         v[j] -= step
-        if v[j] != old:
-            moved.append((j, v[j] > old))
+        moved = moved or v[j] != old
     back = {j: row for j, _, row in reached}
     j = reached[-1][0]
     while True:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strukt import StructureKind, from_coeff_list, random_structured, random_structured_perturbation
+from strukt import StructureKind, from_coeff_list, polycore, random_structured, random_structured_perturbation
 from strukt.linearize import build_linearization, natural_blocks
 from strukt.polycore import MatrixPolynomial
 
@@ -15,6 +15,12 @@ def with_entry(p, value):
     coeffs = p.coeffs.copy()
     coeffs[1, 0, 0] = value
     return MatrixPolynomial(coeffs)
+
+
+def near_overflow(p):
+    """``p`` scaled so that its largest real or imaginary part is about
+    1.7e308, in two steps, as 1.7e308 / that part may overflow."""
+    return p * (1.7 / polycore._peak(p.coeffs)) * 1e308
 
 
 def integer_structured_coeffs(kind, g, n, rng):

@@ -28,7 +28,7 @@ from strukt import backward, errors, linearize, minbases, polycore, spectra, syl
 from strukt.errors import GradeError, StruktError, ThresholdError
 from strukt.linearize import build_linearization
 
-from conftest import ALL_KINDS, noisy_22_pencil, perturbation_blocks, with_entry
+from conftest import ALL_KINDS, near_overflow, noisy_22_pencil, perturbation_blocks, with_entry
 from oracles import is_structured, reports_from_csv, reports_from_json, x_norm_bound
 
 
@@ -766,6 +766,20 @@ def test_run_certification_refuses_a_zero_computed_norm_before_any_trial(monkeyp
     assert p.coeffs.any() == (scale > 0)
     with pytest.raises(StruktError, match="norm is 0"):
         run_certification(p, StructureKind.symmetric, "tridiagonal", [1e-8], trials=1, seed=3)
+
+
+@pytest.mark.parametrize("field", [polycore.REAL, polycore.COMPLEX])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_run_certification_takes_a_polynomial_whose_norm_overflows(kind, field):
+    """A P with a part of 1.7e308 has a computed ||P||_F of inf. It is first
+    scaled by an exact power of two, then normalized, and certifies."""
+    p = near_overflow(random_structured(2, 5, kind, 1.0, seed=2, field=field))
+    assert frob_norm(p) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [row] = run_certification(p, kind, "tridiagonal", [1e-8], trials=1, seed=3)
+    assert row.norm_P == pytest.approx(1.0, rel=1e-15)
+    assert row.threshold_ok and row.error is None and row.ratio_le_bound and row.structure_ok
 
 
 def _same_cell(a, b):

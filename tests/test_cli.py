@@ -25,7 +25,7 @@ from strukt.cli import (
     main,
 )
 
-from conftest import noisy_22_pencil
+from conftest import near_overflow, noisy_22_pencil, with_entry
 from oracles import is_structured
 from strukt.errors import StruktError
 
@@ -199,6 +199,42 @@ def test_recover_zero_pencil_exits_2(tmp_path, capsys):
     out = tmp_path / "rec.json"
     assert main(["recover", str(path), "--output", str(out)]) == EXIT_USAGE
     assert "gap" in _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", [polycore.REAL, polycore.COMPLEX])
+def test_recover_of_a_pencil_near_overflow_writes_finite_strict_json(tmp_path, field, capsys):
+    """A palindromic pencil whose (1,1) block peaks at 1.5e308, with its
+    largest entry moved up by one ulp: well inside the structure gate, and
+    the projection of that block does not overflow, so `recover` writes a
+    finite polynomial in strict JSON and warns of nothing."""
+    kind = StructureKind.palindromic
+    pencil = linearize.build_linearization(random_structured(2, 5, kind, 1.0, seed=3, field=field), kind)
+    coeffs = pencil.poly.coeffs.copy()
+    m11 = linearize.natural_blocks(coeffs, 2, 2)[0]
+    m11 *= 1.5 / polycore._peak(m11)
+    m11 *= 1e308
+    at = np.unravel_index(np.abs(m11.real).argmax(), m11.shape)
+    m11.real[at] = np.nextafter(m11.real[at], np.copysign(np.inf, m11.real[at]))
+    path, out = tmp_path / "a.json", tmp_path / "r.json"
+    linearize.save_pencil(linearize.BlockKroneckerPencil(polycore.MatrixPolynomial(coeffs), 2, 2, kind), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["recover", str(path), "--output", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    doc = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(f"{name} in the file"))
+    assert np.isfinite(polycore.from_json_dict(doc).coeffs).all()
+
+
+def test_recover_refuses_to_write_a_polynomial_that_is_not_finite(tmp_path, poly_file, monkeypatch, capsys):
+    """`save_polynomial` writes strict JSON: a NaN coefficient ends in a
+    typed error with exit 2, and no file is written."""
+    path, p = poly_file
+    pencil_path, out = tmp_path / "pencil.json", tmp_path / "r.json"
+    linearize.save_pencil(linearize.build_linearization(p, StructureKind.symmetric), pencil_path)
+    monkeypatch.setattr(linearize, "recover", lambda pencil: with_entry(p, np.nan))
+    assert main(["recover", str(pencil_path), "--output", str(out)]) == EXIT_USAGE
+    assert "finite" in _assert_one_error_line(capsys)
     assert not out.exists()
 
 
@@ -387,6 +423,26 @@ def test_eigs_takes_a_small_polynomial_and_its_pencil(scale, kind, field, tmp_pa
             assert main(["eigs", str(target)]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out, parse_constant=lambda name: pytest.fail(name))
         assert doc["count"] == 6 and not any(pair["infinite"] for pair in doc["pairs"])
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", list(StructureKind), ids=lambda k: k.value)
+def test_eigs_takes_a_polynomial_near_overflow_and_its_pencil(kind, field, tmp_path, capsys):
+    """A P with a part of 1.7e308 linearizes, and the balanced regularity
+    test of its pencil reads the largest real or imaginary part of each
+    block, not the complex modulus, which overflows: `strukt eigs` takes P
+    and its pencil and prints finite pairs, with no warning."""
+    p = near_overflow(random_structured(2, 3, kind, 1.0, seed=3, field=field))
+    path, pencil_path = tmp_path / "p.json", tmp_path / "pencil.json"
+    save_polynomial(p, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["linearize", str(path), "--kind", kind.value, "--output", str(pencil_path)]) == EXIT_OK
+        capsys.readouterr()
+        for target in (path, pencil_path):
+            assert main(["eigs", str(target)]) == EXIT_OK
+            doc = json.loads(capsys.readouterr().out, parse_constant=lambda name: pytest.fail(name))
+            assert doc["count"] == 6 and not any(pair["infinite"] for pair in doc["pairs"])
 
 
 def test_certify_default_config(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from strukt import linearize, minbases, polycore
 from strukt.errors import GradeError, StructureError, StruktError
 from strukt.linearize import build_linearization
 
-from conftest import ALL_KINDS, expected_tridiagonal_grade5, integer_structured_poly, with_entry
+from conftest import (
+    ALL_KINDS,
+    expected_tridiagonal_grade5,
+    integer_structured_poly,
+    near_overflow,
+    with_entry,
+)
 from oracles import check_placement, is_structured, permutation_to_tridiagonal, tridiagonal_form
 
 
@@ -389,15 +396,18 @@ def test_build_linearization_admits_only_the_input_polynomial(placement, monkeyp
     assert calls == ["input polynomial"]
 
 
+@pytest.mark.parametrize("field", [polycore.REAL, polycore.COMPLEX])
 @pytest.mark.parametrize("placement", sorted(linearize.PLACEMENTS))
-def test_build_linearization_names_a_structure_projection_that_overflows(placement):
-    """A finite symmetric P with entries of 1e308 passes the input gate, but
-    (M + M^T)/2 overflows. The refusal names the projection, not the input's
-    finiteness."""
-    p = polycore.MatrixPolynomial(np.full((4, 2, 2), 1e308))
-    with np.errstate(over="ignore"):
-        with pytest.raises(StruktError, match="structure projection .* overflowed"):
-            build_linearization(p, StructureKind.symmetric, placement)
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_a_polynomial_near_overflow_linearizes_and_recovers_bit_for_bit(kind, placement, field):
+    """A structured P with a part of 1.7e308: the structure projection halves
+    its operands before it adds them, so (M + M^*)/2 does not overflow, and
+    the pencil is built and recovered without a warning."""
+    p = near_overflow(random_structured(2, 5, kind, 1.0, seed=6, field=field))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = recover(build_linearization(p, kind, placement))
+    assert back.coeffs.tobytes() == p.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -207,31 +207,79 @@ def _oracle_matrices():
         halved = rng.random((n, n))
         halved[rng.random((n, n)) < 0.5] = 0.0
         yield halved
+    yield from _collision_matrices()
+
+
+def _collision_matrices():
+    """Matrices whose first steps collide, so that augments move column
+    duals and the later rows are rescanned: rows drawn from two or three
+    distinct vectors, and chordal matrices of spectra with repeated
+    eigenvalues, against themselves and against a perturbed copy."""
+    rng = np.random.default_rng(22)
+    for n in range(2, 13):
+        for distinct in (2, 3):
+            for _ in range(10):
+                yield rng.random((distinct, n))[rng.integers(0, distinct, n)]
+    for values, infinite in (
+        ([1.0, 1.0, 1.0, 2.0, 2.0], 0),
+        ([0.5, 0.5, 1j, 1j, -1j, -1j, 3.0], 2),
+        ([2.0 - 1j] * 6 + [-4.0] * 3, 3),
+    ):
+        a = _spectrum_of(values, infinite)
+        yield spectra._chordal_matrix(a, a)
+        for scale in (1e-15, 1e-9):
+            size = len(values) + infinite
+            noise = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+            b = spectra._normalize_pairs(a.alpha + noise * a.beta, a.beta - noise * a.alpha)
+            yield spectra._chordal_matrix(a, b)
 
 
 def test_assign_returns_scipys_columns():
     """Empty, one-by-one, uniform, rounding-prone, small-integer, constant,
-    all-zero and half-zero matrices: identical column arrays, ties and all."""
+    all-zero, half-zero and collision-heavy matrices: identical column
+    arrays, ties and all."""
     for cost in _oracle_matrices():
         _same_assignment(cost)
 
 
+def test_collisions_move_duals_and_rescan_the_later_rows(monkeypatch):
+    """The collision-heavy matrices run augments that move column duals,
+    and each of those is followed by one `_first_steps` pass over all later
+    rows."""
+    augment, first_steps = spectra._augment, spectra._first_steps
+    moves, scans = [], []
+
+    def counted_augment(*args):
+        moved = augment(*args)
+        if moved:
+            moves.append(args[-1])
+        return moved
+
+    def counted_first_steps(r):
+        scans.append(r.shape[0])
+        return first_steps(r)
+
+    monkeypatch.setattr(spectra, "_augment", counted_augment)
+    monkeypatch.setattr(spectra, "_first_steps", counted_first_steps)
+    moving = 0
+    for cost in _collision_matrices():
+        del moves[:], scans[:]
+        spectra._assign(cost)
+        assert scans == [len(cost)] + [len(cost) - 1 - i for i in moves]
+        moving += len(moves)
+    assert moving > 0
+
+
 def test_assign_matches_scipy_on_skew_symmetric_spectra(monkeypatch):
     """The double eigenvalues of skew-symmetric P collide in the first step;
-    these matrices run both the two-step and the generic augment."""
-    calls = {"two_step": 0, "augment": 0}
+    these matrices run the generic augment."""
+    augment, calls = spectra._augment, []
 
-    def counted(name):
-        inner = getattr(spectra, "_" + name)
+    def counted(*args):
+        calls.append(args[-1])
+        return augment(*args)
 
-        def call(*args):
-            calls[name] += 1
-            return inner(*args)
-
-        return call
-
-    for name in calls:
-        monkeypatch.setattr(spectra, "_" + name, counted(name))
+    monkeypatch.setattr(spectra, "_augment", counted)
     kind = StructureKind.skew_symmetric
     for n in (4, 12):
         for seed in range(4):
@@ -239,7 +287,7 @@ def test_assign_matches_scipy_on_skew_symmetric_spectra(monkeypatch):
             pencil = build_linearization(p, kind)
             got = pencil_eigs(pencil.l0, pencil.l1)
             _same_assignment(spectra._chordal_matrix(got, reference_polyeigs(p)))
-    assert calls["two_step"] > 0 and calls["augment"] > 0
+    assert len(calls) > 0
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
